@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import maxdet
-from .errors import ConstantColumnError, DataError, DomainError, ResourceLimitError
-from .feasibility import LATTICE_POINT_CAP, LatticeRegion, LitRegion, Region, km_factors
+from .errors import ConstantColumnError, DataError, DomainError
+from .feasibility import LatticeRegion, LitRegion, Region, km_factors, lattice_points
 from .model import (
     FrequencySet,
     density_batch,
@@ -163,9 +163,7 @@ def _fit_lit(model, freqs, data, tau, config):
         linear.append((a, tau - 2.0 * delta * float(r.sum())))
     problem = maxdet.MaxDetProblem(
         nvars=2 * k,
-        objective_terms=tuple(
-            maxdet.AffineMatrix(base, split[t]) for t in range(len(data))
-        ),
+        objective_terms=(maxdet.AffineMatrix(base, split),),
         linear_constraints=tuple(linear),
     )
     report = maxdet.solve(problem, config)
@@ -174,23 +172,14 @@ def _fit_lit(model, freqs, data, tau, config):
 
 
 def _fit_lattice(model, freqs, data, M, config):
+    lattice = lattice_points(freqs.dim, M)
     base, coeffs = _term_values(model, freqs, data)
-    npts = (M + 1) ** freqs.dim
-    if npts > LATTICE_POINT_CAP:
-        raise ResourceLimitError(f"lattice has {npts} points, cap is {LATTICE_POINT_CAP}")
-    axis = np.arange(M + 1) / float(M)
-    mesh = np.meshgrid(*([axis] * freqs.dim), indexing="ij")
-    lattice = np.stack([g.ravel() for g in mesh], axis=-1)
     _, lat_coeffs = _term_values(model, freqs, lattice)
     lat_coeffs = lat_coeffs / km_factors(freqs, M)[None, :, None, None]
     problem = maxdet.MaxDetProblem(
         nvars=freqs.size,
-        objective_terms=tuple(
-            maxdet.AffineMatrix(base, coeffs[t]) for t in range(len(data))
-        ),
-        psd_constraints=tuple(
-            maxdet.AffineMatrix(base, lat_coeffs[t]) for t in range(len(lattice))
-        ),
+        objective_terms=(maxdet.AffineMatrix(base, coeffs),),
+        psd_constraints=(maxdet.AffineMatrix(base, lat_coeffs),),
     )
     report = maxdet.solve(problem, config)
     return report.theta, report

@@ -102,20 +102,25 @@ class LatticeCheck(NamedTuple):
     margin: float
 
 
-def lattice_feasible(
-    freqs: FrequencySet, theta, M: int, cap: int = LATTICE_POINT_CAP
-) -> LatticeCheck:
+def lattice_points(dim: int, M: int) -> np.ndarray:
+    """The lattice {0, 1/M, ..., 1}^dim as ((M+1)^dim, dim), first axis slowest.
+
+    Raises ResourceLimitError above LATTICE_POINT_CAP points, before allocating.
+    """
+    npts = (M + 1) ** dim
+    if npts > LATTICE_POINT_CAP:
+        raise ResourceLimitError(f"lattice has {npts} points, cap is {LATTICE_POINT_CAP}")
+    return _tensor_grid([np.arange(M + 1) / float(M)] * dim)
+
+
+def lattice_feasible(freqs: FrequencySet, theta, M: int) -> LatticeCheck:
     """Membership in the lattice region: rescaled Hessian PD at every lattice point.
 
     Returns the minimum eigenvalue margin over the lattice {0, 1/M, ..., 1}^m;
     feasible means the margin exceeds EPS_PD.
     """
     scaled = scale_km(freqs, theta, M)
-    npts = (M + 1) ** freqs.dim
-    if npts > cap:
-        raise ResourceLimitError(f"lattice has {npts} points, cap is {cap}")
-    axis = np.arange(M + 1) / float(M)
-    margin = _min_eig_over(freqs, scaled, _tensor_grid([axis] * freqs.dim))
+    margin = _min_eig_over(freqs, scaled, lattice_points(freqs.dim, M))
     return LatticeCheck(feasible=margin > EPS_PD, margin=margin)
 
 
@@ -191,9 +196,7 @@ def fejer_kernel(M: int, z):
     return out if out.ndim else float(out)
 
 
-def fejer_reconstruct(
-    freqs: FrequencySet, theta, M: int, x, cap: int = LATTICE_POINT_CAP
-) -> np.ndarray:
+def fejer_reconstruct(freqs: FrequencySet, theta, M: int, x) -> np.ndarray:
     """Reconstruct D2 psi(x | theta) from rescaled Hessians on the signed lattice.
 
     Evaluates sum over xi in R_M^m of D2 psi(xi | K_M theta) prod_j Q_M(x_j - xi_j)
@@ -205,8 +208,8 @@ def fejer_reconstruct(
     if x.shape != (freqs.dim,):
         raise DomainError(f"point must have {freqs.dim} coordinates")
     npts = (2 * M) ** freqs.dim
-    if npts > cap:
-        raise ResourceLimitError(f"reconstruction needs {npts} points, cap is {cap}")
+    if npts > LATTICE_POINT_CAP:
+        raise ResourceLimitError(f"reconstruction needs {npts} points, cap is {LATTICE_POINT_CAP}")
     axis = np.arange(-(M - 1), M + 1) / float(M)
     pts = _tensor_grid([axis] * freqs.dim)
     weights = np.ones(len(pts))

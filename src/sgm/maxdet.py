@@ -37,66 +37,43 @@ def _symmetrize(A: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineMatrix:
-    """Affine symmetric-matrix map theta -> base + sum_k theta_k coeffs[k]."""
+    """Stack of T affine symmetric-matrix maps theta -> base_t + sum_k theta_k coeffs[t, k].
 
-    base: np.ndarray      # (s, s)
-    coeffs: np.ndarray    # (p, s, s)
-    weight: float = 1.0   # objective weight; ignored for constraints
+    One map passes base (s, s), coeffs (p, s, s) and a scalar weight; a stack
+    passes coeffs (T, p, s, s) with an (s, s) or (T, s, s) base and a scalar
+    or (T,) weight.  Stored as base (T, s, s), coeffs (T, p, s, s), weight (T,).
+    """
+
+    base: np.ndarray
+    coeffs: np.ndarray
+    weight: float | np.ndarray = 1.0   # objective weight; ignored for constraints
 
     def __post_init__(self):
         base = _symmetrize(np.asarray(self.base, dtype=float), "base matrix")
         coeffs = _symmetrize(np.asarray(self.coeffs, dtype=float), "coefficient matrices")
-        if coeffs.ndim != 3 or coeffs.shape[1:] != base.shape:
-            raise DomainError("coefficient stack must be (p, s, s) matching base")
-        object.__setattr__(self, "base", base)
+        coeffs = coeffs[None] if coeffs.ndim == 3 else coeffs
+        T, s = len(coeffs), coeffs.shape[-1]
+        if coeffs.ndim != 4 or base.shape not in ((s, s), (T, s, s)):
+            raise DomainError("coefficient stack must be (p, s, s) or (T, p, s, s) matching base")
+        weight = np.asarray(self.weight, dtype=float)
+        if weight.shape not in ((), (T,)):
+            raise DomainError("weight must be a scalar or one value per map")
+        object.__setattr__(self, "base", np.broadcast_to(base, (T, s, s)))
         object.__setattr__(self, "coeffs", coeffs)
+        # contiguous: a zero-stride weight slows the curvature einsum
+        object.__setattr__(self, "weight", np.broadcast_to(weight, (T,)).copy())
 
     @property
     def size(self) -> int:
-        return self.base.shape[0]
+        return self.base.shape[-1]
+
+    @property
+    def count(self) -> int:
+        return self.coeffs.shape[0]
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        return self.base + np.tensordot(theta, self.coeffs, axes=1)
-
-
-class _Block:
-    """A stack of same-shape affine maps evaluated with batched linear algebra."""
-
-    def __init__(self, mats: list[AffineMatrix]):
-        self.bases = np.stack([m.base for m in mats])        # (T, s, s)
-        self.coeffs = np.stack([m.coeffs for m in mats])     # (T, p, s, s)
-        self.weights = np.array([m.weight for m in mats])    # (T,)
-        self.size = mats[0].size
-        self.count = len(mats)
-
-    def matrices(self, theta) -> np.ndarray:
-        return self.bases + np.einsum("p,tpij->tij", theta, self.coeffs)
-
-    def cholesky(self, theta) -> np.ndarray | None:
-        try:
-            return np.linalg.cholesky(self.matrices(theta))
-        except np.linalg.LinAlgError:
-            return None
-
-    def logdets(self, L: np.ndarray) -> np.ndarray:
-        return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-
-    def whitened(self, L: np.ndarray) -> np.ndarray:
-        """W[t, k] = L_t^{-1} A_tk L_t^{-T}, shape (T, p, s, s)."""
-        X = np.linalg.solve(L[:, None], self.coeffs)
-        return np.linalg.solve(L[:, None], X.transpose(0, 1, 3, 2))
-
-    def grad_rows(self, L: np.ndarray) -> np.ndarray:
-        """Per-map gradient of log det, shape (T, p)."""
-        W = self.whitened(L)
-        return np.trace(W, axis1=-2, axis2=-1)
-
-
-def _group_blocks(mats: tuple[AffineMatrix, ...]) -> list[_Block]:
-    groups: dict[tuple[int, int], list[AffineMatrix]] = {}
-    for m in mats:
-        groups.setdefault((m.size, m.coeffs.shape[0]), []).append(m)
-    return [_Block(v) for v in groups.values()]
+        """The (T, s, s) stack of matrices at theta."""
+        return self.base + np.einsum("p,tpij->tij", theta, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -111,7 +88,7 @@ class MaxDetProblem:
         terms = tuple(self.objective_terms)
         psd = tuple(self.psd_constraints)
         for t in terms + psd:
-            if t.coeffs.shape[0] != self.nvars:
+            if t.coeffs.shape[1] != self.nvars:
                 raise DomainError("coefficient stack does not match nvars")
         lin = []
         for a, b in self.linear_constraints:
@@ -132,13 +109,11 @@ class MaxDetProblem:
         b = np.array([b for _, b in lin])
         object.__setattr__(self, "_lin_A", A)
         object.__setattr__(self, "_lin_b", b)
-        object.__setattr__(self, "_obj_blocks", _group_blocks(terms))
-        object.__setattr__(self, "_psd_blocks", _group_blocks(psd))
 
     @property
     def barrier_degree(self) -> int:
         """Total barrier complexity: sum of PSD block sizes plus linear count."""
-        return sum(c.size for c in self.psd_constraints) + len(self.linear_constraints)
+        return sum(c.size * c.count for c in self.psd_constraints) + len(self.linear_constraints)
 
 
 @dataclass(frozen=True)
@@ -171,37 +146,60 @@ class SolveReport:
     message: str = ""
 
 
-def _logdet_sum(blocks, theta, need_hess, weighted):
-    """Accumulate (value, grad, hess) over blocks; None if any map is not PD."""
-    if not blocks:
-        return 0.0, None, None
-    p = blocks[0].coeffs.shape[1]
+def _whiten(L: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """W[t, k] = L_t^{-1} A_tk L_t^{-T}, shape (T, p, s, s)."""
+    X = np.linalg.solve(L[:, None], coeffs)
+    return np.linalg.solve(L[:, None], X.transpose(0, 1, 3, 2))
+
+
+def _logdet_sum(stacks, theta, order, weighted):
+    """Sum of (weighted) log-dets over the stacks with derivatives up to ``order``.
+
+    Returns (value, grad, hess): order 0 gives the value only (no whitening),
+    order 1 adds the gradient and order 2 the curvature; derivatives not
+    asked for are None.  Returns None if any map is not positive definite.
+    """
+    p = len(theta)
     value = 0.0
-    grad = np.zeros(p)
-    hess = np.zeros((p, p)) if need_hess else None
-    for blk in blocks:
-        L = blk.cholesky(theta)
-        if L is None:
+    grad = np.zeros(p) if order >= 1 else None
+    hess = np.zeros((p, p)) if order >= 2 else None
+    for stack in stacks:
+        try:
+            L = np.linalg.cholesky(stack(theta))
+        except np.linalg.LinAlgError:
             return None
-        w = blk.weights if weighted else np.ones(blk.count)
-        value += float(w @ blk.logdets(L))
-        W = blk.whitened(L)
-        grad += np.einsum("t,tkii->k", w, W)
-        if need_hess:
-            hess -= np.einsum("t,tkij,tlij->kl", w, W, W)
+        w = stack.weight if weighted else np.ones(stack.count)
+        value += float(w @ (2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)))
+        if order >= 1:
+            W = _whiten(L, stack.coeffs)
+            grad += np.einsum("t,tkii->k", w, W)
+            if order >= 2:
+                hess -= np.einsum("t,tkij,tlij->kl", w, W, W)
     return value, grad, hess
 
 
-def _logdet_values(blocks, theta, weighted):
-    """Weighted sum of log-dets only; None if any map is not PD."""
-    value = 0.0
-    for blk in blocks:
-        L = blk.cholesky(theta)
-        if L is None:
+def _evaluate(problem: MaxDetProblem, theta, order: int, barrier: bool):
+    """_logdet_sum of the objective plus its linear cost, or with ``barrier`` of
+    the PSD constraints plus the linear-slack log barrier (unit mu)."""
+    stacks = problem.psd_constraints if barrier else problem.objective_terms
+    parts = _logdet_sum(stacks, theta, order, weighted=not barrier)
+    if parts is None:
+        return None
+    value, grad, hess = parts
+    if not barrier and problem.linear_cost is not None:
+        value = value + float(problem.linear_cost @ theta)
+        grad = grad + problem.linear_cost if order >= 1 else None
+    elif barrier and len(problem._lin_b):
+        A, b = problem._lin_A, problem._lin_b
+        s = b - A @ theta
+        if (s <= 0).any():
             return None
-        w = blk.weights if weighted else np.ones(blk.count)
-        value += float(w @ blk.logdets(L))
-    return value
+        value += float(np.log(s).sum())
+        if order >= 1:
+            grad = grad - A.T @ (1.0 / s)
+        if order >= 2:
+            hess = hess - (A.T / s**2) @ A
+    return value, grad, hess
 
 
 def objective_eval(problem: MaxDetProblem, theta, need_hess: bool = True):
@@ -211,59 +209,19 @@ def objective_eval(problem: MaxDetProblem, theta, need_hess: bool = True):
     Raises DomainError if any objective term fails to factorize at theta.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    p = problem.nvars
-    parts = _logdet_sum(problem._obj_blocks, theta, need_hess, weighted=True)
+    parts = _evaluate(problem, theta, 2 if need_hess else 1, barrier=False)
     if parts is None:
         raise DomainError("objective term is not positive definite at theta")
-    value, grad, hess = parts
-    if grad is None:
-        grad = np.zeros(p)
-        hess = np.zeros((p, p)) if need_hess else None
-    if problem.linear_cost is not None:
-        value = value + float(problem.linear_cost @ theta)
-        grad = grad + problem.linear_cost
-    return value, grad, hess
-
-
-def _barrier_parts(problem: MaxDetProblem, theta, need_hess: bool):
-    """(value, grad, hess) of the unit-mu barrier; None when theta is infeasible."""
-    p = problem.nvars
-    parts = _logdet_sum(problem._psd_blocks, theta, need_hess, weighted=False)
-    if parts is None:
-        return None
-    value, grad, hess = parts
-    if grad is None:
-        grad = np.zeros(p)
-        hess = np.zeros((p, p)) if need_hess else None
-    A, b = problem._lin_A, problem._lin_b
-    if len(b):
-        s = b - A @ theta
-        if (s <= 0).any():
-            return None
-        value += float(np.log(s).sum())
-        grad = grad - A.T @ (1.0 / s)
-        if need_hess:
-            hess = hess - (A.T / s**2) @ A
-    return value, grad, hess
+    return parts
 
 
 def _merit(problem, theta, mu):
     """Barrier-augmented objective value, or None if theta is out of domain."""
-    value = _logdet_values(problem._obj_blocks, theta, weighted=True)
+    value = _evaluate(problem, theta, 0, barrier=False)
     if value is None:
         return None
-    if problem.linear_cost is not None:
-        value += float(problem.linear_cost @ theta)
-    bar = _logdet_values(problem._psd_blocks, theta, weighted=False)
-    if bar is None:
-        return None
-    A, b = problem._lin_A, problem._lin_b
-    if len(b):
-        s = b - A @ theta
-        if (s <= 0).any():
-            return None
-        bar += float(np.log(s).sum())
-    return value + mu * bar
+    bar = _evaluate(problem, theta, 0, barrier=True)
+    return None if bar is None else value[0] + mu * bar[0]
 
 
 def _newton_direction(grad, hess):
@@ -292,7 +250,7 @@ def _newton_step(problem, theta, mu, grad_tol):
     verifiable, the full Newton step is trusted subject to feasibility only.
     """
     value, grad, hess = objective_eval(problem, theta, need_hess=True)
-    bar = _barrier_parts(problem, theta, need_hess=True)
+    bar = _evaluate(problem, theta, 2, barrier=True)
     if bar is None:
         raise InfeasibleStartError("theta is not strictly feasible")
     bval, bgrad, bhess = bar
@@ -349,13 +307,14 @@ def kkt_residual(problem: MaxDetProblem, theta) -> float:
         return float(np.linalg.norm(g))
     cols = []
     comp_weight = []
-    for blk in problem._psd_blocks:
-        L = blk.cholesky(theta)
-        if L is None:
-            raise InfeasibleStartError("theta is not strictly feasible")
-        rows = blk.grad_rows(L)  # (T, p)
+    for con in problem.psd_constraints:
+        try:
+            L = np.linalg.cholesky(con(theta))
+        except np.linalg.LinAlgError:
+            raise InfeasibleStartError("theta is not strictly feasible") from None
+        rows = np.trace(_whiten(L, con.coeffs), axis1=-2, axis2=-1)  # (T, p)
         cols.append(rows.T)
-        comp_weight.extend([float(blk.size)] * blk.count)
+        comp_weight.extend([float(con.size)] * con.count)
     A, b = problem._lin_A, problem._lin_b
     if len(b):
         s = b - A @ theta
@@ -381,13 +340,12 @@ def solve(problem: MaxDetProblem, config: SolverConfig | None = None) -> SolveRe
     """
     config = config or SolverConfig()
     theta = np.zeros(problem.nvars)
-    try:
-        _, g0, _ = objective_eval(problem, theta, need_hess=False)
-    except DomainError as exc:
-        raise InfeasibleStartError(f"objective terms not positive definite at 0: {exc}") from exc
-    if _barrier_parts(problem, theta, need_hess=False) is None:
+    start = _evaluate(problem, theta, 1, barrier=False)
+    if start is None:
+        raise InfeasibleStartError("objective terms not positive definite at theta = 0")
+    if _evaluate(problem, theta, 0, barrier=True) is None:
         raise InfeasibleStartError("a constraint margin at theta = 0 is not strictly positive")
-    target = config.newton_tol * (1.0 + float(np.linalg.norm(g0)))
+    target = config.newton_tol * (1.0 + float(np.linalg.norm(start[1])))
     grad_tol = 0.5 * target
     nu = problem.barrier_degree
 
@@ -411,7 +369,7 @@ def solve(problem: MaxDetProblem, config: SolverConfig | None = None) -> SolveRe
                 break
             newton_total += 1
             theta = new
-        value, _, _ = objective_eval(problem, theta, need_hess=False)
+        value = _evaluate(problem, theta, 0, barrier=False)[0]
         path.append((mu, value))
         logger.debug("outer %d: mu=%.3e objective=%.12g", outer, mu, value)
         if nu == 0:
@@ -446,7 +404,7 @@ def solve(problem: MaxDetProblem, config: SolverConfig | None = None) -> SolveRe
         kkt = kkt_residual(problem, theta)
         if message and nu > 0 and not converged:
             converged = kkt <= 10.0 * target
-    value, _, _ = objective_eval(problem, theta, need_hess=False)
+    value = _evaluate(problem, theta, 0, barrier=False)[0]
     return SolveReport(
         theta=theta,
         objective=value,

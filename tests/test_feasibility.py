@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import sgm
 from sgm import DomainError, FrequencySet, ResourceLimitError
-from sgm.feasibility import LatticeRegion, LitRegion, km_factors
+from sgm.feasibility import (
+    LATTICE_POINT_CAP,
+    LatticeRegion,
+    LitRegion,
+    km_factors,
+    lattice_points,
+)
 
 from conftest import random_lit_interior
 
@@ -117,6 +125,27 @@ class TestLatticeFeasible:
         fs = sgm.standard_freq_set(3)
         with pytest.raises(ResourceLimitError):
             sgm.lattice_feasible(fs, np.zeros(fs.size), 300)
+
+    def test_lattice_points_order(self):
+        pts = lattice_points(2, 2)
+        expected = [[a, b] for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
+        np.testing.assert_array_equal(pts, expected)
+
+    def test_cap_checked_before_lattice_allocation(self):
+        # the smallest lattice over the cap: CAP + 1 points, 80 MB as an array;
+        # a larger m would make a misplaced check allocate gigabytes
+        fs, M = sgm.standard_freq_set(1), LATTICE_POINT_CAP
+        data = np.full((5, 1), 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                sgm.lattice_feasible(fs, np.zeros(fs.size), M)
+            with pytest.raises(ResourceLimitError):
+                sgm.fit_sgm(data, fs, LatticeRegion(M))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestMinEigGrid:

@@ -13,37 +13,12 @@ from sgm.maxdet import (
     solve,
 )
 
-from conftest import fd_gradient, golden_section_max
+from conftest import fd_gradient, golden_section_max, random_maxdet_instance
 
 
 def rand_sym(rng, s, scale=0.3):
     A = rng.normal(scale=scale, size=(s, s))
     return (A + A.T) / 2
-
-
-def random_instance(rng, with_psd=True):
-    """A bounded random instance: box constraints keep the optimum finite."""
-    p = int(rng.integers(1, 6))
-    s = int(rng.integers(1, 4))
-    terms = tuple(
-        AffineMatrix(np.eye(s), np.stack([rand_sym(rng, s) for _ in range(p)]))
-        for _ in range(rng.integers(1, 4))
-    )
-    psd = ()
-    if with_psd:
-        psd = tuple(
-            AffineMatrix(1.5 * np.eye(s), np.stack([rand_sym(rng, s) for _ in range(p)]))
-            for _ in range(rng.integers(0, 3))
-        )
-    lin = []
-    r = float(rng.uniform(0.5, 2.0))
-    for k in range(p):
-        e = np.zeros(p)
-        e[k] = 1.0
-        lin += [(e.copy(), r), (-e, r)]
-    return MaxDetProblem(
-        nvars=p, objective_terms=terms, psd_constraints=psd, linear_constraints=tuple(lin)
-    )
 
 
 def one_var_problem(c=0.7):
@@ -67,6 +42,20 @@ class TestProblemValidation:
                 objective_terms=(AffineMatrix(np.eye(2), np.zeros((3, 2, 2))),),
             )
 
+    def test_stacked_weight_of_wrong_length_rejected(self):
+        with pytest.raises(DomainError):
+            AffineMatrix(np.eye(2), np.zeros((3, 1, 2, 2)), weight=np.ones(2))
+
+    def test_stacked_base_count_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            AffineMatrix(np.stack([np.eye(2)] * 2), np.zeros((3, 1, 2, 2)))
+
+    def test_asymmetric_slice_in_stack_rejected(self):
+        coeffs = np.zeros((3, 1, 2, 2))
+        coeffs[1, 0, 0, 1] = 0.5
+        with pytest.raises(DomainError):
+            AffineMatrix(np.eye(2), coeffs)
+
     def test_infeasible_start_raises(self):
         prob = MaxDetProblem(
             nvars=1,
@@ -75,6 +64,59 @@ class TestProblemValidation:
         )
         with pytest.raises(InfeasibleStartError):
             solve(prob)
+
+
+class TestStackedMaps:
+    """One stacked AffineMatrix is the same problem as its T single maps."""
+
+    @staticmethod
+    def both_forms(rng):
+        T, p, s = int(rng.integers(2, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
+        coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
+        weights = rng.uniform(0.5, 2.0, size=T)
+        con = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(2)])
+        lin = []
+        for k in range(p):
+            e = np.zeros(p)
+            e[k] = 1.0
+            lin += [(e.copy(), 1.0), (-e, 1.0)]
+        stacked = MaxDetProblem(
+            nvars=p,
+            objective_terms=(AffineMatrix(bases, coeffs, weights),),
+            psd_constraints=(AffineMatrix(1.5 * np.eye(s), con),),
+            linear_constraints=tuple(lin),
+        )
+        separate = MaxDetProblem(
+            nvars=p,
+            objective_terms=tuple(
+                AffineMatrix(bases[t], coeffs[t], weights[t]) for t in range(T)
+            ),
+            psd_constraints=tuple(AffineMatrix(1.5 * np.eye(s), c) for c in con),
+            linear_constraints=tuple(lin),
+        )
+        return stacked, separate
+
+    def test_objective_matches_separate_maps(self, rng):
+        for _ in range(20):
+            stacked, separate = self.both_forms(rng)
+            theta = 0.05 * rng.normal(size=stacked.nvars)
+            for a, b in zip(objective_eval(stacked, theta), objective_eval(separate, theta)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_solve_matches_separate_maps(self, rng):
+        for _ in range(10):
+            stacked, separate = self.both_forms(rng)
+            rep1, rep2 = solve(stacked), solve(separate)
+            assert rep1.converged and rep2.converged
+            np.testing.assert_allclose(rep1.theta, rep2.theta, rtol=0, atol=1e-9)
+
+    def test_barrier_degree_counts_every_map(self, rng):
+        stacked, separate = self.both_forms(rng)
+        (con,) = stacked.psd_constraints
+        assert con.count == 2
+        assert stacked.barrier_degree == con.size * con.count + len(stacked.linear_constraints)
+        assert stacked.barrier_degree == separate.barrier_degree
 
 
 class TestObjectiveEval:
@@ -90,7 +132,7 @@ class TestObjectiveEval:
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(30):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             theta = 0.05 * rng.normal(size=prob.nvars)
             _, g, _ = objective_eval(prob, theta)
             fd = fd_gradient(lambda t: objective_eval(prob, t, need_hess=False)[0], theta)
@@ -98,7 +140,7 @@ class TestObjectiveEval:
 
     def test_curvature_negative_semidefinite(self, rng):
         for _ in range(30):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             theta = 0.05 * rng.normal(size=prob.nvars)
             _, _, H = objective_eval(prob, theta)
             assert np.linalg.eigvalsh(H).max() <= 1e-10
@@ -121,7 +163,7 @@ class TestBarrierStep:
         from sgm.maxdet import _merit
 
         for _ in range(5):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             theta = np.zeros(prob.nvars)
             prev = _merit(prob, theta, 1.0)
             for _ in range(50):
@@ -132,7 +174,7 @@ class TestBarrierStep:
 
     def test_iterates_strictly_feasible(self, rng):
         for _ in range(5):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             theta = np.zeros(prob.nvars)
             for _ in range(20):
                 theta = barrier_step(prob, theta, 0.3)
@@ -210,7 +252,7 @@ class TestSolve:
 
     def test_random_instances_converge_with_small_kkt(self, rng):
         for _ in range(25):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             rep = solve(prob)
             assert rep.converged, rep.message
             assert rep.kkt_residual <= 1e-8
@@ -221,20 +263,20 @@ class TestSolve:
 
     def test_outer_path_monotone(self, rng):
         for _ in range(10):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             rep = solve(prob)
             objs = [v for _, v in rep.path]
             assert all(b >= a - 1e-10 for a, b in zip(objs, objs[1:]))
 
     def test_objective_not_below_start(self, rng):
         for _ in range(10):
-            prob = random_instance(rng)
+            prob = random_maxdet_instance(rng)
             rep = solve(prob)
             start, _, _ = objective_eval(prob, np.zeros(prob.nvars), need_hess=False)
             assert rep.objective >= start - 1e-9
 
     def test_deterministic(self, rng):
-        prob = random_instance(rng)
+        prob = random_maxdet_instance(rng)
         rep1 = solve(prob)
         rep2 = solve(prob)
         assert np.array_equal(rep1.theta, rep2.theta)
