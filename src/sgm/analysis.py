@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .model import (
     FrequencySet,
+    _psd_det,
+    _scores,
     density_batch,
     gram_batch,
     hessian_basis_batch,
@@ -239,10 +241,8 @@ def fisher_numeric(
         pts = points[lo : lo + _CHUNK]
         w = weights[lo : lo + _CHUNK]
         G = gram_batch(freqs, theta, pts)
-        H = hessian_basis_batch(freqs, pts)
-        scores = np.trace(np.linalg.solve(G[:, None, :, :], H), axis1=-2, axis2=-1)
-        p = np.linalg.det(G)
-        J += np.einsum("n,nu,nv->uv", w * p, scores, scores)
+        scores = _scores(G, hessian_basis_batch(freqs, pts))
+        J += np.einsum("n,nu,nv->uv", w * _psd_det(G), scores, scores)
     return J
 
 

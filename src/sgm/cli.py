@@ -240,6 +240,14 @@ def run_fit(args) -> None:
     dump_json(_result("fit", config, body, started), args.output)
 
 
+def _map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in a pool of ``jobs`` processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _cv_subgrid(payload):
     raw, model, taus, folds, seed, mode = payload
     res = estimators.cross_validate(
@@ -266,21 +274,9 @@ def run_cv(args) -> None:
         "preprocess": mode,
         "jobs": args.jobs,
     }
-    if args.jobs > 1:
-        chunks = np.array_split(np.asarray(taus, dtype=float), min(args.jobs, len(taus)))
-        payloads = [
-            (raw, args.model, chunk, args.folds, args.seed, mode)
-            for chunk in chunks
-            if len(chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = [r for part in pool.map(_cv_subgrid, payloads) for r in part]
-    else:
-        res = estimators.cross_validate(
-            raw, args.model, tau_grid=taus, folds=args.folds, seed=args.seed,
-            preprocess_mode=mode,
-        )
-        rows = list(zip(res.taus.tolist(), res.scores.tolist()))
+    chunks = np.array_split(np.asarray(taus, dtype=float), min(max(args.jobs, 1), len(taus)))
+    payloads = [(raw, args.model, chunk, args.folds, args.seed, mode) for chunk in chunks]
+    rows = [r for part in _map(_cv_subgrid, payloads, args.jobs) for r in part]
     best_i = int(np.argmax([s for _, s in rows]))
     body = {
         "rows": [
@@ -480,18 +476,9 @@ def simulate(
         (i, int(rep_seeds[i]), n, n_test, tau, tau_gauss_predict)
         for i in range(replicates)
     ]
-    results = []
-    failures = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = list(pool.map(_simulate_replicate_safe, payloads))
-        for out in futures:
-            (results if "error" not in out else failures).append(out)
-    else:
-        for payload in payloads:
-            out = _simulate_replicate_safe(payload)
-            (results if "error" not in out else failures).append(out)
-    results.sort(key=lambda r: r["index"])
+    outs = _map(_simulate_replicate_safe, payloads, jobs)
+    results = [out for out in outs if "error" not in out]
+    failures = [out for out in outs if "error" in out]
 
     def agg(key):
         arr = np.array([r[key] for r in results])

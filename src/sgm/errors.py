@@ -21,7 +21,7 @@ class DomainError(NumericalError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class IndefiniteHessianError(NumericalError):
+class IndefiniteHessianError(DomainError):
     """The model Hessian has a negative eigenvalue: the parameter is infeasible."""
 
 

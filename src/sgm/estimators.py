@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import maxdet
-from .errors import ConstantColumnError, DataError, DomainError
+from .errors import ConstantColumnError, DataError, DomainError, IndefiniteHessianError
 from .feasibility import LatticeRegion, LitRegion, Region, km_factors, lattice_points
 from .model import (
     FrequencySet,
@@ -366,12 +366,16 @@ def predictive_loglik(model: str, params, test) -> float:
     For the gradient/mixture models ``params`` is (FrequencySet, theta) and
     the null is the uniform density; for the Gaussian model ``params`` is
     the concentration matrix and the null is the standard normal on the
-    standardized scale.  A nonpositive test density yields -inf.
+    standardized scale.  A nonpositive test density or an indefinite
+    Hessian at a test point yields -inf.
     """
     test = np.asarray(test, dtype=float)
     if model in ("sgm", "mixm"):
         freqs, theta = params
-        p = (density_batch if model == "sgm" else mixm_density_batch)(freqs, theta, test)
+        try:
+            p = (density_batch if model == "sgm" else mixm_density_batch)(freqs, theta, test)
+        except IndefiniteHessianError:
+            return float("-inf")
         if p.min() <= 0:
             return float("-inf")
         return float(np.log(p).sum())

@@ -117,11 +117,12 @@ def lattice_feasible(freqs: FrequencySet, theta, M: int) -> LatticeCheck:
     """Membership in the lattice region: rescaled Hessian PD at every lattice point.
 
     Returns the minimum eigenvalue margin over the lattice {0, 1/M, ..., 1}^m;
-    feasible means the margin exceeds EPS_PD.
+    feasible means the margin is at least -EPS_PD, the semidefinite rule of
+    the density.
     """
     scaled = scale_km(freqs, theta, M)
     margin = _min_eig_over(freqs, scaled, lattice_points(freqs.dim, M))
-    return LatticeCheck(feasible=margin > EPS_PD, margin=margin)
+    return LatticeCheck(feasible=margin >= -EPS_PD, margin=margin)
 
 
 def min_eig_grid(

@@ -160,6 +160,23 @@ def _prod_excluding(C: np.ndarray, skip: tuple[int, ...]) -> np.ndarray:
     return C[..., keep].prod(axis=-1)
 
 
+def _hessian_entries(freqs: FrequencySet, X: np.ndarray):
+    """Yield (j, l, c, F) with H_u(x)[j, l] = c_u F[:, u] for j <= l.
+
+    Off-diagonal entries whose coefficients all vanish are skipped.
+    """
+    U = freqs.freqs.astype(float)
+    C, S = _trig_tables(freqs, X)
+    P = C.prod(axis=-1)  # (N, k)
+    for j in range(freqs.dim):
+        yield j, j, U[:, j] ** 2, P
+    for j in range(freqs.dim):
+        for l in range(j + 1, freqs.dim):
+            c = -U[:, j] * U[:, l]
+            if c.any():
+                yield j, l, c, S[:, :, j] * S[:, :, l] * _prod_excluding(C, (j, l))
+
+
 def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     """Model Hessians D2 psi(x | theta) for a batch of points, shape (N, m, m).
 
@@ -168,50 +185,46 @@ def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     """
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
-    m = freqs.dim
-    U = freqs.freqs.astype(float)
-    C, S = _trig_tables(freqs, X)
-    P = C.prod(axis=-1)  # (N, k)
-    G = np.zeros((X.shape[0], m, m))
-    for j in range(m):
-        G[:, j, j] = 1.0 + P @ (theta * U[:, j] ** 2)
-    for j in range(m):
-        for l in range(j + 1, m):
-            w = -theta * U[:, j] * U[:, l]
-            if not w.any():
-                continue
-            L2 = _prod_excluding(C, (j, l))
-            v = (S[:, :, j] * S[:, :, l] * L2) @ w
-            G[:, j, l] = v
-            G[:, l, j] = v
+    G = np.zeros((X.shape[0], freqs.dim, freqs.dim))
+    for j, l, c, F in _hessian_entries(freqs, X):
+        G[:, j, l] = G[:, l, j] = (j == l) + F @ (theta * c)
     return G
 
 
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
     """Per-frequency Hessian basis matrices H_u(x), shape (N, k, m, m)."""
     X = np.asarray(X, dtype=float)
-    m = freqs.dim
-    U = freqs.freqs.astype(float)
-    C, S = _trig_tables(freqs, X)
-    P = C.prod(axis=-1)
-    H = np.zeros((X.shape[0], freqs.size, m, m))
-    for j in range(m):
-        H[:, :, j, j] = U[None, :, j] ** 2 * P
-    for j in range(m):
-        for l in range(j + 1, m):
-            w = U[:, j] * U[:, l]
-            if not w.any():
-                continue
-            L2 = _prod_excluding(C, (j, l))
-            v = -w[None, :] * S[:, :, j] * S[:, :, l] * L2
-            H[:, :, j, l] = v
-            H[:, :, l, j] = v
+    H = np.zeros((X.shape[0], freqs.size, freqs.dim, freqs.dim))
+    for j, l, c, F in _hessian_entries(freqs, X):
+        H[:, :, j, l] = H[:, :, l, j] = c * F
     return H
 
 
+def _psd_det(G: np.ndarray) -> np.ndarray:
+    """det G for a stack of model Hessians under the semidefinite rule.
+
+    A failed batched Cholesky triggers eigvalsh: an eigenvalue below -EPS_PD
+    raises IndefiniteHessianError (theta is infeasible), and points whose
+    smallest eigenvalue is <= 0 get 0.  The value is the LU determinant, not
+    the Cholesky product, which differs from it in the last bits.
+    """
+    p = np.linalg.det(G)
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(G)[:, 0]
+        if lam.min() < -EPS_PD:
+            i = int(lam.argmin())
+            raise IndefiniteHessianError(
+                f"Hessian indefinite at point {i}: min eigenvalue {lam[i]:.3e}"
+            ) from None
+        p[lam <= 0] = 0.0
+    return p
+
+
 def density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
-    """det(D2 psi) for a batch of points.  No feasibility checking."""
-    return np.linalg.det(gram_batch(freqs, theta, X))
+    """det(D2 psi) for a batch of points, under the rule of ``_psd_det``."""
+    return _psd_det(gram_batch(freqs, theta, X))
 
 
 def mixm_density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
@@ -240,16 +253,18 @@ def gradient_map_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     return out
 
 
-def score_batch(freqs: FrequencySet, theta, X, H: np.ndarray | None = None) -> np.ndarray:
-    """Score components tr(G^{-1} H_u) for a batch of points, shape (N, k)."""
-    G = gram_batch(freqs, theta, X)
-    if H is None:
-        H = hessian_basis_batch(freqs, X)
+def _scores(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """tr(G^{-1} H_u) for Hessians G (N, m, m) and bases H (N, k, m, m)."""
     try:
         Y = np.linalg.solve(G[:, None, :, :], H)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError("model Hessian is singular at a sample point") from exc
     return np.trace(Y, axis1=-2, axis2=-1)
+
+
+def score_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
+    """Score components tr(G^{-1} H_u) for a batch of points, shape (N, k)."""
+    return _scores(gram_batch(freqs, theta, X), hessian_basis_batch(freqs, X))
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +301,15 @@ def gradient_map(freqs: FrequencySet, theta, x) -> np.ndarray:
 
 
 def density(freqs: FrequencySet, theta, x) -> float:
-    """det(D2 psi(x | theta)) via Cholesky factorization.
+    """det(D2 psi(x | theta)).
 
     Returns 0.0 when the matrix is semidefinite at x; raises
     IndefiniteHessianError when it has an eigenvalue below -EPS_PD,
     which signals an infeasible theta.
     """
-    G = hessian(freqs, theta, x)
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.eigvalsh(G)
-        if lam[0] < -EPS_PD:
-            raise IndefiniteHessianError(
-                f"Hessian indefinite at x={np.asarray(x)}: min eigenvalue {lam[0]:.3e}"
-            ) from None
-        return 0.0
-    return float(np.prod(np.diag(L)) ** 2)
+    x, _ = _points(x, freqs.dim)
+    _check_unit_cube(x)
+    return float(density_batch(freqs, theta, x)[0])
 
 
 def mixm_density(freqs: FrequencySet, theta, x) -> float:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sgm.cli import main, read_csv, write_csv
+from sgm.cli import main, read_csv, simulate, write_csv
 
 
 @pytest.fixture
@@ -256,6 +256,10 @@ class TestSimulate:
         assert obj["replicates"] == 2
         assert obj["failures"] == []
         assert len(obj["sgm"]["mean_scaled"]) == 50
+
+    def test_jobs_matches_serial(self):
+        kwargs = dict(replicates=3, n=25, n_test=5)
+        assert simulate(**kwargs, jobs=2) == simulate(**kwargs, jobs=1)
 
 
 class TestExitCodes:

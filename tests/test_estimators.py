@@ -235,6 +235,11 @@ class TestPredictiveLoglik:
         test = np.array([[0.99]])
         assert sgm.predictive_loglik("mixm", (fs, np.array([1.2])), test) == -np.inf
 
+    def test_indefinite_hessian_gives_minus_inf(self):
+        # two negative Hessian eigenvalues: det > 0, but theta is infeasible here
+        test = np.array([[0.9, 0.1]])
+        assert sgm.predictive_loglik("sgm", (U11, np.array([1.8])), test) == -np.inf
+
 
 class TestCrossValidate:
     def test_leave_one_out_smoke(self):

@@ -12,6 +12,7 @@ from sgm.feasibility import (
     km_factors,
     lattice_points,
 )
+from sgm.model import EPS_PD
 
 from conftest import random_lit_interior
 
@@ -125,6 +126,18 @@ class TestLatticeFeasible:
         fs = sgm.standard_freq_set(3)
         with pytest.raises(ResourceLimitError):
             sgm.lattice_feasible(fs, np.zeros(fs.size), 300)
+
+    def test_fitted_lattice_theta_is_member(self):
+        # a lattice fit ends on the boundary: its margin is within EPS_PD of 0
+        fs = sgm.standard_freq_set(3)
+        truth = np.zeros(fs.size)
+        for u, value in (((1, 2, 0), 0.1), ((0, 1, 1), 0.3), ((1, 1, 1), 0.2)):
+            truth[fs.index(u)] = value
+        data = sgm.sample_sgm(fs, truth, 100, seed=0)
+        fit = sgm.fit_sgm(data, fs, LatticeRegion(5))
+        check = sgm.lattice_feasible(fs, fit.theta_raw, 5)
+        assert check.margin < EPS_PD
+        assert check.feasible
 
     def test_lattice_points_order(self):
         pts = lattice_points(2, 2)

@@ -3,7 +3,8 @@ import pytest
 
 import sgm
 from sgm import DomainError, FrequencySet, IndefiniteHessianError
-from sgm.model import density_batch, mixm_density_batch, potential_batch
+from sgm.analysis import tensor_grid
+from sgm.model import density_batch, gram_batch, mixm_density_batch, potential_batch
 
 from conftest import brute_force_standard_freqs, fd_hessian, random_lit_interior
 
@@ -153,6 +154,25 @@ class TestDensity:
         # far outside the feasible region the Hessian goes indefinite
         with pytest.raises(IndefiniteHessianError):
             sgm.density(U11, [3.0], [0.5, 0.5])
+
+    def test_two_negative_eigenvalues_raise(self):
+        # both eigenvalues negative (-0.46, -0.80): the determinant is positive
+        with pytest.raises(IndefiniteHessianError) as info:
+            density_batch(U11, [1.8], np.array([[0.9, 0.1]]))
+        assert isinstance(info.value, DomainError)
+
+    def test_semidefinite_points_give_zero(self):
+        # at theta = 1 the smallest eigenvalue 1 + cos(pi (x1 + x2)) vanishes
+        # on the antidiagonal, where rounding leaves it on either side of 0
+        n = 48
+        X, _ = tensor_grid(sgm.QuadratureRule.gauss_legendre(n), 2)
+        p = density_batch(U11, [1.0], X)
+        lam = np.linalg.eigvalsh(gram_batch(U11, [1.0], X))[:, 0]
+        assert (p >= 0).all()
+        assert (lam <= 0).sum() == 30
+        assert (p[lam <= 0] == 0).all()
+        antidiagonal = [i * n + n - 1 - i for i in range(n)]
+        assert p[antidiagonal].max() <= 1e-15
 
 
 class TestPotentialAndGradientMap:
