@@ -260,6 +260,8 @@ def run_cv(args) -> None:
     started = time.time()
     raw = read_csv(args.input)
     taus = _parse_floats(args.tau_grid) if args.tau_grid else (np.arange(1, 11) / 10.0)
+    if len(taus) == 0:
+        raise UsageError(f"--tau-grid has no values: {args.tau_grid!r}")
     if args.no_preprocess and args.global_preprocess:
         raise UsageError("--no-preprocess and --global-preprocess are exclusive")
     mode = "none" if args.no_preprocess else (

@@ -29,7 +29,8 @@ from .model import (
 
 logger = logging.getLogger("sgm.estimators")
 
-# Coefficients this close to the split-variable boundary are reported as exact zeros.
+# Lasso-split coefficients this close to the split-variable boundary are
+# reported as exact zeros (L1-type regions only).
 ZERO_THRESHOLD = 1e-8
 
 
@@ -147,28 +148,43 @@ def _lit_rows(model, freqs, tau):
     return rows
 
 
-def _fit_lit(model, freqs, data, tau, config):
-    base, coeffs = _term_values(model, freqs, data)
-    k = freqs.size
-    split = np.concatenate([coeffs, -coeffs], axis=1)  # (n, 2k, s, s)
-    rows = _lit_rows(model, freqs, tau)
-    delta = tau / (4.0 * max(float(r.sum()) for r in rows))
+def _lasso_split(m, rows, budget):
+    """Objective map and linear constraints of a lasso split.
+
+    The variables are m unsplit ones, then the parts z+ and z- of k split
+    ones; the map blockdiag(I_m, [I_k, -I_k]) gives (unsplit, z+ - z-).  Each
+    split part is >= -delta and each budget row r of length k gives
+    r'(z+ + z-) <= budget - 2 delta sum(r), delta = budget / (4 max sum(r)),
+    so theta = 0 is strictly feasible.
+    """
+    k = len(rows[0])
+    nvars = m + 2 * k
+    E = np.zeros((m + k, nvars))
+    E[:m, :m] = np.eye(m)
+    E[m:, m:] = np.hstack([np.eye(k), -np.eye(k)])
+    delta = budget / (4.0 * max(float(r.sum()) for r in rows))
     linear = []
-    for i in range(2 * k):  # theta^+/- >= 0, shifted by delta
-        e = np.zeros(2 * k)
+    for i in range(m, nvars):
+        e = np.zeros(nvars)
         e[i] = -1.0
         linear.append((e, delta))
     for r in rows:
-        a = np.concatenate([r, r])
-        linear.append((a, tau - 2.0 * delta * float(r.sum())))
+        a = np.concatenate([np.zeros(m), r, r])
+        linear.append((a, budget - 2.0 * delta * float(r.sum())))
+    return E, tuple(linear)
+
+
+def _fit_lit(model, freqs, data, tau, config):
+    base, coeffs = _term_values(model, freqs, data)
+    E, linear = _lasso_split(0, _lit_rows(model, freqs, tau), tau)
     problem = maxdet.MaxDetProblem(
-        nvars=2 * k,
-        objective_terms=(maxdet.AffineMatrix(base, split),),
-        linear_constraints=tuple(linear),
+        nvars=E.shape[1],
+        objective_terms=(maxdet.AffineMatrix(base, coeffs),),
+        linear_constraints=linear,
+        objective_map=E,
     )
     report = maxdet.solve(problem, config)
-    theta = report.theta[:k] - report.theta[k:]
-    return theta, report
+    return E @ report.theta, report
 
 
 def _fit_lattice(model, freqs, data, M, config):
@@ -191,11 +207,13 @@ def _fit(model, data, freqs, region, config):
         if region.tau == 0.0:
             return _zero_fit(model, freqs, region)
         theta_raw, report = _fit_lit(model, freqs, data, region.tau, config)
+        theta = np.where(np.abs(theta_raw) < ZERO_THRESHOLD, 0.0, theta_raw)
     elif isinstance(region, LatticeRegion):
+        # no split variables: zeroing small entries could leave the region
         theta_raw, report = _fit_lattice(model, freqs, data, region.M, config)
+        theta = theta_raw.copy()
     else:
         raise DomainError(f"unknown region {region!r}")
-    theta = np.where(np.abs(theta_raw) < ZERO_THRESHOLD, 0.0, theta_raw)
     loglik = report.objective
     scaled = np.sqrt(fisher_origin(freqs)) * theta
     return FitResult(
@@ -251,35 +269,38 @@ def _correlation_matrix(standardized) -> np.ndarray:
     return S / np.outer(d, d)
 
 
-def _gauss_problem(sigma, pairs, split_offdiag):
-    """Concentration-matrix problem with C = I + X, maximizing logdet - trace."""
-    m = sigma.shape[0]
-    nvars = m + (2 if split_offdiag else 1) * len(pairs)
-    coeffs = np.zeros((nvars, m, m))
-    cost = np.zeros(nvars)
+def _gauss_problem(sigma, pairs, budget=None):
+    """Concentration-matrix problem with C = I + X, maximizing logdet - trace.
+
+    The objective sees z, the diagonal of X then its off-diagonal pairs.
+    With a ``budget`` the pairs are lasso-split under the L1 budget.
+    """
+    m, q = sigma.shape[0], len(pairs)
+    coeffs = np.zeros((m + q, m, m))
+    cost = np.zeros(m + q)
     for i in range(m):
         coeffs[i, i, i] = 1.0
         cost[i] = -sigma[i, i]
-    for idx, (i, j) in enumerate(pairs):
-        v = m + (2 * idx if split_offdiag else idx)
+    for v, (i, j) in enumerate(pairs, start=m):
         coeffs[v, i, j] = coeffs[v, j, i] = 1.0
         cost[v] = -2.0 * sigma[i, j]
-        if split_offdiag:
-            coeffs[v + 1] = -coeffs[v]
-            cost[v + 1] = -cost[v]
-    return coeffs, cost
+    if budget is None:
+        E, linear = np.eye(m + q), ()
+    else:
+        E, linear = _lasso_split(m, [np.ones(q)], budget)
+    return maxdet.MaxDetProblem(
+        nvars=E.shape[1],
+        objective_terms=(maxdet.AffineMatrix(np.eye(m), coeffs),),
+        linear_constraints=linear,
+        linear_cost=E.T @ cost,
+        objective_map=E,
+    )
 
 
-def _gauss_theta_to_C(theta, m, pairs, split_offdiag):
-    C = np.eye(m)
-    C[np.diag_indices(m)] += theta[:m]
-    for idx, (i, j) in enumerate(pairs):
-        if split_offdiag:
-            v = theta[m + 2 * idx] - theta[m + 2 * idx + 1]
-        else:
-            v = theta[m + idx]
-        C[i, j] = C[j, i] = v
-    return C
+def _gauss_fit_C(problem, config):
+    """Solve the problem and return its C = I + X at the optimum."""
+    (term,) = problem.objective_terms
+    return term(problem.objective_map @ maxdet.solve(problem, config).theta)[0]
 
 
 def fit_gauss_lasso(
@@ -308,35 +329,11 @@ def fit_gauss_lasso(
         return np.diag(1.0 / np.diag(sigma))
 
     # Unconstrained MLE first: if it satisfies the budget, it is the optimum.
-    coeffs, cost = _gauss_problem(sigma, pairs, split_offdiag=False)
-    problem = maxdet.MaxDetProblem(
-        nvars=len(cost),
-        objective_terms=(maxdet.AffineMatrix(np.eye(m), coeffs),),
-        linear_cost=cost,
-    )
-    report = maxdet.solve(problem, config)
-    C = _gauss_theta_to_C(report.theta, m, pairs, split_offdiag=False)
+    C = _gauss_fit_C(_gauss_problem(sigma, pairs), config)
     if sum(abs(C[i, j]) for i, j in pairs) <= budget * (1.0 + 1e-9) + 1e-12:
         return C
 
-    coeffs, cost = _gauss_problem(sigma, pairs, split_offdiag=True)
-    delta = budget / (4.0 * len(pairs))
-    linear = []
-    for idx in range(2 * len(pairs)):
-        e = np.zeros(len(cost))
-        e[m + idx] = -1.0
-        linear.append((e, delta))
-    a = np.zeros(len(cost))
-    a[m:] = 1.0
-    linear.append((a, budget - 2.0 * delta * len(pairs)))
-    problem = maxdet.MaxDetProblem(
-        nvars=len(cost),
-        objective_terms=(maxdet.AffineMatrix(np.eye(m), coeffs),),
-        linear_constraints=tuple(linear),
-        linear_cost=cost,
-    )
-    report = maxdet.solve(problem, config)
-    C = _gauss_theta_to_C(report.theta, m, pairs, split_offdiag=True)
+    C = _gauss_fit_C(_gauss_problem(sigma, pairs, budget), config)
     off = np.abs(C[np.triu_indices(m, 1)])
     C[np.triu_indices(m, 1)] = np.where(off < ZERO_THRESHOLD, 0.0, C[np.triu_indices(m, 1)])
     C = np.triu(C) + np.triu(C, 1).T

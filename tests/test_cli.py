@@ -269,6 +269,12 @@ class TestExitCodes:
         assert run(["fit", "--input", csv, "--region", "lattice",
                     "--output", str(tmp_path / "x.json")], capsys) == 2
 
+    def test_empty_tau_grid_exits_2(self, tmp_path, capsys):
+        csv = str(tmp_path / "d.csv")
+        write_csv(csv, np.random.default_rng(0).random((5, 2)))
+        assert run(["cv", "--input", csv, "--model", "gauss", "--folds", "2",
+                    "--tau-grid", ",", "--output", str(tmp_path / "x.json")], capsys) == 2
+
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["fit", "--nonsense"], capsys) == 2
 

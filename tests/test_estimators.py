@@ -74,6 +74,19 @@ class TestFitSgm:
         check = sgm.lattice_feasible(fs, fit.theta, 4)
         assert check.feasible
 
+    def test_lattice_theta_is_not_thresholded(self):
+        # theta_raw has one coefficient of 1.6e-10 on an active lattice
+        # constraint: zeroing it, as the lit route does with split variables,
+        # moves the lattice margin from +1.2e-11 to -3.1e-10, outside the region
+        fs = sgm.standard_freq_set(3)
+        truth = {(1, 2, 0): 0.1, (0, 1, 1): 0.3, (1, 1, 1): 0.2}
+        theta = np.array([truth.get(tuple(u), 0.0) for u in fs.freqs.tolist()])
+        data = sgm.sample_sgm(fs, theta, 100, seed=29)
+        fit = sgm.fit_sgm(data, fs, LatticeRegion(5))
+        assert 0 < np.abs(fit.theta_raw).min() < ZERO_THRESHOLD
+        assert sgm.lattice_feasible(fs, fit.theta, 5).feasible
+        np.testing.assert_array_equal(fit.theta, fit.theta_raw)
+
     def test_lattice_resolution_too_coarse_rejected(self, rng):
         fs = sgm.standard_freq_set(2)  # u_max = 2 needs M >= 3
         from sgm.errors import DomainError

@@ -119,6 +119,103 @@ class TestStackedMaps:
         assert stacked.barrier_degree == separate.barrier_degree
 
 
+class TestKernels:
+    """The whitening and curvature kernels against direct solve/einsum formulas."""
+
+    @staticmethod
+    def stack(rng, T, p, s):
+        bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
+        coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
+        return AffineMatrix(bases, coeffs, rng.uniform(0.5, 2.0, size=T))
+
+    def test_whitening_matches_triangular_solves(self, rng):
+        from sgm.maxdet import _whiten
+
+        for T, p, s in [(1, 1, 1), (7, 3, 2), (40, 6, 5), (9, 4, 3)]:
+            term = self.stack(rng, T, p, s)
+            L = np.linalg.cholesky(term(0.05 * rng.normal(size=p)))
+            X = np.linalg.solve(L[:, None], term.coeffs)
+            ref = np.linalg.solve(L[:, None], X.transpose(0, 1, 3, 2))  # (T, p, s, s)
+            W = _whiten(L, term.coeffs)
+            assert W.shape == (p, T, s, s)
+            np.testing.assert_allclose(W, ref.transpose(1, 0, 2, 3), rtol=0, atol=1e-12)
+
+    def test_gradient_and_curvature_match_einsum(self, rng):
+        for T, p, s in [(1, 1, 1), (7, 3, 2), (40, 6, 5), (9, 4, 3)]:
+            term = self.stack(rng, T, p, s)
+            theta = 0.05 * rng.normal(size=p)
+            P = term(theta)
+            Pinv_A = np.linalg.solve(P[:, None], term.coeffs)  # P_t^-1 A_tk
+            w = term.weight
+            grad = np.einsum("t,tkii->k", w, Pinv_A)
+            hess = -np.einsum("t,tkij,tlji->kl", w, Pinv_A, Pinv_A)
+            value = float(w @ np.linalg.slogdet(P)[1])
+            prob = MaxDetProblem(nvars=p, objective_terms=(term,))
+            val, g, H = objective_eval(prob, theta)
+            assert val == pytest.approx(value, rel=0, abs=1e-12)
+            np.testing.assert_allclose(g, grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(H, hess, rtol=0, atol=1e-12)
+
+
+class TestObjectiveMap:
+    """An objective map E = [I, -I] is the same problem as the explicitly split stack."""
+
+    @staticmethod
+    def both_forms(rng):
+        T, k, s = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
+        coeffs = np.stack([[rand_sym(rng, s) for _ in range(k)] for _ in range(T)])
+        weights = rng.uniform(0.5, 2.0, size=T)
+        lin = []
+        for i in range(2 * k):  # theta+/- >= -0.1 and a budget on their sum
+            e = np.zeros(2 * k)
+            e[i] = -1.0
+            lin.append((e, 0.1))
+        lin.append((np.ones(2 * k), 0.5))
+        common = dict(nvars=2 * k, linear_constraints=tuple(lin),
+                      linear_cost=0.1 * rng.normal(size=2 * k))
+        mapped = MaxDetProblem(
+            objective_terms=(AffineMatrix(bases, coeffs, weights),),
+            objective_map=np.hstack([np.eye(k), -np.eye(k)]),
+            **common,
+        )
+        split = MaxDetProblem(
+            objective_terms=(
+                AffineMatrix(bases, np.concatenate([coeffs, -coeffs], axis=1), weights),
+            ),
+            **common,
+        )
+        return mapped, split
+
+    def test_evaluation_matches_split_stack(self, rng):
+        for _ in range(20):
+            mapped, split = self.both_forms(rng)
+            theta = 0.05 * rng.normal(size=mapped.nvars)
+            for a, b in zip(objective_eval(mapped, theta), objective_eval(split, theta)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_solve_matches_split_stack(self, rng):
+        for _ in range(10):
+            mapped, split = self.both_forms(rng)
+            rep1, rep2 = solve(mapped), solve(split)
+            assert rep1.converged and rep2.converged
+            np.testing.assert_allclose(rep1.theta, rep2.theta, rtol=0, atol=1e-9)
+
+    def test_default_is_identity(self, rng):
+        prob = random_maxdet_instance(rng)
+        np.testing.assert_array_equal(prob.objective_map, np.eye(prob.nvars))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 5), (4, 4), (1, 3, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        # 4 variables, objective stack with 3 coefficient slices: E must be (3, 4)
+        with pytest.raises(DomainError):
+            MaxDetProblem(
+                nvars=4,
+                objective_terms=(AffineMatrix(np.eye(2), np.zeros((3, 2, 2))),),
+                objective_map=np.zeros(shape),
+            )
+
+
 class TestObjectiveEval:
     def test_scalar_closed_form(self):
         A = np.array([[0.4, 0.1], [0.1, -0.2]])
