@@ -15,11 +15,9 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .model import (
     FrequencySet,
+    _gram_scores,
     _psd_det,
-    _scores,
     density_batch,
-    gram_batch,
-    hessian_basis_batch,
     mixm_density_batch,
 )
 
@@ -238,11 +236,9 @@ def fisher_numeric(
     k = freqs.size
     J = np.zeros((k, k))
     for lo in range(0, len(points), _CHUNK):
-        pts = points[lo : lo + _CHUNK]
-        w = weights[lo : lo + _CHUNK]
-        G = gram_batch(freqs, theta, pts)
-        scores = _scores(G, hessian_basis_batch(freqs, pts))
-        J += np.einsum("n,nu,nv->uv", w * _psd_det(G), scores, scores)
+        G, scores = _gram_scores(freqs, theta, points[lo : lo + _CHUNK])
+        w = weights[lo : lo + _CHUNK] * _psd_det(G)
+        J += np.einsum("n,nu,nv->uv", w, scores, scores)
     return J
 
 
@@ -256,11 +252,10 @@ class DensityGrid:
     values: np.ndarray  # (len(xi), len(xj)), row-major over xi
 
     def to_tsv(self) -> str:
-        lines = [f"x_{self.axes[0] + 1}\tx_{self.axes[1] + 1}\tdensity"]
-        for i, a in enumerate(self.xi):
-            for j, b in enumerate(self.xj):
-                lines.append(f"{a:.17g}\t{b:.17g}\t{self.values[i, j]:.17g}")
-        return "\n".join(lines) + "\n"
+        header = f"x_{self.axes[0] + 1}\tx_{self.axes[1] + 1}\tdensity\n"
+        xi, xj = np.meshgrid(self.xi, self.xj, indexing="ij")
+        triples = np.stack([xi, xj, self.values], axis=-1).ravel().tolist()
+        return header + ("%.17g\t%.17g\t%.17g\n" * (len(triples) // 3)) % tuple(triples)
 
 
 def density_grid(

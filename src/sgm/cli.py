@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+# Rows formatted per write, which bounds the text held in memory at once.
+_CSV_ROWS = 65536
 
 
 class UsageError(SgmError):
@@ -81,10 +83,11 @@ def read_csv(path: str) -> np.ndarray:
 def write_csv(path: str, arr: np.ndarray) -> None:
     arr = np.atleast_2d(arr)
     header = ",".join(f"x{i + 1}" for i in range(arr.shape[1]))
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in arr:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for block in np.split(arr, range(_CSV_ROWS, len(arr), _CSV_ROWS)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_params(path: str) -> tuple[FrequencySet, np.ndarray]:

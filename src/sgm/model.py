@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -128,36 +129,30 @@ def standard_freq_set(m: int) -> FrequencySet:
 # Vectorized trigonometric evaluation
 # ---------------------------------------------------------------------------
 
-def _points(x, dim) -> tuple[np.ndarray, bool]:
-    """Normalize x to an (N, dim) array; report whether it was a single point."""
+def _points(x, dim) -> np.ndarray:
+    """Normalize x to an (N, dim) array of points in [0, 1]^dim."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape != (dim,):
             raise DomainError(f"point must have {dim} coordinates")
-        return x[None, :], True
-    if x.ndim != 2 or x.shape[1] != dim:
+        x = x[None, :]
+    elif x.ndim != 2 or x.shape[1] != dim:
         raise DomainError(f"points must be (N, {dim})")
-    return x, False
-
-
-def _check_unit_cube(x):
     if (x < -1e-12).any() or (x > 1 + 1e-12).any():
         raise DomainError("coordinates must lie in [0, 1]")
+    return x
 
 
-def _trig_tables(freqs: FrequencySet, X: np.ndarray):
-    """cos/sin tables of shape (N, k, m) for pi * u_j * x_j."""
-    ang = np.pi * X[:, None, :] * freqs.freqs[None, :, :]
-    return np.cos(ang), np.sin(ang)
-
-
-def _prod_excluding(C: np.ndarray, skip: tuple[int, ...]) -> np.ndarray:
-    """Product of C over the last axis, excluding the listed columns."""
-    m = C.shape[-1]
-    keep = [j for j in range(m) if j not in skip]
-    if not keep:
-        return np.ones(C.shape[:-1])
-    return C[..., keep].prod(axis=-1)
+def _axis_columns(freqs: FrequencySet, X: np.ndarray, fn) -> list[np.ndarray]:
+    """fn(pi u_j x_j) as m per-axis (N, k) columns, gathered from fn((pi x_j) v)
+    over the distinct components v of each axis: the per-frequency angles, so
+    the same values.  np.take keeps each column C-ordered, which fixes the
+    summation order of products over it."""
+    cols = []
+    for j, u in enumerate(freqs.freqs.T):
+        vals, idx = np.unique(u, return_inverse=True)
+        cols.append(np.take(fn((np.pi * X[:, j])[:, None] * vals), idx, axis=1))
+    return cols
 
 
 def _hessian_entries(freqs: FrequencySet, X: np.ndarray):
@@ -166,15 +161,24 @@ def _hessian_entries(freqs: FrequencySet, X: np.ndarray):
     Off-diagonal entries whose coefficients all vanish are skipped.
     """
     U = freqs.freqs.astype(float)
-    C, S = _trig_tables(freqs, X)
-    P = C.prod(axis=-1)  # (N, k)
+    C, S = (_axis_columns(freqs, X, fn) for fn in (np.cos, np.sin))
+    P = reduce(np.multiply, C)  # (N, k)
     for j in range(freqs.dim):
         yield j, j, U[:, j] ** 2, P
     for j in range(freqs.dim):
         for l in range(j + 1, freqs.dim):
             c = -U[:, j] * U[:, l]
             if c.any():
-                yield j, l, c, S[:, :, j] * S[:, :, l] * _prod_excluding(C, (j, l))
+                rest = [C[i] for i in range(freqs.dim) if i not in (j, l)]
+                yield j, l, c, S[j] * S[l] * reduce(np.multiply, rest, 1.0)
+
+
+def _gram(entries, theta: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """The (n, dim, dim) Hessians I + sum_u theta_u H_u from the entries."""
+    G = np.zeros((n, dim, dim))
+    for j, l, c, F in entries:
+        G[:, j, l] = G[:, l, j] = (j == l) + F @ (theta * c)
+    return G
 
 
 def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
@@ -185,10 +189,7 @@ def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     """
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
-    G = np.zeros((X.shape[0], freqs.dim, freqs.dim))
-    for j, l, c, F in _hessian_entries(freqs, X):
-        G[:, j, l] = G[:, l, j] = (j == l) + F @ (theta * c)
-    return G
+    return _gram(_hessian_entries(freqs, X), theta, X.shape[0], freqs.dim)
 
 
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
@@ -229,42 +230,49 @@ def density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
 
 def mixm_density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
-    X = np.asarray(X, dtype=float)
-    C, _ = _trig_tables(freqs, X)
-    return 1.0 + C.prod(axis=-1) @ (theta * freqs.sqnorms)
+    P = reduce(np.multiply, _axis_columns(freqs, np.asarray(X, dtype=float), np.cos))
+    return 1.0 + P @ (theta * freqs.sqnorms)
 
 
 def potential_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
-    C, _ = _trig_tables(freqs, X)
-    return 0.5 * (X**2).sum(axis=1) - C.prod(axis=-1) @ theta / np.pi**2
+    P = reduce(np.multiply, _axis_columns(freqs, X, np.cos))
+    return 0.5 * (X**2).sum(axis=1) - P @ theta / np.pi**2
 
 
 def gradient_map_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
     U = freqs.freqs.astype(float)
-    C, S = _trig_tables(freqs, X)
+    C, S = (_axis_columns(freqs, X, fn) for fn in (np.cos, np.sin))
     out = X.copy()
     for j in range(freqs.dim):
-        L1 = _prod_excluding(C, (j,))
-        out[:, j] += (S[:, :, j] * L1) @ (theta * U[:, j]) / np.pi
+        rest = reduce(np.multiply, [C[i] for i in range(freqs.dim) if i != j], 1.0)
+        out[:, j] += (S[j] * rest) @ (theta * U[:, j]) / np.pi
     return out
 
 
-def _scores(G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """tr(G^{-1} H_u) for Hessians G (N, m, m) and bases H (N, k, m, m)."""
+def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]:
+    """Hessians G (N, m, m) and scores tr(G^{-1} H_u) (N, k) from one entry pass,
+    as sum_{j<=l} ((G^{-1})_jl + (G^{-1})_lj) c_u F[:, u] (one term if j = l)."""
+    theta = freqs.check_theta(theta)
+    entries = list(_hessian_entries(freqs, np.asarray(X, dtype=float)))
+    G = _gram(entries, theta, len(X), freqs.dim)
     try:
-        Y = np.linalg.solve(G[:, None, :, :], H)
+        Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError("model Hessian is singular at a sample point") from exc
-    return np.trace(Y, axis1=-2, axis2=-1)
+    scores = np.zeros((len(X), freqs.size))
+    for j, l, c, F in entries:
+        w = Ginv[:, j, l] if j == l else Ginv[:, j, l] + Ginv[:, l, j]
+        scores += np.multiply.outer(w, c) * F
+    return G, scores
 
 
 def score_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     """Score components tr(G^{-1} H_u) for a batch of points, shape (N, k)."""
-    return _scores(gram_batch(freqs, theta, X), hessian_basis_batch(freqs, X))
+    return _gram_scores(freqs, theta, X)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +283,24 @@ def hessian_basis(u, x) -> np.ndarray:
     """The basis matrix H_u(x) = D2(-pi^{-2} prod_j cos(pi u_j x_j))."""
     u = np.atleast_2d(np.asarray(u, dtype=int))
     fs = FrequencySet(dim=u.shape[1], freqs=u)
-    x, _ = _points(x, fs.dim)
-    _check_unit_cube(x)
+    x = _points(x, fs.dim)
     return hessian_basis_batch(fs, x)[0, 0]
 
 
 def hessian(freqs: FrequencySet, theta, x) -> np.ndarray:
     """D2 psi(x | theta) = I + sum_u theta_u H_u(x)."""
-    x, _ = _points(x, freqs.dim)
-    _check_unit_cube(x)
+    x = _points(x, freqs.dim)
     return gram_batch(freqs, theta, x)[0]
 
 
 def potential(freqs: FrequencySet, theta, x) -> float:
-    x, _ = _points(x, freqs.dim)
-    _check_unit_cube(x)
+    x = _points(x, freqs.dim)
     return float(potential_batch(freqs, theta, x)[0])
 
 
 def gradient_map(freqs: FrequencySet, theta, x) -> np.ndarray:
     """The transport map D psi.  Fixes every face of the hypercube."""
-    x, _ = _points(x, freqs.dim)
-    _check_unit_cube(x)
+    x = _points(x, freqs.dim)
     return gradient_map_batch(freqs, theta, x)[0]
 
 
@@ -307,22 +311,19 @@ def density(freqs: FrequencySet, theta, x) -> float:
     IndefiniteHessianError when it has an eigenvalue below -EPS_PD,
     which signals an infeasible theta.
     """
-    x, _ = _points(x, freqs.dim)
-    _check_unit_cube(x)
+    x = _points(x, freqs.dim)
     return float(density_batch(freqs, theta, x)[0])
 
 
 def mixm_density(freqs: FrequencySet, theta, x) -> float:
     """Mixture-model density 1 + sum_u theta_u ||u||^2 prod_j cos(pi u_j x_j)."""
-    x, _ = _points(x, freqs.dim)
-    _check_unit_cube(x)
+    x = _points(x, freqs.dim)
     return float(mixm_density_batch(freqs, theta, x)[0])
 
 
 def score(freqs: FrequencySet, theta, x) -> np.ndarray:
     """Per-frequency score d log p / d theta_u = tr(G^{-1} H_u(x))."""
-    x, _ = _points(x, freqs.dim)
-    _check_unit_cube(x)
+    x = _points(x, freqs.dim)
     return score_batch(freqs, theta, x)[0]
 
 

@@ -245,6 +245,16 @@ class TestDensityGrid:
         assert len(cells) == 3
         assert float(cells[2]) == pytest.approx(1.0)
 
+    def test_tsv_matches_per_value_formatting(self):
+        xi = np.array([0.0, 0.1, 1 / 3, 1.0])
+        xj = np.array([1.0, 1 / 3, 0.0])
+        grid = sgm.DensityGrid(axes=(0, 2), xi=xi, xj=xj, values=np.outer(xi, xj) + 0.1)
+        lines = ["x_1\tx_3\tdensity"]
+        for i, a in enumerate(xi):
+            for j, b in enumerate(xj):
+                lines.append(f"{a:.17g}\t{b:.17g}\t{grid.values[i, j]:.17g}")
+        assert grid.to_tsv() == "\n".join(lines) + "\n"
+
     def test_resolution_validation(self):
         with pytest.raises(DomainError):
             sgm.density_grid(U11, [0.1], (0, 1), 1, rule=RULE)

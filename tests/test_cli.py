@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sgm import cli
 from sgm.cli import main, read_csv, simulate, write_csv
 
 
@@ -31,6 +32,19 @@ class TestCsv:
         write_csv(path, arr)
         back = read_csv(path)
         np.testing.assert_allclose(back, arr, atol=0)  # 17 digits round-trip exactly
+
+    @pytest.mark.parametrize("shape", [(7, 1), (1, 7)])
+    @pytest.mark.parametrize("rows_per_write", [2, cli._CSV_ROWS])
+    def test_matches_per_value_formatting(self, tmp_path, monkeypatch, shape, rows_per_write):
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows_per_write)
+        arr = np.array([-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0, 1e300]).reshape(shape)
+        path = tmp_path / "v.csv"
+        write_csv(str(path), arr)
+        expect = ",".join(f"x{i + 1}" for i in range(shape[1])) + "\n"
+        expect += "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in arr)
+        assert path.read_bytes() == expect.encode()
+        back = read_csv(str(path))
+        assert back.shape == shape and back.tobytes() == arr.tobytes()
 
     def test_header_detection(self, tmp_path):
         path = tmp_path / "h.csv"

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgm
-from sgm import DomainError, FrequencySet, IndefiniteHessianError
+from sgm import DomainError, FrequencySet, IndefiniteHessianError, SingularHessianError
 from sgm.analysis import tensor_grid
-from sgm.model import density_batch, gram_batch, mixm_density_batch, potential_batch
+from sgm.model import (
+    density_batch,
+    gradient_map_batch,
+    gram_batch,
+    hessian_basis_batch,
+    mixm_density_batch,
+    potential_batch,
+    score_batch,
+)
 
 from conftest import brute_force_standard_freqs, fd_hessian, random_lit_interior
 
@@ -308,3 +318,107 @@ class TestFisher:
     def test_closed_corr_domain_error(self):
         with pytest.raises(DomainError):
             sgm.fisher_closed_corr(1.0)
+
+
+# Frequency sets for the kernel checks: the standard sets, one with a
+# component of 3, and one on which the (0, 2) and (1, 2) off-diagonal
+# coefficients vanish for every frequency.
+KERNEL_SETS = [sgm.standard_freq_set(m) for m in range(1, 6)] + [
+    FrequencySet.from_vectors([[3, 0], [0, 3], [1, 2], [3, 1], [1, 1]]),
+    FrequencySet.from_vectors([[1, 0, 0], [0, 2, 0], [1, 1, 0], [0, 0, 3], [2, 1, 0]]),
+]
+
+
+def direct_formulas(freqs, theta, X):
+    """Hessians, bases, potential, gradient map and mixture density, summed
+    frequency by frequency from np.cos and np.sin of pi u_j x_j."""
+    n, m = X.shape
+    G = np.broadcast_to(np.eye(m), (n, m, m)).copy()
+    bases = []
+    pot = 0.5 * (X**2).sum(axis=1)
+    grad = X.copy()
+    mix = np.ones(n)
+    for u, t in zip(freqs.freqs, theta):
+        c, s = np.cos(np.pi * u * X), np.sin(np.pi * u * X)
+        H = np.zeros((n, m, m))
+        for j in range(m):
+            for l in range(m):
+                if j == l:
+                    H[:, j, j] = u[j] ** 2 * c.prod(axis=1)
+                else:
+                    rest = np.delete(c, [j, l], axis=1).prod(axis=1)
+                    H[:, j, l] = -u[j] * u[l] * s[:, j] * s[:, l] * rest
+            grad[:, j] += t * u[j] * s[:, j] * np.delete(c, j, axis=1).prod(axis=1) / np.pi
+        bases.append(H)
+        G += t * H
+        pot -= t * c.prod(axis=1) / np.pi**2
+        mix += t * (u @ u) * c.prod(axis=1)
+    return G, bases, pot, grad, mix
+
+
+class TestKernels:
+    @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
+    def test_batch_kernels_match_direct_formulas(self, fs, rng):
+        theta = random_lit_interior(fs, rng)
+        X = rng.random((200, fs.dim))
+        G, _, pot, grad, mix = direct_formulas(fs, theta, X)
+        np.testing.assert_allclose(gram_batch(fs, theta, X), G, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(potential_batch(fs, theta, X), pot, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gradient_map_batch(fs, theta, X), grad, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mixm_density_batch(fs, theta, X), mix, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
+    def test_scores_match_solve(self, fs, rng):
+        theta = random_lit_interior(fs, rng)
+        X = rng.random((200, fs.dim))
+        G, bases, _, _, _ = direct_formulas(fs, theta, X)
+        ref = np.stack(
+            [np.trace(np.linalg.solve(G, H), axis1=1, axis2=2) for H in bases], axis=1
+        )
+        np.testing.assert_allclose(score_batch(fs, theta, X), ref, rtol=1e-12, atol=1e-12)
+
+    def test_singular_hessian_raises(self):
+        # G = 1 + theta cos(0) = 0 at x = 0
+        fs = FrequencySet.from_vectors([[1]])
+        with pytest.raises(SingularHessianError):
+            score_batch(fs, [-1.0], np.zeros((1, 1)))
+
+
+@st.composite
+def lit_theta(draw, max_dim=3):
+    """A standard set of dimension <= max_dim and a theta in the L1 region."""
+    fs = sgm.standard_freq_set(draw(st.integers(1, max_dim)))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    z = np.array(draw(st.lists(unit, min_size=fs.size, max_size=fs.size)))
+    loads = np.abs(z) @ fs.freqs.astype(float) ** 2
+    scale = draw(st.floats(0.0, 1.0)) / max(loads.max(), 1e-12)
+    return fs, z * scale
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(lit_theta(max_dim=4), st.data())
+    def test_gradient_map_fixes_each_face(self, case, data):
+        fs, theta = case
+        j = data.draw(st.integers(0, fs.dim - 1))
+        face = data.draw(st.sampled_from([0.0, 1.0]))
+        x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=fs.dim, max_size=fs.dim)))
+        x[j] = face
+        y = gradient_map_batch(fs, theta, x[None])[0]
+        assert abs(y[j] - face) <= 1e-14
+
+    @settings(max_examples=10, deadline=None)
+    @given(lit_theta(max_dim=3))
+    def test_lit_densities_integrate_to_one(self, case):
+        fs, theta = case
+        rule = sgm.QuadratureRule.gauss_legendre(48)
+        val = sgm.integrate(lambda X: density_batch(fs, theta, X), fs.dim, rule)
+        assert val == pytest.approx(1.0, abs=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lit_theta(max_dim=5), st.integers(0, 2**32 - 1))
+    def test_gram_is_identity_plus_weighted_bases(self, case, seed):
+        fs, theta = case
+        X = np.random.default_rng(seed).random((20, fs.dim))
+        expect = np.eye(fs.dim) + np.einsum("u,nujl->njl", theta, hessian_basis_batch(fs, X))
+        np.testing.assert_allclose(gram_batch(fs, theta, X), expect, rtol=0, atol=1e-14)
