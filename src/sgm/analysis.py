@@ -9,6 +9,7 @@ external plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -16,7 +17,10 @@ from .errors import DomainError, ResourceLimitError
 from .model import (
     FrequencySet,
     _gram_scores,
+    _mesh_blocks,
+    _points,
     _psd_det,
+    _tensor_points,
     density_batch,
     mixm_density_batch,
 )
@@ -66,12 +70,12 @@ def tensor_grid(rule: QuadratureRule, dim: int) -> tuple[np.ndarray, np.ndarray]
     """Tensor-product points (N, dim) and weights (N,) for the given rule."""
     if dim > _MAX_TENSOR_DIM:
         raise ResourceLimitError(f"tensor quadrature limited to dimension {_MAX_TENSOR_DIM}")
-    mesh = np.meshgrid(*([rule.nodes] * dim), indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=-1)
-    weights = rule.weights
-    for _ in range(dim - 1):
-        weights = np.multiply.outer(weights, rule.weights)
-    return points, weights.ravel()
+    return _tensor_points([rule.nodes] * dim), _tensor_weights(rule, dim)
+
+
+def _tensor_weights(rule: QuadratureRule, dim: int) -> np.ndarray:
+    """Tensor-product weights in the order of ``tensor_grid``; [1.0] for dim 0."""
+    return np.ravel(reduce(np.multiply.outer, [rule.weights] * dim, 1.0))
 
 
 def integrate(f, dim: int, rule: QuadratureRule | None = None) -> float:
@@ -94,10 +98,9 @@ def _density_fn(freqs: FrequencySet, theta, which: str):
 
 def _grid_density(freqs, theta, model, rule):
     """Density values on the tensor grid, reshaped to (n, ..., n)."""
-    n = len(rule)
-    points, _ = tensor_grid(rule, freqs.dim)
-    vals = _density_fn(freqs, theta, model)(points)
-    return vals.reshape((n,) * freqs.dim)
+    dens = _density_fn(freqs, theta, model)
+    blocks = _mesh_blocks([rule.nodes] * freqs.dim, _CHUNK)
+    return np.concatenate([dens(mesh) for mesh in blocks]).reshape((len(rule),) * freqs.dim)
 
 
 def correlation(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
@@ -191,33 +194,26 @@ def marginal_density(
 ):
     """Marginal density over the listed axes, integrating out the complement.
 
-    ``x_sub`` holds coordinates for ``axes`` only; it may be a single point
-    or an (N, len(axes)) batch.  The complement dimension is capped at 3.
+    ``x_sub`` holds [0, 1] coordinates for the distinct ``axes`` only, as one
+    point or an (N, len(axes)) batch; its rows run along dimension 0 of a mesh
+    crossed with the complement axes, whose dimension is capped at 3.
     """
     rule = _rule(rule)
     axes = [int(a) for a in np.atleast_1d(axes)]
+    if len(set(axes)) != len(axes) or not all(0 <= a < freqs.dim for a in axes):
+        raise DomainError(f"axes must be distinct axis indices in [0, {freqs.dim})")
     comp = [j for j in range(freqs.dim) if j not in axes]
     if len(comp) > 3:
         raise ResourceLimitError("complement dimension exceeds 3")
-    x_sub = np.asarray(x_sub, dtype=float)
-    single = x_sub.ndim == 1
-    pts = x_sub[None, :] if single else x_sub
-    if pts.shape[1] != len(axes):
-        raise DomainError("x_sub width must match the number of kept axes")
+    single = np.ndim(x_sub) == 1
+    pts = _points(x_sub, len(axes))
     dens = _density_fn(freqs, theta, model)
-    if not comp:
-        vals = dens(pts)
-        return float(vals[0]) if single else vals
-
-    grid, weights = tensor_grid(rule, len(comp))
+    weights = _tensor_weights(rule, len(comp))
     out = np.empty(len(pts))
-    for i0 in range(0, len(pts), max(1, _CHUNK // len(grid))):
-        block = pts[i0 : i0 + max(1, _CHUNK // len(grid))]
-        full = np.empty((len(block), len(grid), freqs.dim))
-        full[:, :, axes] = block[:, None, :]
-        full[:, :, comp] = grid[None, :, :]
-        vals = dens(full.reshape(-1, freqs.dim)).reshape(len(block), len(grid))
-        out[i0 : i0 + len(block)] = vals @ weights
+    for rows, *grid in _mesh_blocks([np.arange(len(pts))] + [rule.nodes] * len(comp), _CHUNK):
+        cols = dict(zip(comp, grid)) | {a: pts[rows, d] for d, a in enumerate(axes)}
+        vals = dens(tuple(cols[a] for a in range(freqs.dim)))
+        out[rows.ravel()] = vals.reshape(rows.size, -1) @ weights
     return float(out[0]) if single else out
 
 
@@ -232,12 +228,13 @@ def fisher_numeric(
         raise ResourceLimitError("numeric Fisher information limited to m <= 3")
     theta = freqs.check_theta(theta)
     rule = _rule(rule)
-    points, weights = tensor_grid(rule, freqs.dim)
-    k = freqs.size
-    J = np.zeros((k, k))
-    for lo in range(0, len(points), _CHUNK):
-        G, scores = _gram_scores(freqs, theta, points[lo : lo + _CHUNK])
-        w = weights[lo : lo + _CHUNK] * _psd_det(G)
+    weights = _tensor_weights(rule, freqs.dim)
+    J = np.zeros((freqs.size, freqs.size))
+    lo = 0
+    for mesh in _mesh_blocks([rule.nodes] * freqs.dim, _CHUNK):
+        G, scores = _gram_scores(freqs, theta, mesh)
+        w = weights[lo : lo + len(G)] * _psd_det(G)
+        lo += len(G)
         J += np.einsum("n,nu,nv->uv", w, scores, scores)
     return J
 

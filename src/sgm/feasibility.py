@@ -9,12 +9,13 @@ reconstruction identity used as a numerical oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .model import EPS_PD, FrequencySet, gram_batch
+from .model import EPS_PD, FrequencySet, _mesh_blocks, _tensor_points, gram_batch
 
 # Hard cap on the number of lattice / reconstruction points evaluated at once.
 LATTICE_POINT_CAP = 10**7
@@ -84,17 +85,10 @@ def _min_eig(G: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(G)[..., 0]
 
 
-def _min_eig_over(freqs: FrequencySet, theta, points: np.ndarray) -> float:
-    best = np.inf
-    for lo in range(0, len(points), _CHUNK):
-        G = gram_batch(freqs, theta, points[lo : lo + _CHUNK])
-        best = min(best, float(_min_eig(G).min()))
-    return best
-
-
-def _tensor_grid(values_per_axis: list[np.ndarray]) -> np.ndarray:
-    mesh = np.meshgrid(*values_per_axis, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+def _min_eig_over(freqs: FrequencySet, theta, axes) -> float:
+    """Smallest Hessian eigenvalue over the tensor grid of per-axis coordinates."""
+    blocks = _mesh_blocks(axes, _CHUNK)
+    return min(float(_min_eig(gram_batch(freqs, theta, mesh)).min()) for mesh in blocks)
 
 
 class LatticeCheck(NamedTuple):
@@ -102,15 +96,19 @@ class LatticeCheck(NamedTuple):
     margin: float
 
 
+def _lattice_axes(dim: int, M: int) -> list[np.ndarray]:
+    """The per-axis coordinates {0, 1/M, ..., 1} of the lattice, after the cap check."""
+    if (M + 1) ** dim > LATTICE_POINT_CAP:
+        raise ResourceLimitError(f"lattice has {(M + 1) ** dim} points, cap is {LATTICE_POINT_CAP}")
+    return [np.arange(M + 1) / float(M)] * dim
+
+
 def lattice_points(dim: int, M: int) -> np.ndarray:
     """The lattice {0, 1/M, ..., 1}^dim as ((M+1)^dim, dim), first axis slowest.
 
     Raises ResourceLimitError above LATTICE_POINT_CAP points, before allocating.
     """
-    npts = (M + 1) ** dim
-    if npts > LATTICE_POINT_CAP:
-        raise ResourceLimitError(f"lattice has {npts} points, cap is {LATTICE_POINT_CAP}")
-    return _tensor_grid([np.arange(M + 1) / float(M)] * dim)
+    return _tensor_points(_lattice_axes(dim, M))
 
 
 def lattice_feasible(freqs: FrequencySet, theta, M: int) -> LatticeCheck:
@@ -121,7 +119,7 @@ def lattice_feasible(freqs: FrequencySet, theta, M: int) -> LatticeCheck:
     the density.
     """
     scaled = scale_km(freqs, theta, M)
-    margin = _min_eig_over(freqs, scaled, lattice_points(freqs.dim, M))
+    margin = _min_eig_over(freqs, scaled, _lattice_axes(freqs.dim, M))
     return LatticeCheck(feasible=margin >= -EPS_PD, margin=margin)
 
 
@@ -141,7 +139,7 @@ def min_eig_grid(
         raise DomainError("resolution must be >= 2")
     axis = np.linspace(0.0, 1.0, resolution)
     if m <= 3:
-        return _min_eig_over(freqs, theta, _tensor_grid([axis] * m))
+        return _min_eig_over(freqs, theta, [axis] * m)
 
     rng = np.random.default_rng(seed)
     starts = rng.random((_MULTISTART_COUNT, m))
@@ -152,9 +150,9 @@ def min_eig_grid(
         for _ in range(8):  # coordinate-descent sweeps
             improved = False
             for j in range(m):
-                cand = np.tile(x, (resolution, 1))
-                cand[:, j] = axis
-                vals = _min_eig(gram_batch(freqs, theta, cand))
+                line = [axis if i == j else x[i : i + 1] for i in range(m)]
+                mesh = np.meshgrid(*line, indexing="ij", sparse=True)
+                vals = _min_eig(gram_batch(freqs, theta, mesh))
                 i = int(vals.argmin())
                 if vals[i] < val - 1e-14:
                     val = vals[i]
@@ -212,9 +210,7 @@ def fejer_reconstruct(freqs: FrequencySet, theta, M: int, x) -> np.ndarray:
     if npts > LATTICE_POINT_CAP:
         raise ResourceLimitError(f"reconstruction needs {npts} points, cap is {LATTICE_POINT_CAP}")
     axis = np.arange(-(M - 1), M + 1) / float(M)
-    pts = _tensor_grid([axis] * freqs.dim)
-    weights = np.ones(len(pts))
-    for j in range(freqs.dim):
-        weights = weights * fejer_kernel(M, x[j] - pts[:, j])
-    G = gram_batch(freqs, scaled, pts)
-    return np.einsum("n,nij->ij", weights, G)
+    mesh = np.meshgrid(*[axis] * freqs.dim, indexing="ij", sparse=True)
+    weights = reduce(np.multiply, [fejer_kernel(M, xj - g) for xj, g in zip(x, mesh)], 1.0)
+    G = gram_batch(freqs, scaled, mesh)
+    return np.einsum("n,nij->ij", weights.ravel(), G)

@@ -13,6 +13,7 @@ diagonal at the origin and the two known closed forms).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -143,26 +144,50 @@ def _points(x, dim) -> np.ndarray:
     return x
 
 
-def _axis_columns(freqs: FrequencySet, X: np.ndarray, fn) -> list[np.ndarray]:
-    """fn(pi u_j x_j) as m per-axis (N, k) columns, gathered from fn((pi x_j) v)
-    over the distinct components v of each axis: the per-frequency angles, so
-    the same values.  np.take keeps each column C-ordered, which fixes the
-    summation order of products over it."""
-    cols = []
-    for j, u in enumerate(freqs.freqs.T):
-        vals, idx = np.unique(u, return_inverse=True)
-        cols.append(np.take(fn((np.pi * X[:, j])[:, None] * vals), idx, axis=1))
-    return cols
+def _columns(X) -> tuple[list[np.ndarray], int]:
+    """The m coordinate columns of X and its point count N.  X is an (N, m)
+    point array or a sparse ij mesh: a tuple of m arrays that broadcast together,
+    as np.meshgrid(*axes, indexing="ij", sparse=True) returns them.  Kernels
+    return one row per point of the mesh's expansion, in C order."""
+    if isinstance(X, tuple):
+        cols = [np.asarray(c, dtype=float) for c in X]
+        return cols, math.prod(np.broadcast_shapes(*(c.shape for c in cols)))
+    X = np.asarray(X, dtype=float)
+    return list(X.T), len(X)
 
 
-def _hessian_entries(freqs: FrequencySet, X: np.ndarray):
+def _tensor_points(axes) -> np.ndarray:
+    """The tensor grid of per-axis coordinates as (N, m) points, first axis slowest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _mesh_blocks(axes, chunk: int):
+    """Sparse ij meshes of the tensor grid of ``axes``, in blocks of whole
+    leading-axis slices of at most ``chunk`` points (one slice if it is larger)."""
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    step = max(1, chunk // math.prod(len(a) for a in axes[1:]))
+    for lo in range(0, len(axes[0]), step):
+        yield (mesh[0][lo : lo + step], *mesh[1:])
+
+
+def _axis_columns(freqs: FrequencySet, cols, fn) -> list[np.ndarray]:
+    """fn(pi u_j x_j) as m per-axis (..., k) columns, gathered from fn((pi x_j) v)
+    over the distinct components v of each axis and the coordinates of column
+    j (once per grid coordinate on a mesh): the per-frequency angles, so the
+    same values.  np.take keeps each column C-ordered, fixing product order."""
+    uniq = (np.unique(u, return_inverse=True) for u in freqs.freqs.T)
+    return [np.take(fn((np.pi * x)[..., None] * v), i, axis=-1) for x, (v, i) in zip(cols, uniq)]
+
+
+def _hessian_entries(freqs: FrequencySet, cols):
     """Yield (j, l, c, F) with H_u(x)[j, l] = c_u F[:, u] for j <= l.
 
+    F is flattened to (N, k) from products that broadcast over a mesh.
     Off-diagonal entries whose coefficients all vanish are skipped.
     """
     U = freqs.freqs.astype(float)
-    C, S = (_axis_columns(freqs, X, fn) for fn in (np.cos, np.sin))
-    P = reduce(np.multiply, C)  # (N, k)
+    C, S = (_axis_columns(freqs, cols, fn) for fn in (np.cos, np.sin))
+    P = reduce(np.multiply, C).reshape(-1, freqs.size)
     for j in range(freqs.dim):
         yield j, j, U[:, j] ** 2, P
     for j in range(freqs.dim):
@@ -170,7 +195,7 @@ def _hessian_entries(freqs: FrequencySet, X: np.ndarray):
             c = -U[:, j] * U[:, l]
             if c.any():
                 rest = [C[i] for i in range(freqs.dim) if i not in (j, l)]
-                yield j, l, c, S[j] * S[l] * reduce(np.multiply, rest, 1.0)
+                yield j, l, c, (S[j] * S[l] * reduce(np.multiply, rest, 1.0)).reshape(-1, len(c))
 
 
 def _gram(entries, theta: np.ndarray, n: int, dim: int) -> np.ndarray:
@@ -182,21 +207,21 @@ def _gram(entries, theta: np.ndarray, n: int, dim: int) -> np.ndarray:
 
 
 def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
-    """Model Hessians D2 psi(x | theta) for a batch of points, shape (N, m, m).
+    """Model Hessians D2 psi(x | theta) at the points or mesh X, shape (N, m, m).
 
     Exactly symmetric by construction.  The trigonometric formulas extend
     naturally outside [0, 1]^m; the domain is not checked here.
     """
     theta = freqs.check_theta(theta)
-    X = np.asarray(X, dtype=float)
-    return _gram(_hessian_entries(freqs, X), theta, X.shape[0], freqs.dim)
+    cols, n = _columns(X)
+    return _gram(_hessian_entries(freqs, cols), theta, n, freqs.dim)
 
 
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
     """Per-frequency Hessian basis matrices H_u(x), shape (N, k, m, m)."""
-    X = np.asarray(X, dtype=float)
-    H = np.zeros((X.shape[0], freqs.size, freqs.dim, freqs.dim))
-    for j, l, c, F in _hessian_entries(freqs, X):
+    cols, n = _columns(X)
+    H = np.zeros((n, freqs.size, freqs.dim, freqs.dim))
+    for j, l, c, F in _hessian_entries(freqs, cols):
         H[:, :, j, l] = H[:, :, l, j] = c * F
     return H
 
@@ -230,14 +255,14 @@ def density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
 
 def mixm_density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
-    P = reduce(np.multiply, _axis_columns(freqs, np.asarray(X, dtype=float), np.cos))
-    return 1.0 + P @ (theta * freqs.sqnorms)
+    P = reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos))
+    return 1.0 + P.reshape(-1, freqs.size) @ (theta * freqs.sqnorms)
 
 
 def potential_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
-    P = reduce(np.multiply, _axis_columns(freqs, X, np.cos))
+    P = reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos))
     return 0.5 * (X**2).sum(axis=1) - P @ theta / np.pi**2
 
 
@@ -245,7 +270,7 @@ def gradient_map_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
     U = freqs.freqs.astype(float)
-    C, S = (_axis_columns(freqs, X, fn) for fn in (np.cos, np.sin))
+    C, S = (_axis_columns(freqs, _columns(X)[0], fn) for fn in (np.cos, np.sin))
     out = X.copy()
     for j in range(freqs.dim):
         rest = reduce(np.multiply, [C[i] for i in range(freqs.dim) if i != j], 1.0)
@@ -257,13 +282,14 @@ def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]
     """Hessians G (N, m, m) and scores tr(G^{-1} H_u) (N, k) from one entry pass,
     as sum_{j<=l} ((G^{-1})_jl + (G^{-1})_lj) c_u F[:, u] (one term if j = l)."""
     theta = freqs.check_theta(theta)
-    entries = list(_hessian_entries(freqs, np.asarray(X, dtype=float)))
-    G = _gram(entries, theta, len(X), freqs.dim)
+    cols, n = _columns(X)
+    entries = list(_hessian_entries(freqs, cols))
+    G = _gram(entries, theta, n, freqs.dim)
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError("model Hessian is singular at a sample point") from exc
-    scores = np.zeros((len(X), freqs.size))
+    scores = np.zeros((n, freqs.size))
     for j, l, c, F in entries:
         w = Ginv[:, j, l] if j == l else Ginv[:, j, l] + Ginv[:, l, j]
         scores += np.multiply.outer(w, c) * F

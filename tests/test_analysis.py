@@ -4,6 +4,7 @@ import pytest
 import sgm
 from sgm import DomainError, FrequencySet, QuadratureRule, ResourceLimitError
 from sgm.analysis import tensor_grid
+from sgm.model import density_batch
 
 from conftest import random_lit_interior
 
@@ -134,6 +135,42 @@ class TestMarginals:
         assert RULE.weights @ vals == pytest.approx(1.0, abs=1e-10)
 
 
+    @pytest.mark.parametrize("axes", [(0, 1), (1, 0), (0, 2)])
+    def test_matches_explicit_expansion(self, axes, rng):
+        fs = sgm.standard_freq_set(3)
+        theta = random_lit_interior(fs, rng)
+        x_sub = rng.random((5, 2))
+        (c,) = [a for a in range(3) if a not in axes]
+        full = np.empty((5, len(RULE), 3))
+        full[:, :, list(axes)] = x_sub[:, None, :]
+        full[:, :, c] = RULE.nodes
+        expect = density_batch(fs, theta, full.reshape(-1, 3)).reshape(5, -1) @ RULE.weights
+        vals = sgm.marginal_density(fs, theta, list(axes), x_sub, rule=RULE)
+        np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-15)
+
+    def test_duplicate_axes_raise(self):
+        fs = sgm.standard_freq_set(3)
+        with pytest.raises(DomainError):
+            sgm.marginal_density(fs, np.zeros(fs.size), [0, 0], [0.3, 0.4], rule=RULE)
+
+    def test_negative_axis_raises(self):
+        fs = sgm.standard_freq_set(3)
+        with pytest.raises(DomainError):
+            sgm.marginal_density(fs, np.zeros(fs.size), [-1], [0.3], rule=RULE)
+
+    def test_out_of_range_axis_raises(self):
+        fs = sgm.standard_freq_set(3)
+        with pytest.raises(DomainError):
+            sgm.marginal_density(fs, np.zeros(fs.size), [3], [0.3], rule=RULE)
+
+    def test_coordinates_outside_unit_interval_raise(self):
+        fs = sgm.standard_freq_set(3)
+        with pytest.raises(DomainError):
+            sgm.marginal_density(fs, np.zeros(fs.size), [0], [1.5], rule=RULE)
+        with pytest.raises(DomainError):
+            sgm.density_grid(fs, np.zeros(fs.size), (0, 1), 5, conditioning={2: 1.7}, rule=RULE)
+
+
 class TestExampleMoments:
     def test_heteroscedastic_conditional_mean_is_half(self):
         fs = FrequencySet.from_vectors([[1, 2]])
@@ -254,6 +291,32 @@ class TestDensityGrid:
             for j, b in enumerate(xj):
                 lines.append(f"{a:.17g}\t{b:.17g}\t{grid.values[i, j]:.17g}")
         assert grid.to_tsv() == "\n".join(lines) + "\n"
+
+    def test_empty_complement_is_the_joint_density(self, rng):
+        fs = sgm.standard_freq_set(2)
+        theta = random_lit_interior(fs, rng)
+        grid = sgm.density_grid(fs, theta, (0, 1), 11, rule=RULE)
+        x = np.linspace(0.0, 1.0, 11)
+        points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        np.testing.assert_array_equal(grid.values, density_batch(fs, theta, points).reshape(11, 11))
+
+    def test_conditional_is_joint_over_marginal(self, rng):
+        fs = sgm.standard_freq_set(3)
+        theta = random_lit_interior(fs, rng)
+        grid = sgm.density_grid(fs, theta, (2, 0), 7, conditioning={1: 0.4}, rule=RULE)
+        x = np.linspace(0.0, 1.0, 7)
+        points = np.array([[b, 0.4, a] for a in x for b in x])
+        joint = density_batch(fs, theta, points).reshape(7, 7)
+        norm = sgm.marginal_density(fs, theta, [1], [0.4], rule=RULE)
+        np.testing.assert_array_equal(grid.values, joint / norm)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_swapped_axes_transpose(self, m, rng):
+        fs = sgm.standard_freq_set(m)
+        theta = random_lit_interior(fs, rng)
+        grid = sgm.density_grid(fs, theta, (0, 1), 9, rule=RULE)
+        swapped = sgm.density_grid(fs, theta, (1, 0), 9, rule=RULE)
+        np.testing.assert_array_equal(swapped.values, grid.values.T)
 
     def test_resolution_validation(self):
         with pytest.raises(DomainError):

@@ -296,6 +296,11 @@ class TestExitCodes:
         assert run(["fit", "--input", str(tmp_path / "missing.csv"),
                     "--output", str(tmp_path / "x.json")], capsys) == 3
 
+    def test_condition_outside_unit_interval_exits_4(self, tmp_path, params7, capsys):
+        assert run(["analyze", "--what", "grid", "--input", params7, "--axes", "0,1",
+                    "--condition", "2=1.7", "--resolution", "5", "--quad-nodes", "8",
+                    "--output", str(tmp_path / "g.tsv")], capsys) == 4
+
     def test_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"frequencies": [[1, 1]], "theta": [1.7]}))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,35 @@ class TestKernels:
         fs = FrequencySet.from_vectors([[1]])
         with pytest.raises(SingularHessianError):
             score_batch(fs, [-1.0], np.zeros((1, 1)))
+
+
+def meshes(m, rng):
+    """(name, sparse ij mesh, the points it stands for in C order): a full
+    tensor grid, a grid with one-point axes, and rows of points (varying
+    along dimension 0) crossed with a grid over the trailing axes."""
+    full = [np.r_[0.0, rng.random(3), 1.0] for _ in range(m)]
+    thin = [rng.random(1) if j % 2 else rng.random(4) for j in range(m)]
+    for name, axes in (("full", full), ("one-point", thin)):
+        points = np.array(list(itertools.product(*axes)))
+        yield name, np.meshgrid(*axes, indexing="ij", sparse=True), points
+    kept, rows = (m + 1) // 2, rng.random((6, (m + 1) // 2))
+    grid = [rng.random(3) for _ in range(m - kept)]
+    mesh = tuple(rows[:, d].reshape((-1,) + (1,) * len(grid)) for d in range(kept))
+    mesh += tuple(g[None] for g in np.meshgrid(*grid, indexing="ij", sparse=True))
+    points = np.array([[*r, *g] for r in rows for g in itertools.product(*grid)])
+    yield "points-x-grid", mesh, points
+
+
+class TestMesh:
+    @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
+    def test_kernels_on_a_mesh_equal_the_expanded_points(self, fs, rng):
+        theta = random_lit_interior(fs, rng)
+        for name, mesh, points in meshes(fs.dim, rng):
+            assert np.array_equal(hessian_basis_batch(fs, mesh), hessian_basis_batch(fs, points))
+            for kernel in (gram_batch, density_batch, mixm_density_batch, score_batch):
+                got, want = kernel(fs, theta, mesh), kernel(fs, theta, points)
+                assert got.shape == want.shape, (name, kernel.__name__)
+                assert np.array_equal(got, want), (name, kernel.__name__)
 
 
 @st.composite
