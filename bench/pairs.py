@@ -14,7 +14,8 @@ drift of the machine's speed over a session falls on both sides alike.  Each run
 ``bench/BENCH_<label>.json``: a summary (per metric, the quartiles of each side
 and in how many pairs this tree was lower; failed over attempted operations)
 and every run's full result file.  Sets already in the file are kept, so one
-file collects the sets of several invocations.
+file collects the sets of several invocations; a set of the same workload and
+trace as one already in the file is refused before any run starts.
 """
 
 from __future__ import annotations
@@ -69,11 +70,13 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--parent-rev", required=True, help="the parent commit, as recorded")
     parser.add_argument("--label", required=True, help="writes bench/BENCH_<label>.json")
-    parser.add_argument("--workload", required=True, choices=("lit-m5", "lattice-m3", "density"))
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair i adds i")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -84,8 +87,20 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
         parser.error(f"{parent} has no perfbench/run.py")
     name = args.workload + ("-traced" if args.trace else "")
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        seconds = json.load(fh)["run_seconds"]
+    seconds = bench["run_seconds"]
+    out = os.path.join(ROOT, "bench", f"BENCH_{args.label}.json")
+    doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds "
+                      f"{seconds} --trace T, run from a checkout of the parent commit "
+                      "and of this change; each pair alternates which side runs first "
+                      "(even index: parent first)",
+           "parent": args.parent_rev, "sets": {}}
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["parent"] != args.parent_rev:
+            raise SystemExit(f"{out} holds runs against {doc['parent']}, not {args.parent_rev}")
+        if name in doc["sets"]:
+            raise SystemExit(f"{out} already holds the set {name!r}; use another --label")
 
     runs = []
     for i in range(args.pairs):
@@ -98,17 +113,6 @@ def main(argv=None) -> int:
             print(f"pair {i} {side}: {run[side]['metrics']}", flush=True)
         runs.append(run)
 
-    out = os.path.join(ROOT, "bench", f"BENCH_{args.label}.json")
-    doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds "
-                      f"{seconds} --trace T, run from a checkout of the parent commit "
-                      "and of this change; each pair alternates which side runs first "
-                      "(even index: parent first)",
-           "parent": args.parent_rev, "sets": {}}
-    if os.path.exists(out):
-        with open(out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc["parent"] != args.parent_rev:
-            raise SystemExit(f"{out} holds runs against {doc['parent']}, not {args.parent_rev}")
     doc["sets"][name] = {"workload": args.workload, "trace": args.trace,
                          "summary": summarize(runs), "runs": runs}
     with open(out, "w", encoding="utf-8") as fh:

@@ -58,16 +58,9 @@ from .estimators import (
 from .maxdet import AffineMatrix, MaxDetProblem, SolveReport, SolverConfig
 from .model import (
     FrequencySet,
-    density,
     fisher_closed_1d,
     fisher_closed_corr,
     fisher_origin,
-    gradient_map,
-    hessian,
-    hessian_basis,
-    mixm_density,
-    potential,
-    score,
     standard_freq_set,
 )
 from .sampling import (
@@ -109,7 +102,6 @@ __all__ = [
     "cond_mutual_info",
     "correlation",
     "cross_validate",
-    "density",
     "density_grid",
     "fejer_kernel",
     "fejer_reconstruct",
@@ -120,18 +112,13 @@ __all__ = [
     "fit_gauss_lasso",
     "fit_mixm",
     "fit_sgm",
-    "gradient_map",
-    "hessian",
-    "hessian_basis",
     "integrate",
     "lattice_feasible",
     "lit_margin",
     "ma2_feasible",
     "marginal_density",
     "min_eig_grid",
-    "mixm_density",
     "partial_correlations",
-    "potential",
     "predictive_loglik",
     "preprocess",
     "rejection_bound",
@@ -139,7 +126,6 @@ __all__ = [
     "sample_mixm",
     "sample_sgm",
     "scale_km",
-    "score",
     "standard_freq_set",
     "table1",
 ]

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis, estimators, feasibility, model, sampling
-from .errors import DataError, NumericalError, SgmError
+from .errors import DataError, DomainError, NumericalError, SgmError
 from .estimators import Scaler
 from .feasibility import LatticeRegion, LitRegion
 from .model import FrequencySet, standard_freq_set
@@ -49,13 +49,13 @@ def read_csv(path: str) -> np.ndarray:
     """Read a comma-separated numeric table; a single header row is detected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path} is empty")
 
-    def parse_row(line, lineno):
+    def parse_row(lineno, line):
         cells = [c.strip() for c in line.split(",")]
         if any(c == "" for c in cells):
             raise DataError(f"{path}:{lineno}: blank cell")
@@ -64,20 +64,24 @@ def read_csv(path: str) -> np.ndarray:
     rows = []
     start = 0
     try:
-        rows.append(parse_row(lines[0], 1))
+        parse_row(*lines[0])
     except ValueError:
         start = 1  # header row
-    except DataError:
-        raise
-    for i, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in lines[start:]:
         try:
-            rows.append(parse_row(line, i))
+            rows.append(parse_row(lineno, line))
         except ValueError as exc:
-            raise DataError(f"{path}:{i}: {exc}") from exc
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DataError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=float)
+    arr = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}:{lines[start + bad[0]][0]}: non-finite cell")
+    return arr
 
 
 def write_csv(path: str, arr: np.ndarray) -> None:
@@ -262,7 +266,7 @@ def _cv_subgrid(payload):
 def run_cv(args) -> None:
     started = time.time()
     raw = read_csv(args.input)
-    taus = _parse_floats(args.tau_grid) if args.tau_grid else (np.arange(1, 11) / 10.0)
+    taus = _parse_list(args.tau_grid) if args.tau_grid else (np.arange(1, 11) / 10.0)
     if len(taus) == 0:
         raise UsageError(f"--tau-grid has no values: {args.tau_grid!r}")
     if args.no_preprocess and args.global_preprocess:
@@ -338,11 +342,11 @@ def run_feasible(args) -> None:
     dump_json(_result("feasible", config, body, started), args.output)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
+        raise UsageError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
 
 
 def _parse_condition(text: str) -> dict[int, float]:
@@ -398,9 +402,11 @@ def run_analyze(args) -> None:
         return
 
     if what == "marginal":
-        axes = [int(a) for a in _parse_floats(args.axes or "0")]
+        axes = _parse_list(args.axes or "0", int)
         if len(axes) != 1:
             raise UsageError("--what marginal tabulates one axis; use --what grid for pairs")
+        if args.resolution < 2:
+            raise DomainError("resolution must be >= 2")
         grid = np.linspace(0.0, 1.0, args.resolution)
         vals = analysis.marginal_density(
             freqs, theta, axes, grid[:, None], model=args.model, rule=rule
@@ -411,7 +417,7 @@ def run_analyze(args) -> None:
         return
 
     if what == "grid":
-        axes = [int(a) for a in _parse_floats(args.axes or "0,1")]
+        axes = _parse_list(args.axes or "0,1", int)
         if len(axes) != 2:
             raise UsageError("--what grid requires --axes I,J")
         conditioning = _parse_condition(args.condition) if args.condition else None
@@ -428,7 +434,7 @@ def run_analyze(args) -> None:
 def _require_theta(args, count: int) -> list[float]:
     if args.theta is None:
         raise UsageError(f"--what {args.what} requires --theta")
-    vals = _parse_floats(args.theta)
+    vals = _parse_list(args.theta)
     if len(vals) != count:
         raise UsageError(f"--theta must have {count} value(s)")
     return vals

@@ -20,6 +20,7 @@ from .errors import ConstantColumnError, DataError, DomainError, IndefiniteHessi
 from .feasibility import LatticeRegion, LitRegion, Region, km_factors, lattice_points
 from .model import (
     FrequencySet,
+    _cos_product,
     density_batch,
     fisher_origin,
     hessian_basis_batch,
@@ -107,9 +108,7 @@ def _term_values(model, freqs, data):
         coeffs = hessian_basis_batch(freqs, data)
         base = np.eye(freqs.dim)
     else:
-        C = np.cos(np.pi * data[:, None, :] * freqs.freqs[None, :, :])
-        vals = C.prod(axis=-1) * freqs.sqnorms
-        coeffs = vals[:, :, None, None]
+        coeffs = (_cos_product(freqs, data) * freqs.sqnorms)[:, :, None, None]
         base = np.eye(1)
     return base, coeffs
 

@@ -200,7 +200,7 @@ def fejer_reconstruct(freqs: FrequencySet, theta, M: int, x) -> np.ndarray:
 
     Evaluates sum over xi in R_M^m of D2 psi(xi | K_M theta) prod_j Q_M(x_j - xi_j)
     with R_M = {-(M-1)/M, ..., (M-1)/M, 1}, using the periodic/even extension of
-    the trigonometric formulas.  Serves as a numerical oracle for ``hessian``.
+    the trigonometric formulas.  Serves as a numerical oracle for ``gram_batch``.
     """
     scaled = scale_km(freqs, theta, M)
     x = np.asarray(x, dtype=float).reshape(-1)

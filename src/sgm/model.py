@@ -179,6 +179,11 @@ def _axis_columns(freqs: FrequencySet, cols, fn) -> list[np.ndarray]:
     return [np.take(fn((np.pi * x)[..., None] * v), i, axis=-1) for x, (v, i) in zip(cols, uniq)]
 
 
+def _cos_product(freqs: FrequencySet, X) -> np.ndarray:
+    """The cosine series terms prod_j cos(pi u_j x_j) at the points or mesh X, (N, k)."""
+    return reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos)).reshape(-1, freqs.size)
+
+
 def _hessian_entries(freqs: FrequencySet, cols):
     """Yield (j, l, c, F) with H_u(x)[j, l] = c_u F[:, u] for j <= l.
 
@@ -254,19 +259,20 @@ def density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
 
 
 def mixm_density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
+    """Mixture-model density 1 + sum_u theta_u ||u||^2 prod_j cos(pi u_j x_j), (N,)."""
     theta = freqs.check_theta(theta)
-    P = reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos))
-    return 1.0 + P.reshape(-1, freqs.size) @ (theta * freqs.sqnorms)
+    return 1.0 + _cos_product(freqs, X) @ (theta * freqs.sqnorms)
 
 
 def potential_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
+    """The potential psi(x | theta) at a batch of points, shape (N,)."""
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
-    P = reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos))
-    return 0.5 * (X**2).sum(axis=1) - P @ theta / np.pi**2
+    return 0.5 * (X**2).sum(axis=1) - _cos_product(freqs, X) @ theta / np.pi**2
 
 
 def gradient_map_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
+    """The transport map D psi at a batch of points, (N, m).  Fixes every face of the cube."""
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
     U = freqs.freqs.astype(float)
@@ -297,60 +303,8 @@ def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]
 
 
 def score_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
-    """Score components tr(G^{-1} H_u) for a batch of points, shape (N, k)."""
+    """Scores d log p / d theta_u = tr(G^{-1} H_u) for a batch of points, shape (N, k)."""
     return _gram_scores(freqs, theta, X)[1]
-
-
-# ---------------------------------------------------------------------------
-# Single-point operations
-# ---------------------------------------------------------------------------
-
-def hessian_basis(u, x) -> np.ndarray:
-    """The basis matrix H_u(x) = D2(-pi^{-2} prod_j cos(pi u_j x_j))."""
-    u = np.atleast_2d(np.asarray(u, dtype=int))
-    fs = FrequencySet(dim=u.shape[1], freqs=u)
-    x = _points(x, fs.dim)
-    return hessian_basis_batch(fs, x)[0, 0]
-
-
-def hessian(freqs: FrequencySet, theta, x) -> np.ndarray:
-    """D2 psi(x | theta) = I + sum_u theta_u H_u(x)."""
-    x = _points(x, freqs.dim)
-    return gram_batch(freqs, theta, x)[0]
-
-
-def potential(freqs: FrequencySet, theta, x) -> float:
-    x = _points(x, freqs.dim)
-    return float(potential_batch(freqs, theta, x)[0])
-
-
-def gradient_map(freqs: FrequencySet, theta, x) -> np.ndarray:
-    """The transport map D psi.  Fixes every face of the hypercube."""
-    x = _points(x, freqs.dim)
-    return gradient_map_batch(freqs, theta, x)[0]
-
-
-def density(freqs: FrequencySet, theta, x) -> float:
-    """det(D2 psi(x | theta)).
-
-    Returns 0.0 when the matrix is semidefinite at x; raises
-    IndefiniteHessianError when it has an eigenvalue below -EPS_PD,
-    which signals an infeasible theta.
-    """
-    x = _points(x, freqs.dim)
-    return float(density_batch(freqs, theta, x)[0])
-
-
-def mixm_density(freqs: FrequencySet, theta, x) -> float:
-    """Mixture-model density 1 + sum_u theta_u ||u||^2 prod_j cos(pi u_j x_j)."""
-    x = _points(x, freqs.dim)
-    return float(mixm_density_batch(freqs, theta, x)[0])
-
-
-def score(freqs: FrequencySet, theta, x) -> np.ndarray:
-    """Per-frequency score d log p / d theta_u = tr(G^{-1} H_u(x))."""
-    x = _points(x, freqs.dim)
-    return score_batch(freqs, theta, x)[0]
 
 
 # ---------------------------------------------------------------------------

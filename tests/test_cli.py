@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,28 @@ class TestCsv:
         from sgm.errors import DataError
 
         with pytest.raises(DataError):
+            read_csv(str(path))
+
+    def test_headerless_rows_read_once(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("1.5,2\n3,4\n")
+        np.testing.assert_array_equal(read_csv(str(path)), [[1.5, 2], [3, 4]])
+
+    def test_header_only_rejected(self, tmp_path):
+        from sgm.errors import DataError
+
+        path = tmp_path / "h.csv"
+        path.write_text("x1,x2\n")
+        with pytest.raises(DataError, match="no data rows"):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        from sgm.errors import DataError
+
+        path = tmp_path / "f.csv"
+        path.write_text(f"x1,x2\n0.1,0.2\n\n0.3,{cell}\n")  # blank lines keep their number
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: non-finite")):
             read_csv(str(path))
 
 
@@ -300,6 +323,32 @@ class TestExitCodes:
         assert run(["analyze", "--what", "grid", "--input", params7, "--axes", "0,1",
                     "--condition", "2=1.7", "--resolution", "5", "--quad-nodes", "8",
                     "--output", str(tmp_path / "g.tsv")], capsys) == 4
+
+    def test_json_input_exits_3(self, tmp_path, params7, capsys):
+        assert run(["fit", "--input", params7, "--output", str(tmp_path / "x.json")],
+                   capsys) == 3
+
+    @pytest.mark.parametrize("model", ["sgm", "gauss"])
+    def test_non_finite_input_exits_3(self, tmp_path, model, capsys):
+        csv = tmp_path / "d.csv"
+        write_csv(str(csv), np.random.default_rng(0).random((10, 2)))
+        csv.write_text(csv.read_text() + "0.5,nan\n")
+        assert run(["fit", "--input", str(csv), "--model", model,
+                    "--output", str(tmp_path / "x.json")], capsys) == 3
+
+    @pytest.mark.parametrize("what,axes", [("marginal", "0.7"), ("grid", "0,1.5")])
+    def test_fractional_axes_exit_2(self, tmp_path, params7, what, axes, capsys):
+        assert run(["analyze", "--what", what, "--input", params7, "--axes", axes,
+                    "--resolution", "5", "--quad-nodes", "8",
+                    "--output", str(tmp_path / "g.tsv")], capsys) == 2
+
+    @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
+    def test_marginal_resolution_below_2_exits_4(self, tmp_path, params7, resolution, capsys):
+        out = tmp_path / "m.tsv"
+        assert run(["analyze", "--what", "marginal", "--input", params7,
+                    "--resolution", resolution, "--quad-nodes", "8", "--output", str(out)],
+                   capsys) == 4
+        assert not out.exists()
 
     def test_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

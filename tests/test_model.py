@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sgm
 from sgm import DomainError, FrequencySet, IndefiniteHessianError, SingularHessianError
 from sgm.analysis import tensor_grid
+from sgm.estimators import _term_values
 from sgm.model import (
     density_batch,
     gradient_map_batch,
@@ -72,13 +73,13 @@ class TestFrequencySet:
 
 class TestHessianBasis:
     def test_u11_at_origin_is_identity(self):
-        assert np.array_equal(sgm.hessian_basis([1, 1], [0.0, 0.0]), np.eye(2))
+        assert np.array_equal(hessian_basis_batch(U11, [[0.0, 0.0]])[0, 0], np.eye(2))
 
     def test_heteroscedastic_closed_form(self, rng):
         # diag (c(x1)c(2x2), 4 c(x1)c(2x2)), off-diagonal -2 s(x1)s(2x2)
         for _ in range(10):
             x = rng.random(2)
-            H = sgm.hessian_basis([1, 2], x)
+            H = hessian_basis_batch(U12, x[None])[0, 0]
             c = np.cos(np.pi * x[0]) * np.cos(2 * np.pi * x[1])
             s = np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1])
             expect = np.array([[c, -2 * s], [-2 * s, 4 * c]])
@@ -89,7 +90,7 @@ class TestHessianBasis:
             u = rng.integers(0, 3, size=3)
             if not u.any():
                 continue
-            H = sgm.hessian_basis(u, np.zeros(3))
+            H = hessian_basis_batch(FrequencySet.from_vectors(u), np.zeros((1, 3)))[0, 0]
             np.testing.assert_allclose(H, np.diag(u.astype(float) ** 2), atol=1e-15)
 
 
@@ -97,10 +98,10 @@ class TestHessian:
     def test_zero_theta_identity(self, rng):
         fs = sgm.standard_freq_set(3)
         x = rng.random(3)
-        np.testing.assert_allclose(sgm.hessian(fs, np.zeros(fs.size), x), np.eye(3))
+        np.testing.assert_allclose(gram_batch(fs, np.zeros(fs.size), x[None])[0], np.eye(3))
 
     def test_correlation_model_at_origin(self):
-        G = sgm.hessian(U11, [0.5], [0.0, 0.0])
+        G = gram_batch(U11, [0.5], [[0.0, 0.0]])[0]
         np.testing.assert_allclose(G, np.diag([1.5, 1.5]))
 
     def test_conditional_independence_matrix(self, rng):
@@ -118,13 +119,13 @@ class TestHessian:
                 [-theta * s[0] * s[2], -phi * s[1] * s[2],
                  1 + theta * c[0] * c[2] + phi * c[1] * c[2]],
             ])
-            np.testing.assert_allclose(sgm.hessian(fs, vec, x), expect, atol=1e-14)
+            np.testing.assert_allclose(gram_batch(fs, vec, x[None])[0], expect, atol=1e-14)
 
     def test_exact_symmetry(self, rng):
         fs = sgm.standard_freq_set(3)
         for _ in range(20):
             theta = rng.normal(scale=0.2, size=fs.size)
-            G = sgm.hessian(fs, theta, rng.random(3))
+            G = gram_batch(fs, theta, rng.random((1, 3)))[0]
             assert np.array_equal(G, G.T)
 
     def test_matches_finite_difference_of_potential(self, rng):
@@ -132,7 +133,7 @@ class TestHessian:
         for _ in range(100):
             theta = rng.normal(scale=0.1, size=fs.size)
             x = rng.uniform(0.05, 0.95, size=2)
-            G = sgm.hessian(fs, theta, x)
+            G = gram_batch(fs, theta, x[None])[0]
             F = fd_hessian(lambda y: potential_batch(fs, theta, y[None])[0], x)
             assert np.abs(G - F).max() < 1e-6 * (1 + np.abs(G).max())
 
@@ -140,10 +141,10 @@ class TestHessian:
 class TestDensity:
     def test_uniform(self, rng):
         fs = sgm.standard_freq_set(2)
-        assert sgm.density(fs, np.zeros(fs.size), rng.random(2)) == 1.0
+        assert density_batch(fs, np.zeros(fs.size), rng.random((1, 2)))[0] == 1.0
 
     def test_correlation_model_value(self):
-        assert sgm.density(U11, [0.5], [0.0, 0.0]) == pytest.approx(2.25, abs=1e-12)
+        assert density_batch(U11, [0.5], [[0.0, 0.0]])[0] == pytest.approx(2.25, abs=1e-12)
 
     def test_correlation_model_closed_form(self, rng):
         for _ in range(20):
@@ -151,7 +152,7 @@ class TestDensity:
             x = rng.random(2)
             expect = (1 + 2 * th * np.cos(np.pi * x[0]) * np.cos(np.pi * x[1])
                       + th**2 / 2 * (np.cos(2 * np.pi * x[0]) + np.cos(2 * np.pi * x[1])))
-            assert sgm.density(U11, [th], x) == pytest.approx(expect, abs=1e-12)
+            assert density_batch(U11, [th], x[None])[0] == pytest.approx(expect, abs=1e-12)
 
     def test_normalization_random_feasible(self, rng):
         rule = sgm.QuadratureRule.gauss_legendre(48)
@@ -165,7 +166,7 @@ class TestDensity:
     def test_indefinite_raises(self):
         # far outside the feasible region the Hessian goes indefinite
         with pytest.raises(IndefiniteHessianError):
-            sgm.density(U11, [3.0], [0.5, 0.5])
+            density_batch(U11, [3.0], [[0.5, 0.5]])
 
     def test_two_negative_eigenvalues_raise(self):
         # both eigenvalues negative (-0.46, -0.80): the determinant is positive
@@ -191,18 +192,18 @@ class TestPotentialAndGradientMap:
     def test_zero_theta(self, rng):
         fs = sgm.standard_freq_set(2)
         x = rng.random(2)
-        assert sgm.potential(fs, np.zeros(fs.size), x) == pytest.approx(0.5 * x @ x)
-        np.testing.assert_allclose(sgm.gradient_map(fs, np.zeros(fs.size), x), x)
+        assert potential_batch(fs, np.zeros(fs.size), x[None])[0] == pytest.approx(0.5 * x @ x)
+        np.testing.assert_allclose(gradient_map_batch(fs, np.zeros(fs.size), x[None])[0], x)
 
     def test_potential_at_origin(self):
-        assert sgm.potential(U11, [1.0], [0, 0]) == pytest.approx(-1 / np.pi**2)
+        assert potential_batch(U11, [1.0], [[0, 0]])[0] == pytest.approx(-1 / np.pi**2)
 
     def test_vertices_fixed(self, rng):
         fs = sgm.standard_freq_set(3)
         theta = random_lit_interior(fs, rng)
         for vertex in ([0, 0, 0], [1, 0, 1], [1, 1, 1], [0, 1, 0]):
             v = np.array(vertex, dtype=float)
-            np.testing.assert_allclose(sgm.gradient_map(fs, theta, v), v, atol=1e-14)
+            np.testing.assert_allclose(gradient_map_batch(fs, theta, v[None])[0], v, atol=1e-14)
 
     def test_faces_preserved(self, rng):
         fs = sgm.standard_freq_set(3)
@@ -212,7 +213,7 @@ class TestPotentialAndGradientMap:
                 for _ in range(10):
                     x = rng.random(3)
                     x[j] = b
-                    y = sgm.gradient_map(fs, theta, x)
+                    y = gradient_map_batch(fs, theta, x[None])[0]
                     assert y[j] == pytest.approx(b, abs=1e-14)
                     assert (y >= -1e-12).all() and (y <= 1 + 1e-12).all()
 
@@ -223,14 +224,15 @@ class TestPotentialAndGradientMap:
             x, y = rng.random(2), rng.random(2)
             if np.allclose(x, y):
                 continue
-            dx = sgm.gradient_map(fs, theta, x) - sgm.gradient_map(fs, theta, y)
+            g = gradient_map_batch(fs, theta, np.stack([x, y]))
+            dx = g[0] - g[1]
             assert dx @ (x - y) > 0
 
 
 class TestScore:
     def test_origin_squared_norms(self):
         fs = sgm.standard_freq_set(3)
-        s = sgm.score(fs, np.zeros(fs.size), np.zeros(3))
+        s = score_batch(fs, np.zeros(fs.size), np.zeros((1, 3)))[0]
         np.testing.assert_allclose(s, fs.sqnorms)
 
     def test_matches_finite_difference_of_log_density(self, rng):
@@ -238,12 +240,12 @@ class TestScore:
         for _ in range(20):
             theta = random_lit_interior(fs, rng, margin=0.4)
             x = rng.random(2)
-            s = sgm.score(fs, theta, x)
+            s = score_batch(fs, theta, x[None])[0]
             h = 1e-6
             for k in range(fs.size):
                 e = np.zeros(fs.size); e[k] = h
-                fd = (np.log(sgm.density(fs, theta + e, x))
-                      - np.log(sgm.density(fs, theta - e, x))) / (2 * h)
+                fd = (np.log(density_batch(fs, theta + e, x[None])[0])
+                      - np.log(density_batch(fs, theta - e, x[None])[0])) / (2 * h)
                 assert s[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
     def test_equals_mixture_score_at_origin(self, rng):
@@ -251,27 +253,27 @@ class TestScore:
         zero = np.zeros(fs.size)
         for _ in range(20):
             x = rng.random(3)
-            s = sgm.score(fs, zero, x)
+            s = score_batch(fs, zero, x[None])[0]
             h = 1e-7
             mix = np.zeros(fs.size)
             for k in range(fs.size):
                 e = np.zeros(fs.size); e[k] = h
-                mix[k] = (np.log(sgm.mixm_density(fs, e, x))
-                          - np.log(sgm.mixm_density(fs, -e, x))) / (2 * h)
+                mix[k] = (np.log(mixm_density_batch(fs, e, x[None])[0])
+                          - np.log(mixm_density_batch(fs, -e, x[None])[0])) / (2 * h)
             np.testing.assert_allclose(s, mix, atol=1e-5)
 
 
 class TestMixmDensity:
     def test_uniform(self, rng):
         fs = sgm.standard_freq_set(2)
-        assert sgm.mixm_density(fs, np.zeros(fs.size), rng.random(2)) == 1.0
+        assert mixm_density_batch(fs, np.zeros(fs.size), rng.random((1, 2)))[0] == 1.0
 
     def test_correlation_model(self, rng):
         for _ in range(10):
             th = rng.uniform(-0.5, 0.5)
             x = rng.random(2)
             expect = 1 + 2 * th * np.cos(np.pi * x[0]) * np.cos(np.pi * x[1])
-            assert sgm.mixm_density(U11, [th], x) == pytest.approx(expect, abs=1e-14)
+            assert mixm_density_batch(U11, [th], x[None])[0] == pytest.approx(expect, abs=1e-14)
 
     def test_integrates_to_one_for_any_theta(self, rng):
         fs = sgm.standard_freq_set(2)
@@ -378,6 +380,16 @@ class TestKernels:
             [np.trace(np.linalg.solve(G, H), axis1=1, axis2=2) for H in bases], axis=1
         )
         np.testing.assert_allclose(score_batch(fs, theta, X), ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
+    def test_mixture_term_stack_matches_direct_formula(self, fs, rng):
+        X = rng.random((200, fs.dim))
+        base, coeffs = _term_values("mixm", fs, X)
+        # angles (pi x_j) u_j, as the kernels form them; (pi u_j) x_j differs in the last bits
+        direct = np.stack([(u @ u) * np.cos(np.pi * X * u).prod(axis=1) for u in fs.freqs], axis=1)
+        assert np.array_equal(base, np.eye(1))
+        assert coeffs.shape == (200, fs.size, 1, 1)
+        np.testing.assert_allclose(coeffs[:, :, 0, 0], direct, rtol=0, atol=1e-15)
 
     def test_singular_hessian_raises(self):
         # G = 1 + theta cos(0) = 0 at x = 0
