@@ -1,0 +1,138 @@
+"""Output identity of a parent checkout and this tree over every benchmark case.
+
+Run from the root of this tree, with a checkout of the parent commit
+elsewhere (``git clone`` or ``git archive`` of it):
+
+    python3 bench/outputs.py --parent ../parent
+
+Each side runs in its own subprocess with ``OPENBLAS_NUM_THREADS=1`` and that
+checkout's ``src`` first on ``PYTHONPATH``.  It runs every pool case of every
+workload (known defects included) through ``sgm.cli.main``, with the argv of
+this tree's ``perfbench/workloads.operation``, so both sides get the same
+inputs and calls.  Each call is recorded as its exit code, its stdout and its
+output file.  JSON is kept with ``timing_sec`` masked and the work directory
+replaced by ``<work>``; any other text, and every output file, is kept as its
+SHA-256.  Every call whose records differ is printed with the key paths that
+differ (``code``, ``file`` or ``stdout.<json path>``), and the script exits 1
+if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads as wl  # noqa: E402
+
+
+def _mask(x, work: str):
+    if isinstance(x, dict):
+        return {k: "<masked>" if k == "timing_sec" else _mask(v, work) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_mask(v, work) for v in x]
+    return x.replace(work, "<work>") if isinstance(x, str) else x
+
+
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _run_call(cli, call, work: str) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(call.argv)
+    text = buf.getvalue()
+    try:
+        stdout = _mask(json.loads(text), work)
+    except ValueError:
+        stdout = _sha256(text.encode())
+    record = {"code": code, "stdout": stdout}
+    if call.output_file is not None and os.path.exists(call.output_file):
+        with open(call.output_file, "rb") as fh:
+            record["file"] = _sha256(fh.read())
+    return record
+
+
+def collect(checkout: str) -> dict:
+    """{"<workload>/<case> <check>#<i>": record} for every call of every case."""
+    from sgm import cli
+
+    if not os.path.abspath(cli.__file__).startswith(os.path.join(checkout, "src")):
+        raise SystemExit(f"imported {cli.__file__}, not the sgm of {checkout}")
+    records = {}
+    for name in wl.POOL:
+        for case in range(wl.POOL[name]):
+            with tempfile.TemporaryDirectory() as work:
+                inputs = wl.write_case(name, case, wl.make_case(name, case), work)
+                for i, call in enumerate(wl.operation(name, inputs, work)):
+                    records[f"{name}/{case} {call.check}#{i}"] = _run_call(cli, call, work)
+    return records
+
+
+def diff(a, b, path: str = ""):
+    """Key paths at which two JSON values differ; NaN equals NaN."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            sub = f"{path}.{k}" if path else k
+            if k in a and k in b:
+                yield from diff(a[k], b[k], sub)
+            else:
+                yield sub
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diff(x, y, f"{path}[{i}]")
+    elif a != b and not (a != a and b != b):
+        yield path
+
+
+def run_side(checkout: str) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(checkout, "src"))
+    argv = [sys.executable, os.path.abspath(__file__), "--collect", checkout]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: collection exited with {done.returncode}\n"
+                         f"{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="checkout of the parent commit")
+    # internal: the subprocess of one side, printing its records as JSON
+    parser.add_argument("--collect", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        json.dump(collect(os.path.abspath(args.collect)), sys.stdout)
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+
+    parent, change = run_side(os.path.abspath(args.parent)), run_side(ROOT)
+    keys = sorted(set(parent) | set(change))
+    differing = 0
+    for key in keys:
+        if key in parent and key in change:
+            paths = list(diff(parent[key], change[key]))
+        else:
+            paths = ["<call only on one side>"]
+        if paths:
+            differing += 1
+            more = f" (+{len(paths) - 8} more)" if len(paths) > 8 else ""
+            print(f"{key}: {', '.join(paths[:8])}{more}")
+    print(f"{differing} of {len(keys)} calls differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,7 +55,7 @@ from .estimators import (
     predictive_loglik,
     preprocess,
 )
-from .maxdet import AffineMatrix, MaxDetProblem, SolveReport, SolverConfig
+from .maxdet import AffineMatrix, MaxDetProblem, SolveReport
 from .model import (
     FrequencySet,
     fisher_closed_1d,
@@ -96,7 +96,6 @@ __all__ = [
     "SgmError",
     "SingularHessianError",
     "SolveReport",
-    "SolverConfig",
     "beta122",
     "beta123",
     "cond_mutual_info",

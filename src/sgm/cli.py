@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis, estimators, feasibility, model, sampling
-from .errors import DataError, DomainError, NumericalError, SgmError
+from .errors import DataError, NumericalError, SgmError
 from .estimators import Scaler
 from .feasibility import LatticeRegion, LitRegion
 from .model import FrequencySet, standard_freq_set
@@ -94,21 +94,37 @@ def write_csv(path: str, arr: np.ndarray) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _frequency_array(values, path: str) -> np.ndarray:
+    """JSON frequency vectors as an int array; anything not integer is a DataError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    # x % 1 == 0 fails for fractions, nan and inf alike
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(arr % 1 == 0):
+        raise DataError(f"{path}: frequencies must be arrays of integers")
+    return arr.astype(int)
+
+
 def load_params(path: str) -> tuple[FrequencySet, np.ndarray]:
     """Read a parameter file: JSON with "frequencies" and "theta" keys.
 
     Accepts fit-result JSON unchanged.  Vectors are reordered jointly into
     the canonical frequency order.
     """
+    obj = _read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        vecs = np.asarray(obj["frequencies"], dtype=int)
+        vecs = _frequency_array(obj["frequencies"], path)
         theta = np.asarray(obj["theta"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f'{path}: needs "frequencies" and "theta" arrays') from exc
@@ -159,14 +175,7 @@ def _resolve_freqs(option: str, m: int) -> FrequencySet:
         return standard_freq_set(m)
     if option.startswith("file:"):
         path = option[len("file:"):]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                vecs = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
-        fs = FrequencySet.from_vectors(vecs)
+        fs = FrequencySet.from_vectors(_frequency_array(_read_json(path), path))
         if fs.dim != m:
             raise DataError(f"frequency file dimension {fs.dim} does not match data ({m})")
         return fs
@@ -208,7 +217,6 @@ def run_fit(args) -> None:
         "input": args.input,
         "model": args.model,
         "preprocess": not args.no_preprocess,
-        "seed": args.seed,
     }
     if args.model == "gauss":
         data = raw if args.no_preprocess else Scaler.fit(raw).standardize(raw)
@@ -405,8 +413,6 @@ def run_analyze(args) -> None:
         axes = _parse_list(args.axes or "0", int)
         if len(axes) != 1:
             raise UsageError("--what marginal tabulates one axis; use --what grid for pairs")
-        if args.resolution < 2:
-            raise DomainError("resolution must be >= 2")
         grid = np.linspace(0.0, 1.0, args.resolution)
         vals = analysis.marginal_density(
             freqs, theta, axes, grid[:, None], model=args.model, rule=rule
@@ -418,8 +424,8 @@ def run_analyze(args) -> None:
 
     if what == "grid":
         axes = _parse_list(args.axes or "0,1", int)
-        if len(axes) != 2:
-            raise UsageError("--what grid requires --axes I,J")
+        if len(axes) != 2 or axes[0] == axes[1]:
+            raise UsageError("--what grid requires two distinct --axes I,J")
         conditioning = _parse_condition(args.condition) if args.condition else None
         grid = analysis.density_grid(
             freqs, theta, (axes[0], axes[1]), args.resolution,
@@ -490,6 +496,9 @@ def simulate(
     outs = _map(_simulate_replicate_safe, payloads, jobs)
     results = [out for out in outs if "error" not in out]
     failures = [out for out in outs if "error" in out]
+    if not results:
+        first = f": replicate {failures[0]['index']}: {failures[0]['error']}" if failures else ""
+        raise NumericalError(f"no replicate completed{first}")
 
     def agg(key):
         arr = np.array([r[key] for r in results])
@@ -538,30 +547,27 @@ def _simulate_replicate_safe(payload):
 
 def run_simulate(args) -> None:
     started = time.time()
-    config = {
-        "replicates": args.replicates,
-        "n": args.n,
-        "n_test": args.n_test,
-        "seed": args.seed,
-        "tau": args.tau,
-        "tau_gauss_predict": args.tau_gauss_predict,
-        "jobs": args.jobs,
-    }
-    body = simulate(
-        replicates=args.replicates,
-        n=args.n,
-        n_test=args.n_test,
-        seed=args.seed,
-        tau=args.tau,
-        tau_gauss_predict=args.tau_gauss_predict,
-        jobs=args.jobs,
-    )
-    dump_json(_result("simulate", config, body, started), args.output)
+    keys = ("replicates", "n", "n_test", "seed", "tau", "tau_gauss_predict", "jobs")
+    config = {key: getattr(args, key) for key in keys}
+    dump_json(_result("simulate", config, simulate(**config), started), args.output)
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
+
+def _at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -570,23 +576,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_choices=("sgm", "mixm", "gauss")):
-        p.add_argument("--input", help="input path")
+    def common(p, models=("sgm", "mixm", "gauss"), seed=False, inputs=True):
+        if inputs:
+            p.add_argument("--input", help="input path")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--model", choices=model_choices, default="sgm")
-        p.add_argument("--seed", type=int, default=0)
+        if models:
+            p.add_argument("--model", choices=models, default="sgm")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p_fit = sub.add_parser("fit", help="fit a model to CSV data")
     common(p_fit)
     p_fit.add_argument("--region", choices=("lit", "lattice"), default="lit")
     p_fit.add_argument("--tau", type=float, default=1.0)
-    p_fit.add_argument("--M", type=int, default=None)
+    p_fit.add_argument("--M", type=_at_least(1), default=None)
     p_fit.add_argument("--freqs", default="standard", help="standard or file:PATH")
     p_fit.add_argument("--no-preprocess", action="store_true")
 
     p_cv = sub.add_parser("cv", help="cross-validate the tuning parameter")
-    common(p_cv)
-    p_cv.add_argument("--folds", type=int, default=5)
+    common(p_cv, seed=True)
+    p_cv.add_argument("--folds", type=_at_least(2), default=5)
     p_cv.add_argument("--tau-grid", help="comma-separated tau values")
     p_cv.add_argument("--jobs", type=int, default=1)
     p_cv.add_argument("--global-preprocess", action="store_true",
@@ -595,17 +604,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="use the data as given (already on the model scale)")
 
     p_sample = sub.add_parser("sample", help="draw samples to CSV")
-    common(p_sample, model_choices=("sgm", "mixm", "benchmark5"))
-    p_sample.add_argument("--n", type=int, required=True)
+    common(p_sample, models=("sgm", "mixm", "benchmark5"), seed=True)
+    p_sample.add_argument("--n", type=_at_least(1), required=True)
 
     p_feas = sub.add_parser("feasible", help="feasibility report for a parameter file")
-    common(p_feas)
+    common(p_feas, models=())
     p_feas.add_argument("--tau", type=float, default=1.0)
-    p_feas.add_argument("--M", type=int, default=None)
-    p_feas.add_argument("--resolution", type=int, default=None)
+    p_feas.add_argument("--M", type=_at_least(1), default=None)
+    p_feas.add_argument("--resolution", type=_at_least(2), default=None)
 
     p_an = sub.add_parser("analyze", help="quadrature analyses and grids")
-    common(p_an, model_choices=("sgm", "mixm"))
+    common(p_an, models=("sgm", "mixm"))
     p_an.add_argument(
         "--what",
         choices=("correlation", "beta122", "beta123", "cmi", "fisher", "marginal",
@@ -614,16 +623,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("--theta", help="comma-separated parameter value(s)")
     p_an.add_argument("--phi", type=float, default=None)
-    p_an.add_argument("--quad-nodes", type=int, default=analysis.DEFAULT_NODES)
+    p_an.add_argument("--quad-nodes", type=_at_least(1), default=analysis.DEFAULT_NODES)
     p_an.add_argument("--axes", help="axis indices, e.g. 0,1")
-    p_an.add_argument("--resolution", type=int, default=101)
+    p_an.add_argument("--resolution", type=_at_least(2), default=101)
     p_an.add_argument("--condition", help="fixed axes, e.g. 1=0.75")
 
     p_sim = sub.add_parser("simulate", help="benchmark replication experiment")
-    common(p_sim)
-    p_sim.add_argument("--replicates", type=int, default=20)
-    p_sim.add_argument("--n", type=int, default=40)
-    p_sim.add_argument("--n-test", type=int, default=10)
+    common(p_sim, models=(), seed=True, inputs=False)
+    p_sim.add_argument("--replicates", type=_at_least(1), default=20)
+    p_sim.add_argument("--n", type=_at_least(2), default=40)
+    p_sim.add_argument("--n-test", type=_at_least(1), default=10)
     p_sim.add_argument("--tau", type=float, default=1.0)
     p_sim.add_argument("--tau-gauss-predict", type=float, default=0.32)
     p_sim.add_argument("--jobs", type=int, default=1)

@@ -173,7 +173,7 @@ def _lasso_split(m, rows, budget):
     return E, tuple(linear)
 
 
-def _fit_lit(model, freqs, data, tau, config):
+def _fit_lit(model, freqs, data, tau):
     base, coeffs = _term_values(model, freqs, data)
     E, linear = _lasso_split(0, _lit_rows(model, freqs, tau), tau)
     problem = maxdet.MaxDetProblem(
@@ -182,11 +182,11 @@ def _fit_lit(model, freqs, data, tau, config):
         linear_constraints=linear,
         objective_map=E,
     )
-    report = maxdet.solve(problem, config)
+    report = maxdet.solve(problem)
     return E @ report.theta, report
 
 
-def _fit_lattice(model, freqs, data, M, config):
+def _fit_lattice(model, freqs, data, M):
     lattice = lattice_points(freqs.dim, M)
     base, coeffs = _term_values(model, freqs, data)
     _, lat_coeffs = _term_values(model, freqs, lattice)
@@ -196,20 +196,20 @@ def _fit_lattice(model, freqs, data, M, config):
         objective_terms=(maxdet.AffineMatrix(base, coeffs),),
         psd_constraints=(maxdet.AffineMatrix(base, lat_coeffs),),
     )
-    report = maxdet.solve(problem, config)
+    report = maxdet.solve(problem)
     return report.theta, report
 
 
-def _fit(model, data, freqs, region, config):
+def _fit(model, data, freqs, region):
     data = _check_unit_data(data, freqs.dim)
     if isinstance(region, LitRegion):
         if region.tau == 0.0:
             return _zero_fit(model, freqs, region)
-        theta_raw, report = _fit_lit(model, freqs, data, region.tau, config)
+        theta_raw, report = _fit_lit(model, freqs, data, region.tau)
         theta = np.where(np.abs(theta_raw) < ZERO_THRESHOLD, 0.0, theta_raw)
     elif isinstance(region, LatticeRegion):
         # no split variables: zeroing small entries could leave the region
-        theta_raw, report = _fit_lattice(model, freqs, data, region.M, config)
+        theta_raw, report = _fit_lattice(model, freqs, data, region.M)
         theta = theta_raw.copy()
     else:
         raise DomainError(f"unknown region {region!r}")
@@ -227,12 +227,7 @@ def _fit(model, data, freqs, region, config):
     )
 
 
-def fit_sgm(
-    data,
-    freqs: FrequencySet,
-    region: Region,
-    config: maxdet.SolverConfig | None = None,
-) -> FitResult:
+def fit_sgm(data, freqs: FrequencySet, region: Region) -> FitResult:
     """Constrained maximum likelihood for the gradient model.
 
     One log-det objective term per sample.  Lattice regions add a
@@ -240,17 +235,12 @@ def fit_sgm(
     coefficients; L1-type regions split each coefficient into nonnegative
     parts under per-axis budget constraints, which makes the fit sparse.
     """
-    return _fit("sgm", data, freqs, region, config)
+    return _fit("sgm", data, freqs, region)
 
 
-def fit_mixm(
-    data,
-    freqs: FrequencySet,
-    region: Region,
-    config: maxdet.SolverConfig | None = None,
-) -> FitResult:
+def fit_mixm(data, freqs: FrequencySet, region: Region) -> FitResult:
     """Constrained maximum likelihood for the mixture model (scalar terms)."""
-    return _fit("mixm", data, freqs, region, config)
+    return _fit("mixm", data, freqs, region)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +258,11 @@ def _correlation_matrix(standardized) -> np.ndarray:
     return S / np.outer(d, d)
 
 
-def _gauss_problem(sigma, pairs, budget=None):
+def _gauss_problem(sigma, pairs, budget):
     """Concentration-matrix problem with C = I + X, maximizing logdet - trace.
 
-    The objective sees z, the diagonal of X then its off-diagonal pairs.
-    With a ``budget`` the pairs are lasso-split under the L1 budget.
+    The objective sees z, the diagonal of X then its off-diagonal pairs,
+    which are lasso-split under the L1 budget.
     """
     m, q = sigma.shape[0], len(pairs)
     coeffs = np.zeros((m + q, m, m))
@@ -283,10 +273,7 @@ def _gauss_problem(sigma, pairs, budget=None):
     for v, (i, j) in enumerate(pairs, start=m):
         coeffs[v, i, j] = coeffs[v, j, i] = 1.0
         cost[v] = -2.0 * sigma[i, j]
-    if budget is None:
-        E, linear = np.eye(m + q), ()
-    else:
-        E, linear = _lasso_split(m, [np.ones(q)], budget)
+    E, linear = _lasso_split(m, [np.ones(q)], budget)
     return maxdet.MaxDetProblem(
         nvars=E.shape[1],
         objective_terms=(maxdet.AffineMatrix(np.eye(m), coeffs),),
@@ -296,15 +283,7 @@ def _gauss_problem(sigma, pairs, budget=None):
     )
 
 
-def _gauss_fit_C(problem, config):
-    """Solve the problem and return its C = I + X at the optimum."""
-    (term,) = problem.objective_terms
-    return term(problem.objective_map @ maxdet.solve(problem, config).theta)[0]
-
-
-def fit_gauss_lasso(
-    standardized, tau: float, config: maxdet.SolverConfig | None = None
-) -> np.ndarray:
+def fit_gauss_lasso(standardized, tau: float) -> np.ndarray:
     """Concentration-matrix estimate under an off-diagonal L1 budget.
 
     Maximizes log det(C) - tr(S C) over positive definite C subject to
@@ -323,16 +302,16 @@ def fit_gauss_lasso(
         raise DataError("sample correlation matrix is singular") from exc
     inv = np.linalg.inv(sigma)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    budget = tau * sum(abs(inv[i, j]) for i, j in pairs)
+    off_l1 = sum(abs(inv[i, j]) for i, j in pairs)
+    budget = tau * off_l1
     if budget <= 0.0 or not pairs:
         return np.diag(1.0 / np.diag(sigma))
+    if off_l1 <= budget * (1.0 + 1e-9) + 1e-12:
+        return 0.5 * (inv + inv.T)  # the unconstrained MLE satisfies the budget
 
-    # Unconstrained MLE first: if it satisfies the budget, it is the optimum.
-    C = _gauss_fit_C(_gauss_problem(sigma, pairs), config)
-    if sum(abs(C[i, j]) for i, j in pairs) <= budget * (1.0 + 1e-9) + 1e-12:
-        return C
-
-    C = _gauss_fit_C(_gauss_problem(sigma, pairs, budget), config)
+    problem = _gauss_problem(sigma, pairs, budget)
+    (term,) = problem.objective_terms
+    C = term(problem.objective_map @ maxdet.solve(problem).theta)[0]
     off = np.abs(C[np.triu_indices(m, 1)])
     C[np.triu_indices(m, 1)] = np.where(off < ZERO_THRESHOLD, 0.0, C[np.triu_indices(m, 1)])
     C = np.triu(C) + np.triu(C, 1).T
@@ -401,16 +380,15 @@ def cross_validate(
     tau_grid=None,
     folds: int = 5,
     seed: int = 0,
-    freqs: FrequencySet | None = None,
     preprocess_mode: str = "fold",
-    config: maxdet.SolverConfig | None = None,
 ) -> CVResult:
     """K-fold cross-validated predictive log-likelihood over a tau grid.
 
     Fold assignment is a seeded permutation.  With ``preprocess_mode="fold"``
     the scaling statistics are fit on the training folds and applied to the
     held-out fold; ``"global"`` standardizes once on the full data;
-    ``"none"`` uses the data as given (already on the model's scale).
+    ``"none"`` uses the data as given (already on the model's scale).  The
+    gradient and mixture models use the standard frequency set.
     """
     raw = np.asarray(raw, dtype=float)
     n = raw.shape[0]
@@ -421,8 +399,7 @@ def cross_validate(
     taus = np.asarray(
         tau_grid if tau_grid is not None else np.arange(1, 11) / 10.0, dtype=float
     )
-    if model in ("sgm", "mixm") and freqs is None:
-        freqs = standard_freq_set(raw.shape[1])
+    freqs = standard_freq_set(raw.shape[1]) if model in ("sgm", "mixm") else None
     perm = np.random.default_rng(seed).permutation(n)
     fold_ids = np.array_split(perm, folds)
     global_scaler = Scaler.fit(raw) if preprocess_mode == "global" else None
@@ -444,10 +421,10 @@ def cross_validate(
         to_std, to_unit = transforms(scaler)
         for i, tau in enumerate(taus):
             if model == "gauss":
-                C = fit_gauss_lasso(to_std(train_raw), tau, config)
+                C = fit_gauss_lasso(to_std(train_raw), tau)
                 scores[i] += predictive_loglik("gauss", C, to_std(test_raw))
             else:
-                fit = _fit(model, to_unit(train_raw), freqs, LitRegion(tau), config)
+                fit = _fit(model, to_unit(train_raw), freqs, LitRegion(tau))
                 scores[i] += predictive_loglik(
                     model, (freqs, fit.theta), to_unit(test_raw)
                 )

@@ -13,8 +13,9 @@ recenter after each geometric shrink of mu; each step whitens every stack
 once with its inverse Cholesky factors, W = L^-1 A L^-T, and forms the
 curvature -sum_t w_t tr(W_tk W_tl) as one matrix product (Vandenberghe, Boyd
 & Wu, SIAM J. Matrix Anal. Appl. 19(2), 1998).  All arithmetic is
-deterministic: identical inputs and configuration produce bitwise-identical
-iterate sequences.
+deterministic: identical inputs produce bitwise-identical iterate sequences.
+The barrier schedule is fixed: mu starts at _BARRIER_INIT and shrinks by
+_BARRIER_SHRINK per outer iteration, within the Newton and outer budgets.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .errors import DomainError, InfeasibleStartError, LineSearchError
 
 logger = logging.getLogger("sgm.maxdet")
 
+_BARRIER_INIT = 1.0
+_BARRIER_SHRINK = 0.2
+_NEWTON_TOL = 1e-9
+_MAX_NEWTON = 50
+_MAX_OUTER = 30
 _ARMIJO = 0.01
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-14
@@ -129,23 +135,6 @@ class MaxDetProblem:
     def barrier_degree(self) -> int:
         """Total barrier complexity: sum of PSD block sizes plus linear count."""
         return sum(c.size * c.count for c in self.psd_constraints) + len(self.linear_constraints)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    barrier_init: float = 1.0
-    barrier_shrink: float = 0.2
-    newton_tol: float = 1e-9
-    max_newton: int = 50
-    max_outer: int = 30
-
-    def __post_init__(self):
-        if min(self.barrier_init, self.barrier_shrink, self.newton_tol) <= 0:
-            raise DomainError("solver parameters must be positive")
-        if not self.barrier_shrink < 1:
-            raise DomainError("barrier_shrink must be < 1")
-        if min(self.max_newton, self.max_outer) < 1:
-            raise DomainError("iteration budgets must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -302,21 +291,6 @@ def _newton_step(problem, theta, mu, grad_tol):
     raise LineSearchError(f"line search failed (decrement {decrement:.3e})")
 
 
-def barrier_step(
-    problem: MaxDetProblem, theta, mu: float, config: SolverConfig | None = None
-) -> np.ndarray:
-    """One damped Newton step on the barrier-augmented objective at parameter mu.
-
-    Backtracking rejects any step leaving the strictly feasible domain, and
-    the merit value never decreases beyond floating-point resolution.  At
-    the barrier optimum the input is returned unchanged (within newton_tol).
-    """
-    config = config or SolverConfig()
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    new, _ = _newton_step(problem, theta, mu, config.newton_tol)
-    return new
-
-
 def kkt_residual(problem: MaxDetProblem, theta) -> float:
     """Stationarity-plus-complementarity residual with barrier-recovered multipliers.
 
@@ -354,36 +328,35 @@ def kkt_residual(problem: MaxDetProblem, theta) -> float:
     return float(resid)
 
 
-def solve(problem: MaxDetProblem, config: SolverConfig | None = None) -> SolveReport:
+def solve(problem: MaxDetProblem) -> SolveReport:
     """Maximize the objective over the strictly feasible region from theta = 0.
 
     The outer loop shrinks mu geometrically until the recovered KKT residual
-    falls below newton_tol * (1 + |grad f(0)|); each center is found by
+    falls below _NEWTON_TOL * (1 + |grad f(0)|); each center is found by
     damped Newton iteration.  Exhausted budgets return the best iterate
     flagged as not converged.
     """
-    config = config or SolverConfig()
     theta = np.zeros(problem.nvars)
     start = _evaluate(problem, theta, 1, barrier=False)
     if start is None:
         raise InfeasibleStartError("objective terms not positive definite at theta = 0")
     if _evaluate(problem, theta, 0, barrier=True) is None:
         raise InfeasibleStartError("a constraint margin at theta = 0 is not strictly positive")
-    target = config.newton_tol * (1.0 + float(np.linalg.norm(start[1])))
+    target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(start[1])))
     grad_tol = 0.5 * target
     nu = problem.barrier_degree
 
-    mu = config.barrier_init
+    mu = _BARRIER_INIT
     newton_total = 0
     outer = 0
     path: list[tuple[float, float]] = []
     converged = False
     message = ""
     best: tuple[float, np.ndarray, float] | None = None  # (kkt, theta, mu)
-    while outer < config.max_outer:
+    while outer < _MAX_OUTER:
         outer += 1
         centered = False
-        for _ in range(config.max_newton):
+        for _ in range(_MAX_NEWTON):
             try:
                 new, centered = _newton_step(problem, theta, mu, grad_tol)
             except LineSearchError as exc:
@@ -417,7 +390,7 @@ def solve(problem: MaxDetProblem, config: SolverConfig | None = None) -> SolveRe
                 # shrinking mu further only degrades the certificate numerically
                 message = "KKT residual at the floating-point floor"
                 break
-        mu *= config.barrier_shrink
+        mu *= _BARRIER_SHRINK
     else:
         message = "outer iteration budget exhausted"
 

@@ -6,6 +6,7 @@ import pytest
 
 from sgm import cli
 from sgm.cli import main, read_csv, simulate, write_csv
+from sgm.errors import NumericalError
 
 
 @pytest.fixture
@@ -294,6 +295,11 @@ class TestSimulate:
         assert obj["failures"] == []
         assert len(obj["sgm"]["mean_scaled"]) == 50
 
+    def test_no_completed_replicate_raises(self):
+        # n = 1 fails every replicate's preprocessing
+        with pytest.raises(NumericalError, match="no replicate completed: replicate 0"):
+            simulate(replicates=2, n=1, n_test=5)
+
     def test_jobs_matches_serial(self):
         kwargs = dict(replicates=3, n=25, n_test=5)
         assert simulate(**kwargs, jobs=2) == simulate(**kwargs, jobs=1)
@@ -343,12 +349,52 @@ class TestExitCodes:
                     "--output", str(tmp_path / "g.tsv")], capsys) == 2
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
-    def test_marginal_resolution_below_2_exits_4(self, tmp_path, params7, resolution, capsys):
+    def test_marginal_resolution_below_2_exits_2(self, tmp_path, params7, resolution, capsys):
         out = tmp_path / "m.tsv"
         assert run(["analyze", "--what", "marginal", "--input", params7,
                     "--resolution", resolution, "--quad-nodes", "8", "--output", str(out)],
-                   capsys) == 4
+                   capsys) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--input", "P", "--n", "0"],
+        ["fit", "--input", "P", "--region", "lattice", "--M", "0"],
+        ["feasible", "--input", "P", "--M", "0"],
+        ["feasible", "--input", "P", "--resolution", "0"],
+        ["analyze", "--what", "grid", "--input", "P", "--axes", "0,0"],
+        ["analyze", "--what", "fisher", "--input", "P", "--quad-nodes", "0"],
+        ["cv", "--input", "P", "--folds", "1"],
+        ["simulate", "--replicates", "0"],
+        ["simulate", "--n", "1"],
+        ["simulate", "--n-test", "0"],
+        # flags that no runner reads
+        ["fit", "--input", "P", "--seed", "1"],
+        ["feasible", "--input", "P", "--model", "sgm"],
+        ["feasible", "--input", "P", "--seed", "1"],
+        ["analyze", "--what", "table1", "--seed", "1"],
+        ["simulate", "--input", "P"],
+        ["simulate", "--model", "sgm"],
+    ])
+    def test_out_of_range_or_removed_flag_exits_2(self, tmp_path, params7, argv, capsys):
+        out = tmp_path / "out"
+        argv = [params7 if a == "P" else a for a in argv] + ["--output", str(out)]
+        assert run(argv, capsys) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vectors", [{"a": 1}, [[1, "x"]], [[1.5, 0]]])
+    def test_bad_frequency_file_exits_3(self, tmp_path, vectors, capsys):
+        csv = str(tmp_path / "d.csv")
+        write_csv(csv, np.random.default_rng(0).random((10, 2)))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(vectors))
+        assert run(["fit", "--input", csv, "--freqs", f"file:{path}",
+                    "--output", str(tmp_path / "x.json")], capsys) == 3
+
+    def test_fractional_param_frequencies_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"frequencies": [[1.5, 0]], "theta": [0.1]}))
+        assert run(["feasible", "--input", str(path),
+                    "--output", str(tmp_path / "f.json")], capsys) == 3
 
     def test_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -162,6 +162,13 @@ class TestGaussLasso:
         C = sgm.fit_gauss_lasso(std, 1.0)
         np.testing.assert_allclose(C, np.linalg.inv(self.correlation(std)), atol=1e-6)
 
+    def test_tau_one_is_exact_symmetric_inverse(self):
+        std, _ = sgm.preprocess(sgm.sample_benchmark5(40, 2))
+        inv = np.linalg.inv(self.correlation(std))
+        C = sgm.fit_gauss_lasso(std, 1.0)
+        np.testing.assert_allclose(C, 0.5 * (inv + inv.T), rtol=0, atol=1e-13)
+        assert np.array_equal(C, C.T)
+
     def test_tau_zero_is_diagonal(self, rng):
         std, _ = sgm.preprocess(rng.normal(size=(60, 3)))
         C = sgm.fit_gauss_lasso(std, 0.0)
