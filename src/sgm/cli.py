@@ -411,8 +411,8 @@ def run_analyze(args) -> None:
 
     if what == "marginal":
         axes = _parse_list(args.axes or "0", int)
-        if len(axes) != 1:
-            raise UsageError("--what marginal tabulates one axis; use --what grid for pairs")
+        if len(axes) != 1 or not 0 <= axes[0] < freqs.dim:
+            raise UsageError(f"--what marginal takes one --axes index in [0, {freqs.dim})")
         grid = np.linspace(0.0, 1.0, args.resolution)
         vals = analysis.marginal_density(
             freqs, theta, axes, grid[:, None], model=args.model, rule=rule
@@ -424,9 +424,11 @@ def run_analyze(args) -> None:
 
     if what == "grid":
         axes = _parse_list(args.axes or "0,1", int)
-        if len(axes) != 2 or axes[0] == axes[1]:
-            raise UsageError("--what grid requires two distinct --axes I,J")
+        if len(axes) != 2 or axes[0] == axes[1] or not all(0 <= a < freqs.dim for a in axes):
+            raise UsageError(f"--what grid requires two distinct --axes I,J in [0, {freqs.dim})")
         conditioning = _parse_condition(args.condition) if args.condition else None
+        if conditioning and sorted(conditioning) != [a for a in range(freqs.dim) if a not in axes]:
+            raise UsageError("--condition must fix exactly the axes not in --axes")
         grid = analysis.density_grid(
             freqs, theta, (axes[0], axes[1]), args.resolution,
             conditioning=conditioning, model=args.model, rule=rule,

@@ -297,7 +297,7 @@ def fit_gauss_lasso(standardized, tau: float) -> np.ndarray:
     sigma = _correlation_matrix(standardized)
     m = sigma.shape[0]
     try:
-        L = np.linalg.cholesky(sigma)
+        np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise DataError("sample correlation matrix is singular") from exc
     inv = np.linalg.inv(sigma)

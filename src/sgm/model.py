@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DomainError, IndefiniteHessianError, SingularHessianError
 
-# Pivot tolerance separating "semidefinite" from "indefinite" in factorizations.
+# Pivot tolerances: "semidefinite" vs "indefinite", and _psd_det's relative screen.
 EPS_PD = 1e-10
+_PIVOT_SCREEN = 1e-6
 
 # Below this |theta| the closed-form Fisher expressions switch to their
 # analytic limits (removable 0/0 singularity).
@@ -232,14 +233,20 @@ def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
 
 
 def _psd_det(G: np.ndarray) -> np.ndarray:
-    """det G for a stack of model Hessians under the semidefinite rule.
-
-    A failed batched Cholesky triggers eigvalsh: an eigenvalue below -EPS_PD
-    raises IndefiniteHessianError (theta is infeasible), and points whose
-    smallest eigenvalue is <= 0 get 0.  The value is the LU determinant, not
-    the Cholesky product, which differs from it in the last bits.
-    """
+    """det G for a stack of model Hessians under the semidefinite rule: the LU
+    determinant, returned as is if every unpivoted LDL^T pivot exceeds
+    _PIVOT_SCREEN times its diagonal entry, a margin far above any Cholesky's
+    rounding.  Otherwise a failed batched Cholesky triggers eigvalsh: an
+    eigenvalue below -EPS_PD raises IndefiniteHessianError (theta is
+    infeasible), and points whose smallest eigenvalue is <= 0 get 0."""
     p = np.linalg.det(G)
+    S = np.moveaxis(G, 0, -1).copy()  # Schur complements, one (N,) column per entry
+    for k in range(len(S)):
+        if not (S[k, k] > _PIVOT_SCREEN * G[:, k, k]).all():  # also stops on nan
+            break
+        S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * (S[k, k + 1 :] / S[k, k])
+    else:
+        return p
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:

@@ -381,6 +381,24 @@ class TestExitCodes:
         assert run(argv, capsys) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--what", "grid", "--axes", "0,5"],
+        ["--what", "grid", "--axes=-1,0"],
+        ["--what", "marginal", "--axes", "7"],
+        ["--what", "marginal", "--axes", "-1"],
+        ["--what", "grid", "--axes", "0,1", "--condition", "5=0.5"],
+        ["--what", "grid", "--axes", "0,1", "--condition", "1=0.5"],
+        ["--what", "grid", "--axes", "0,1", "--condition", "2=0.5,0=0.5"],
+    ])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_axes_outside_the_model_exit_2(self, tmp_path, argv, dim, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"frequencies": [[1] * dim], "theta": [0.1]}))
+        out = tmp_path / "g.tsv"
+        assert run(["analyze", "--input", str(params), *argv, "--resolution", "5",
+                    "--quad-nodes", "8", "--output", str(out)], capsys) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("vectors", [{"a": 1}, [[1, "x"]], [[1.5, 0]]])
     def test_bad_frequency_file_exits_3(self, tmp_path, vectors, capsys):
         csv = str(tmp_path / "d.csv")

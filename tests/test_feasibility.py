@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sgm
-from sgm import DomainError, FrequencySet, ResourceLimitError
+from sgm import DomainError, FrequencySet, ResourceLimitError, feasibility
 from sgm.feasibility import (
     LATTICE_POINT_CAP,
     LatticeRegion,
@@ -12,7 +12,7 @@ from sgm.feasibility import (
     km_factors,
     lattice_points,
 )
-from sgm.model import EPS_PD, gram_batch
+from sgm.model import EPS_PD, _tensor_points, gram_batch
 
 from conftest import random_lit_interior
 
@@ -183,6 +183,34 @@ class TestMinEigGrid:
     def test_resolution_validation(self):
         with pytest.raises(DomainError):
             sgm.min_eig_grid(U11, [0.1], resolution=1)
+
+
+class TestMinEigOver:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("load", [0.5, 1.0, 2.0], ids=["inside", "boundary", "outside"])
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    def test_pruned_scan_equals_exhaustive_minimum(self, m, load, small_blocks, rng,
+                                                   monkeypatch):
+        fs = sgm.standard_freq_set(m)
+        direction = rng.normal(size=fs.size)
+        theta = direction * load / (np.abs(direction) @ fs.freqs.astype(float) ** 2).max()
+        if small_blocks:
+            monkeypatch.setattr(feasibility, "_CHUNK", 1)
+        block_sizes = []
+        min_eig = feasibility._min_eig
+        monkeypatch.setattr(feasibility, "_min_eig",
+                            lambda G: block_sizes.append(len(G)) or min_eig(G))
+        dense = {1: 201, 2: 101, 3: 41}[m]
+        for axes in ([np.linspace(0.0, 1.0, dense)] * m, feasibility._lattice_axes(m, 5),
+                     [np.sort(rng.random(dense // 2)) for _ in range(m)]):
+            G = gram_batch(fs, theta, _tensor_points(axes))
+            # scans at m = 2 use the closed form, at m = 1 and 3 the eigensolver
+            want = (min_eig(G) if m == 2 else np.linalg.eigvalsh(G)[:, 0]).min()
+            block_sizes.clear()
+            assert feasibility._min_eig_over(fs, theta, axes) == want
+            assert sum(block_sizes) < len(G)
+            if small_blocks:  # one leading slice per block: the cap crosses blocks
+                assert len(block_sizes) == len(axes[0]) and 0 in block_sizes
 
 
 class TestMA2:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sgm
 from sgm import DomainError, FrequencySet, IndefiniteHessianError, SingularHessianError
 from sgm.analysis import tensor_grid
 from sgm.estimators import _term_values
 from sgm.model import (
+    EPS_PD,
+    _psd_det,
     density_batch,
     gradient_map_batch,
     gram_batch,
@@ -174,6 +177,17 @@ class TestDensity:
             density_batch(U11, [1.8], np.array([[0.9, 0.1]]))
         assert isinstance(info.value, DomainError)
 
+    def test_m5_two_negative_eigenvalues_raise(self):
+        # at x1 = x2 = 1 the Hessian is diag(-2, -2, 1, 1, 1): det > 0, indefinite
+        fs = sgm.standard_freq_set(5)
+        theta = np.zeros(fs.size)
+        theta[fs.index((1, 0, 0, 0, 0))] = theta[fs.index((0, 1, 0, 0, 0))] = 3.0
+        X = np.array([[0.5] * 5, [1.0, 1.0, 0.5, 0.5, 0.5]])
+        np.testing.assert_allclose(gram_batch(fs, theta, X)[1], np.diag([-2.0, -2, 1, 1, 1]),
+                                   atol=1e-15)
+        with pytest.raises(IndefiniteHessianError, match="at point 1"):
+            density_batch(fs, theta, X)
+
     def test_semidefinite_points_give_zero(self):
         # at theta = 1 the smallest eigenvalue 1 + cos(pi (x1 + x2)) vanishes
         # on the antidiagonal, where rounding leaves it on either side of 0
@@ -186,6 +200,91 @@ class TestDensity:
         assert (p[lam <= 0] == 0).all()
         antidiagonal = [i * n + n - 1 - i for i in range(n)]
         assert p[antidiagonal].max() <= 1e-15
+
+
+def psd_det_reference(G):
+    """The semidefinite rule as a batched Cholesky classifies it, beside the
+    LU determinant; _psd_det must agree with it bit for bit."""
+    p = np.linalg.det(G)
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(G)[:, 0]
+        if lam.min() < -EPS_PD:
+            i = int(lam.argmin())
+            raise IndefiniteHessianError(
+                f"Hessian indefinite at point {i}: min eigenvalue {lam[i]:.3e}"
+            ) from None
+        p[lam <= 0] = 0.0
+    return p
+
+
+def outcome(fn, G):
+    """The bytes of fn(G), or the type and message of what it raises."""
+    try:
+        with np.errstate(divide="ignore"):  # LU of the zero matrix
+            return fn(G.copy()).tobytes()
+    except IndefiniteHessianError as exc:
+        return type(exc), str(exc)
+
+
+ENTRY = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+def symmetric(G):
+    return 0.5 * (G + np.swapaxes(G, 1, 2))
+
+
+@st.composite
+def pd_stacks(draw):
+    """A A^T + c I with c in [1e-3, 2]: positive definite."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    A = draw(hnp.arrays(np.float64, (n, m, m), elements=ENTRY))
+    c = draw(st.floats(1e-3, 2.0))
+    return symmetric(A @ np.swapaxes(A, 1, 2) + c * np.eye(m))
+
+
+@st.composite
+def rank_deficient_stacks(draw, m=None, n_max=6):
+    """A A^T with A of rank r < m: singular, its zero pivots left on either
+    side of 0 by rounding."""
+    m, n = m or draw(st.integers(1, 5)), draw(st.integers(1, n_max))
+    r = draw(st.integers(0, m - 1))
+    A = draw(hnp.arrays(np.float64, (n, m, r), elements=ENTRY))
+    return symmetric(A @ np.swapaxes(A, 1, 2))
+
+
+@st.composite
+def even_indefinite_stacks(draw, m=None, n_max=6):
+    """Q diag(lam) Q^T with an even number (>= 2) of eigenvalues <= -0.1,
+    the rest >= 0.1: det > 0, not semidefinite."""
+    m, n = m or draw(st.integers(2, 5)), draw(st.integers(1, n_max))
+    neg = 2 * draw(st.integers(1, m // 2))
+    mags = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(0.1, 5.0)))
+    lam = mags * np.where(np.arange(m) < neg, -1.0, 1.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, m, m)))[0]
+    return symmetric(Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2)))
+
+
+class TestPsdDet:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(pd_stacks(), rank_deficient_stacks(), even_indefinite_stacks()))
+    def test_matches_cholesky_classifier(self, G):
+        assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_one_bad_point_in_a_large_pd_stack(self, seed, data):
+        m = data.draw(st.integers(1, 5))
+        kinds = [rank_deficient_stacks(m, n_max=1)]
+        kinds += [even_indefinite_stacks(m, n_max=1)] if m >= 2 else []
+        bad = data.draw(st.one_of(kinds))[0]
+        A = np.random.default_rng(seed).uniform(-3, 3, size=(500, m, m))
+        G = symmetric(A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(m))
+        assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
+        G[data.draw(st.integers(0, len(G) - 1))] = bad
+        assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
 
 
 class TestPotentialAndGradientMap:
