@@ -7,6 +7,8 @@ lasso-type sparse variant and a graphical Gaussian baseline), exact
 rejection sampling, and quadrature reproduction of closed-form moments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     DensityGrid,
     QuadratureRule,
@@ -73,58 +75,6 @@ from .sampling import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMatrix",
-    "CVResult",
-    "ConstantColumnError",
-    "DataError",
-    "DensityGrid",
-    "DomainError",
-    "FitResult",
-    "FrequencySet",
-    "IndefiniteHessianError",
-    "InfeasibleStartError",
-    "LatticeRegion",
-    "LineSearchError",
-    "LitRegion",
-    "MaxDetProblem",
-    "NumericalError",
-    "QuadratureRule",
-    "RejectionInfo",
-    "ResourceLimitError",
-    "Scaler",
-    "SgmError",
-    "SingularHessianError",
-    "SolveReport",
-    "beta122",
-    "beta123",
-    "cond_mutual_info",
-    "correlation",
-    "cross_validate",
-    "density_grid",
-    "fejer_kernel",
-    "fejer_reconstruct",
-    "fisher_closed_1d",
-    "fisher_closed_corr",
-    "fisher_numeric",
-    "fisher_origin",
-    "fit_gauss_lasso",
-    "fit_mixm",
-    "fit_sgm",
-    "integrate",
-    "lattice_feasible",
-    "lit_margin",
-    "ma2_feasible",
-    "marginal_density",
-    "min_eig_grid",
-    "partial_correlations",
-    "predictive_loglik",
-    "preprocess",
-    "rejection_bound",
-    "sample_benchmark5",
-    "sample_mixm",
-    "sample_sgm",
-    "scale_km",
-    "standard_freq_set",
-    "table1",
-]
+# every public name imported above, listed once
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -364,9 +364,12 @@ def _parse_condition(text: str) -> dict[int, float]:
             continue
         try:
             axis, value = item.split("=")
-            out[int(axis)] = float(value)
+            axis, value = int(axis), float(value)
         except ValueError as exc:
             raise UsageError(f"bad conditioning item {item!r}; use AXIS=VALUE") from exc
+        if axis in out:
+            raise UsageError(f"--condition fixes axis {axis} twice")
+        out[axis] = value
     return out
 
 
@@ -375,6 +378,8 @@ def run_analyze(args) -> None:
     rule = analysis.QuadratureRule.gauss_legendre(args.quad_nodes)
     what = args.what
     config = {"what": what, "model": args.model, "quad_nodes": args.quad_nodes}
+    if args.condition and what != "grid":
+        raise UsageError("--condition applies only to --what grid")
 
     if what == "table1":
         body = {"table1": analysis.table1(args.quad_nodes)}

@@ -9,10 +9,13 @@ Solves problems of the form
 with all matrices dense symmetric and E a fixed objective map (the identity
 unless given; [I, -I] for a lasso split theta = theta+ - theta-).  Constraints
 enter through a logarithmic barrier scaled by mu; damped Newton steps
-recenter after each geometric shrink of mu; each step whitens every stack
-once with its inverse Cholesky factors, W = L^-1 A L^-T, and forms the
-curvature -sum_t w_t tr(W_tk W_tl) as one matrix product (Vandenberghe, Boyd
-& Wu, SIAM J. Matrix Anal. Appl. 19(2), 1998).  All arithmetic is
+recenter after each geometric shrink of mu.  Each symmetric matrix is stored
+once in svec form, its upper-triangle entries, so a stack of T maps is a
+(T, s', p) array B; with X_t = G_t^-1 from the Cholesky factors, the gradient
+is sum_t w_t B_t' svec(X_t) and the curvature -sum_t w_t B_t' (X_t (*) X_t) B_t,
+with (*) the symmetric Kronecker product (Vandenberghe, Boyd & Wu, SIAM J.
+Matrix Anal. Appl. 19(2), 1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3),
+1998).  All arithmetic is
 deterministic: identical inputs produce bitwise-identical iterate sequences.
 The barrier schedule is fixed: mu starts at _BARRIER_INIT and shrinks by
 _BARRIER_SHRINK per outer iteration, within the Newton and outer budgets.
@@ -20,11 +23,12 @@ _BARRIER_SHRINK per outer iteration, within the Newton and outer budgets.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
 from .errors import DomainError, InfeasibleStartError, LineSearchError
@@ -47,45 +51,42 @@ def _symmetrize(A: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-@dataclass(frozen=True)
 class AffineMatrix:
-    """Stack of T affine symmetric-matrix maps theta -> base_t + sum_k theta_k coeffs[t, k].
+    """Stack of T affine symmetric-matrix maps theta -> base_t + sum_k theta_k A_tk.
 
-    One map passes base (s, s), coeffs (p, s, s) and a scalar weight; a stack
-    passes coeffs (T, p, s, s) with an (s, s) or (T, s, s) base and a scalar
-    or (T,) weight.  Stored as base (T, s, s), coeffs (T, p, s, s), weight (T,).
+    One map passes base (s, s), coefficients (p, s, s) and a scalar weight; a
+    stack passes coefficients (T, p, s, s) with an (s, s) or (T, s, s) base
+    and a scalar or (T,) weight.  Each symmetric matrix is kept once in svec
+    form, its s' = s(s+1)/2 upper-triangle entries in ``np.triu_indices(s)``
+    order: ``base`` is (T, s'), ``B`` the contiguous (T, s', p) coefficient
+    stack and ``weight`` (T,).
     """
 
-    base: np.ndarray
-    coeffs: np.ndarray
-    weight: float | np.ndarray = 1.0   # objective weight; ignored for constraints
-
-    def __post_init__(self):
-        base = _symmetrize(np.asarray(self.base, dtype=float), "base matrix")
-        coeffs = _symmetrize(np.asarray(self.coeffs, dtype=float), "coefficient matrices")
+    def __init__(self, base, coeffs, weight: float | np.ndarray = 1.0):
+        base = _symmetrize(np.asarray(base, dtype=float), "base matrix")
+        coeffs = _symmetrize(np.asarray(coeffs, dtype=float), "coefficient matrices")
         coeffs = coeffs[None] if coeffs.ndim == 3 else coeffs
         T, s = len(coeffs), coeffs.shape[-1]
         if coeffs.ndim != 4 or base.shape not in ((s, s), (T, s, s)):
             raise DomainError("coefficient stack must be (p, s, s) or (T, p, s, s) matching base")
-        weight = np.asarray(self.weight, dtype=float)
+        weight = np.asarray(weight, dtype=float)
         if weight.shape not in ((), (T,)):
             raise DomainError("weight must be a scalar or one value per map")
-        object.__setattr__(self, "base", np.broadcast_to(base, (T, s, s)))
-        object.__setattr__(self, "coeffs", coeffs)
-        # an owned (T,) array rather than a read-only zero-stride broadcast view
-        object.__setattr__(self, "weight", np.broadcast_to(weight, (T,)).copy())
-
-    @property
-    def size(self) -> int:
-        return self.base.shape[-1]
+        j, k = np.triu_indices(s)
+        self.size = s
+        self.base = np.broadcast_to(base[..., j, k], (T, len(j)))
+        self.B = np.ascontiguousarray(coeffs[..., j, k].transpose(0, 2, 1))
+        self.weight = np.broadcast_to(weight, (T,)).copy()
 
     @property
     def count(self) -> int:
-        return self.coeffs.shape[0]
+        return self.B.shape[0]
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """The (T, s, s) stack of matrices at theta."""
-        return self.base + np.einsum("p,tpij->tij", theta, self.coeffs)
+        T, sv, p = self.B.shape
+        v = self.base + (self.B.reshape(T * sv, p) @ theta).reshape(T, sv)
+        return v[:, _svec_tables(self.size)[1]].reshape(T, self.size, self.size)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class MaxDetProblem:
         if E.ndim != 2 or E.shape[1] != self.nvars:
             raise DomainError("objective map must be a (k, nvars) matrix")
         slices = [(t, E.shape[0]) for t in terms] + [(t, self.nvars) for t in psd]
-        if any(t.coeffs.shape[1] != p for t, p in slices):
+        if any(t.B.shape[2] != p for t, p in slices):
             raise DomainError("coefficient stack does not match the objective map or nvars")
         lin = []
         for a, b in self.linear_constraints:
@@ -150,21 +151,41 @@ class SolveReport:
     message: str = ""
 
 
-def _whiten(L: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """W[k, t] = L_t^{-1} A_tk L_t^{-T}, shape (p, T, s, s), so that
-    W.reshape(p, -1) is the curvature GEMM operand without a copy."""
-    T, p, s = coeffs.shape[:3]
+@functools.lru_cache(maxsize=None)
+def _svec_tables(s: int):
+    """svec tables of s x s matrices: the flat indices of the entries j <= k,
+    the svec position of each of the s*s entries, the gradient weights g (1 on
+    the diagonal, 2 off it), and the flat indices of X_jl, X_km, X_jm, X_kl
+    over rows (j, k) and columns (l, m) of the symmetric Kronecker product."""
+    j, k = np.triu_indices(s)
+    pos = np.empty((s, s), dtype=np.intp)
+    pos[j, k] = pos[k, j] = np.arange(len(j))
+    J, K = j[:, None] * s, k[:, None] * s
+    return j * s + k, pos.ravel(), np.where(j == k, 1.0, 2.0), np.stack([J + j, K + k, J + k, K + j])
+
+
+def _inverse_svec(L):
+    """X_t = G_t^{-1} from the Cholesky factors, and g o svec(X_t)."""
+    tri, _, g, _ = _svec_tables(L.shape[-1])
     Linv = np.linalg.inv(L)
-    X = (Linv[:, None] @ coeffs).reshape(T, p * s, s) @ Linv.transpose(0, 2, 1)
-    return np.ascontiguousarray(X.reshape(T, p, s, s).transpose(1, 0, 2, 3))
+    X = Linv.transpose(0, 2, 1) @ Linv
+    return X, X.reshape(len(X), -1)[:, tri] * g
+
+
+def _block_gradients(stack, L):
+    """The (p, T) per-block gradients tr(G_t^{-1} A_tk) = B_t' (g o svec X_t)."""
+    return np.einsum("ti,tip->pt", _inverse_svec(L)[1], stack.B)
 
 
 def _logdet_sum(stacks, theta, order, weighted):
     """Sum of (weighted) log-dets over the stacks with derivatives up to ``order``.
 
-    Returns (value, grad, hess): order 0 gives the value only (no whitening),
-    order 1 adds the gradient and order 2 the curvature; derivatives not
-    asked for are None.  Returns None if any map is not positive definite.
+    Returns (value, grad, hess): order 0 gives the value only, order 1 adds
+    the gradient sum_t w_t B_t' (g o svec X_t), X_t = G_t^{-1}, and order 2
+    the curvature -sum_t w_t B_t' K_t B_t with K_t = X_t (*) X_t in svec form,
+    K_t[(j,k),(l,m)] = 2 f_jk f_lm (X_jl X_km + X_jm X_kl), f = g / 2;
+    derivatives not asked for are None.  Returns None if any map is not
+    positive definite.
     """
     p = len(theta)
     value = 0.0
@@ -178,11 +199,17 @@ def _logdet_sum(stacks, theta, order, weighted):
         w = stack.weight if weighted else np.ones(stack.count)
         value += float(w @ (2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)))
         if order >= 1:
-            W = _whiten(L, stack.coeffs)
-            grad += np.trace(W, axis1=-2, axis2=-1) @ w
+            T, sv, _ = stack.B.shape
+            B = stack.B.reshape(T * sv, p)
+            X, gx = _inverse_svec(L)
+            grad += (gx * w[:, None]).reshape(-1) @ B
             if order >= 2:
-                # tr(W_tk W_tl) summed over t with weights: one (p, T*s*s) GEMM
-                hess -= (W * w[:, None, None]).reshape(p, -1) @ W.reshape(p, -1).T
+                _, _, g, gather = _svec_tables(stack.size)
+                P = np.ascontiguousarray(X.reshape(T, -1).T)[gather]  # (4, s', s', T)
+                K = P[0] * P[1] + P[2] * P[3]
+                K *= w
+                K *= 0.5 * np.outer(g, g)[:, :, None]
+                hess -= B.T @ (K.transpose(2, 0, 1) @ stack.B).reshape(T * sv, p)
     return value, grad, hess
 
 
@@ -213,7 +240,8 @@ def _evaluate(problem: MaxDetProblem, theta, order: int, barrier: bool):
         if order >= 1:
             grad = grad - A.T @ (1.0 / s)
         if order >= 2:
-            hess = hess - (A.T / s**2) @ A
+            Y = A / s[:, None]
+            hess = hess - Y.T @ Y
     return value, grad, hess
 
 
@@ -245,12 +273,10 @@ def _newton_direction(grad, hess):
     scale = max(np.trace(W) / max(len(grad), 1), 1.0)
     ridge = 0.0
     for _ in range(12):
-        try:
-            factor = cho_factor(W + ridge * np.eye(len(grad)), lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            ridge = max(20.0 * ridge, 1e-11 * scale)
-            continue
-        return cho_solve(factor, grad, check_finite=False)
+        factor, info = dpotrf(W + ridge * np.eye(len(grad)) if ridge else W, lower=True, clean=0)
+        if info == 0:
+            return dpotrs(factor, grad, lower=True)[0]
+        ridge = max(20.0 * ridge, 1e-11 * scale)
     raise LineSearchError("Newton system could not be factorized")
 
 
@@ -311,7 +337,7 @@ def kkt_residual(problem: MaxDetProblem, theta) -> float:
             L = np.linalg.cholesky(con(theta))
         except np.linalg.LinAlgError:
             raise InfeasibleStartError("theta is not strictly feasible") from None
-        cols.append(np.trace(_whiten(L, con.coeffs), axis1=-2, axis2=-1))  # (p, T)
+        cols.append(_block_gradients(con, L))
         comp_weight.extend([float(con.size)] * con.count)
     A, b = problem._lin_A, problem._lin_b
     if len(b):

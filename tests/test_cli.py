@@ -330,6 +330,26 @@ class TestExitCodes:
                     "--condition", "2=1.7", "--resolution", "5", "--quad-nodes", "8",
                     "--output", str(tmp_path / "g.tsv")], capsys) == 4
 
+    @pytest.mark.parametrize("what", ["marginal", "fisher"])
+    def test_condition_outside_grid_exits_2(self, tmp_path, params7, what, capsys):
+        out = tmp_path / "m.tsv"
+        argv = ["analyze", "--what", what, "--input", params7, "--axes", "0",
+                "--resolution", "5", "--quad-nodes", "8", "--output", str(out)]
+        assert run(argv, capsys) == 0
+        out.unlink()
+        assert run(argv + ["--condition", "1=0.5"], capsys) == 2
+        assert not out.exists()
+
+    def test_repeated_condition_axis_exits_2(self, tmp_path, params7, capsys):
+        out = tmp_path / "g.tsv"
+        argv = ["analyze", "--what", "grid", "--input", params7, "--axes", "0,1",
+                "--resolution", "5", "--quad-nodes", "8", "--output", str(out)]
+        assert run(argv + ["--condition", "2=0.5"], capsys) == 0
+        out.unlink()
+        assert main(argv + ["--condition", "2=0.5,2=0.7"]) == 2
+        assert "axis 2 twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_input_exits_3(self, tmp_path, params7, capsys):
         assert run(["fit", "--input", params7, "--output", str(tmp_path / "x.json")],
                    capsys) == 3

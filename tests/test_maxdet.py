@@ -119,32 +119,39 @@ class TestStackedMaps:
 
 
 class TestKernels:
-    """The whitening and curvature kernels against direct solve/einsum formulas."""
+    """The svec stack, gradient and curvature kernels against dense solve/einsum formulas."""
+
+    SHAPES = [(1, 1, 1), (7, 3, 2), (40, 6, 5), (9, 4, 3)]
 
     @staticmethod
     def stack(rng, T, p, s):
+        """The stack, with its dense (T, s, s) bases and (T, p, s, s) coefficients."""
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
-        return AffineMatrix(bases, coeffs, rng.uniform(0.5, 2.0, size=T))
+        return AffineMatrix(bases, coeffs, rng.uniform(0.5, 2.0, size=T)), bases, coeffs
 
-    def test_whitening_matches_triangular_solves(self, rng):
-        from sgm.maxdet import _whiten
+    def test_svec_stack_and_block_gradients(self, rng):
+        from sgm.maxdet import _block_gradients
 
-        for T, p, s in [(1, 1, 1), (7, 3, 2), (40, 6, 5), (9, 4, 3)]:
-            term = self.stack(rng, T, p, s)
-            L = np.linalg.cholesky(term(0.05 * rng.normal(size=p)))
-            X = np.linalg.solve(L[:, None], term.coeffs)
-            ref = np.linalg.solve(L[:, None], X.transpose(0, 1, 3, 2))  # (T, p, s, s)
-            W = _whiten(L, term.coeffs)
-            assert W.shape == (p, T, s, s)
-            np.testing.assert_allclose(W, ref.transpose(1, 0, 2, 3), rtol=0, atol=1e-12)
-
-    def test_gradient_and_curvature_match_einsum(self, rng):
-        for T, p, s in [(1, 1, 1), (7, 3, 2), (40, 6, 5), (9, 4, 3)]:
-            term = self.stack(rng, T, p, s)
+        for T, p, s in self.SHAPES:
+            term, bases, coeffs = self.stack(rng, T, p, s)
+            assert term.B.shape == (T, s * (s + 1) // 2, p)
             theta = 0.05 * rng.normal(size=p)
             P = term(theta)
-            Pinv_A = np.linalg.solve(P[:, None], term.coeffs)  # P_t^-1 A_tk
+            np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
+            dense = bases + np.einsum("p,tpij->tij", theta, coeffs)
+            np.testing.assert_allclose(P, dense, rtol=0, atol=1e-15)
+            # kkt_residual's PSD columns: tr(P_t^-1 A_tk), shape (p, T)
+            ref = np.einsum("tkii->kt", np.linalg.solve(P[:, None], coeffs))
+            cols = _block_gradients(term, np.linalg.cholesky(P))
+            np.testing.assert_allclose(cols, ref, rtol=0, atol=1e-12)
+
+    def test_gradient_and_curvature_match_einsum(self, rng):
+        for T, p, s in self.SHAPES:
+            term, _, coeffs = self.stack(rng, T, p, s)
+            theta = 0.05 * rng.normal(size=p)
+            P = term(theta)
+            Pinv_A = np.linalg.solve(P[:, None], coeffs)  # P_t^-1 A_tk
             w = term.weight
             grad = np.einsum("t,tkii->k", w, Pinv_A)
             hess = -np.einsum("t,tkij,tlji->kl", w, Pinv_A, Pinv_A)
