@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -256,9 +255,12 @@ def run_fit(args) -> None:
 
 
 def _map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], in a pool of ``jobs`` processes when jobs > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """[fn(item) for item in items], in min(jobs, len(items)) processes when that is > 1."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -291,7 +293,7 @@ def run_cv(args) -> None:
         "preprocess": mode,
         "jobs": args.jobs,
     }
-    chunks = np.array_split(np.asarray(taus, dtype=float), min(max(args.jobs, 1), len(taus)))
+    chunks = np.array_split(np.asarray(taus, dtype=float), min(args.jobs, len(taus)))
     payloads = [(raw, args.model, chunk, args.folds, args.seed, mode) for chunk in chunks]
     rows = [r for part in _map(_cv_subgrid, payloads, args.jobs) for r in part]
     best_i = int(np.argmax([s for _, s in rows]))
@@ -604,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cv, seed=True)
     p_cv.add_argument("--folds", type=_at_least(2), default=5)
     p_cv.add_argument("--tau-grid", help="comma-separated tau values")
-    p_cv.add_argument("--jobs", type=int, default=1)
+    p_cv.add_argument("--jobs", type=_at_least(1), default=1)
     p_cv.add_argument("--global-preprocess", action="store_true",
                       help="standardize once on the full data instead of per fold")
     p_cv.add_argument("--no-preprocess", action="store_true",
@@ -642,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n-test", type=_at_least(1), default=10)
     p_sim.add_argument("--tau", type=float, default=1.0)
     p_sim.add_argument("--tau-gauss-predict", type=float, default=0.32)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=_at_least(1), default=1)
 
     return parser
 

@@ -10,10 +10,10 @@ the tuning parameter.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import maxdet
 from .errors import ConstantColumnError, DataError, DomainError, IndefiniteHessianError
@@ -33,6 +33,9 @@ logger = logging.getLogger("sgm.estimators")
 # Lasso-split coefficients this close to the split-variable boundary are
 # reported as exact zeros (L1-type regions only).
 ZERO_THRESHOLD = 1e-8
+
+# Standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2, elementwise.
+_normal_cdf = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +65,7 @@ class Scaler:
         return (np.asarray(raw, dtype=float) - self.mean) / self.sd
 
     def to_unit(self, raw) -> np.ndarray:
-        return ndtr(self.standardize(raw))
+        return _normal_cdf(self.standardize(raw)).astype(float)
 
 
 def preprocess(raw) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,11 @@ once in svec form, its upper-triangle entries, so a stack of T maps is a
 is sum_t w_t B_t' svec(X_t) and the curvature -sum_t w_t B_t' (X_t (*) X_t) B_t,
 with (*) the symmetric Kronecker product (Vandenberghe, Boyd & Wu, SIAM J.
 Matrix Anal. Appl. 19(2), 1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3),
-1998).  All arithmetic is
-deterministic: identical inputs produce bitwise-identical iterate sequences.
+1998).  The Newton system is solved with the LAPACK Cholesky routines
+dpotrf/dpotrs and the KKT certificate recovers its multipliers with nnls;
+both come from scipy and load on the first solve, so importing this module
+loads numpy only.  All arithmetic is deterministic: identical inputs produce
+bitwise-identical iterate sequences.
 The barrier schedule is fixed: mu starts at _BARRIER_INIT and shrinks by
 _BARRIER_SHRINK per outer iteration, within the Newton and outer budgets.
 """
@@ -28,8 +31,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import nnls
 
 from .errors import DomainError, InfeasibleStartError, LineSearchError
 
@@ -269,6 +270,8 @@ def _merit(problem, theta, mu):
 
 def _newton_direction(grad, hess):
     """Solve (-hess) d = grad with an escalating ridge if the curvature is flat."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     W = -hess
     scale = max(np.trace(W) / max(len(grad), 1), 1.0)
     ridge = 0.0
@@ -326,6 +329,8 @@ def kkt_residual(problem: MaxDetProblem, theta) -> float:
     residual and the complementarity products.  Zero at the true optimum;
     equals the plain gradient norm when the problem has no constraints.
     """
+    from scipy.optimize import nnls
+
     theta = np.asarray(theta, dtype=float).reshape(-1)
     _, g, _ = objective_eval(problem, theta, need_hess=False)
     if problem.barrier_degree == 0:

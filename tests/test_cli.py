@@ -305,6 +305,52 @@ class TestSimulate:
         assert simulate(**kwargs, jobs=2) == simulate(**kwargs, jobs=1)
 
 
+class TestPoolSize:
+    """The pool gets one process per work item at most; no process starts here."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("jobs,items,expect", [(3, 5, [3]), (1, 5, [])])
+    def test_map(self, pool_sizes, jobs, items, expect):
+        assert cli._map(abs, list(range(-items, 0)), jobs) == list(range(items, 0, -1))
+        assert pool_sizes == expect
+
+    @pytest.mark.parametrize("grid,expect", [("0.5", []), ("0.5,1.0", [2])])
+    def test_cv(self, tmp_path, pool_sizes, grid, expect, capsys):
+        csv = str(tmp_path / "g.csv")
+        run(["sample", "--model", "benchmark5", "--n", "30", "--seed", "8",
+             "--output", csv], capsys)
+        assert run(["cv", "--input", csv, "--model", "gauss", "--folds", "3",
+                    "--tau-grid", grid, "--jobs", "16",
+                    "--output", str(tmp_path / "cv.json")]) == 0
+        assert pool_sizes == expect
+
+    def test_simulate(self, tmp_path, pool_sizes):
+        assert run(["simulate", "--replicates", "2", "--n", "25", "--n-test", "5",
+                    "--jobs", "16", "--output", str(tmp_path / "s.json")]) == 0
+        assert pool_sizes == [2]
+
+
 class TestExitCodes:
     def test_usage_error(self, tmp_path, capsys):
         csv = str(tmp_path / "d.csv")
@@ -384,7 +430,11 @@ class TestExitCodes:
         ["analyze", "--what", "grid", "--input", "P", "--axes", "0,0"],
         ["analyze", "--what", "fisher", "--input", "P", "--quad-nodes", "0"],
         ["cv", "--input", "P", "--folds", "1"],
+        ["cv", "--input", "P", "--jobs", "0"],
+        ["cv", "--input", "P", "--jobs", "-3"],
         ["simulate", "--replicates", "0"],
+        ["simulate", "--jobs", "0"],
+        ["simulate", "--jobs", "-3"],
         ["simulate", "--n", "1"],
         ["simulate", "--n-test", "0"],
         # flags that no runner reads

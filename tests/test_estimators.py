@@ -3,7 +3,7 @@ import pytest
 
 import sgm
 from sgm import ConstantColumnError, DataError, FrequencySet
-from sgm.estimators import ZERO_THRESHOLD
+from sgm.estimators import ZERO_THRESHOLD, Scaler
 from sgm.feasibility import LatticeRegion, LitRegion
 
 U11 = FrequencySet.from_vectors([[1, 1]])
@@ -28,6 +28,17 @@ class TestPreprocess:
         _, unit = sgm.preprocess(raw)
         assert np.array_equal(np.argsort(raw[:, 0]), np.argsort(unit[:, 0]))
         assert (unit > 0).all() and (unit < 1).all()
+
+    def test_normal_cdf_matches_scipy(self):
+        from scipy.special import ndtr
+
+        tol = 2 * np.finfo(np.float64).eps
+        x = np.sort(np.concatenate([np.linspace(-40, 40, 400001), [0.0, -0.0, 1e300, -1e300]]))
+        phi = Scaler(mean=np.zeros(1), sd=np.ones(1)).to_unit(x[:, None])[:, 0]
+        assert phi.dtype == np.float64
+        assert np.abs(phi - ndtr(x)).max() <= tol
+        assert (phi >= 0).all() and (phi <= 1).all()
+        assert (np.diff(phi) >= 0).all()
 
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantColumnError):
