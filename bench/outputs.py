@@ -13,8 +13,11 @@ inputs and calls.  Each call is recorded as its exit code, its stdout and its
 output file.  JSON is kept with ``timing_sec`` masked and the work directory
 replaced by ``<work>``; any other text, and every output file, is kept as its
 SHA-256.  Every call whose records differ is printed with the key paths that
-differ (``code``, ``file`` or ``stdout.<json path>``), and the script exits 1
-if any does.
+differ (``code``, ``file`` or ``stdout.<json path>``) and the largest absolute
+and relative difference over its numeric values; a fit call also prints
+max |d theta_raw|, |d objective|, the KKT residual of each side, and any change
+of the Newton and outer iteration counts or of ``converged``.  The script exits
+1 if any call differs.
 """
 
 from __future__ import annotations
@@ -80,19 +83,45 @@ def collect(checkout: str) -> dict:
 
 
 def diff(a, b, path: str = ""):
-    """Key paths at which two JSON values differ; NaN equals NaN."""
+    """(key path, a value, b value) wherever two JSON values differ; NaN equals
+    NaN, and a key on one side only gives None on the other."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             sub = f"{path}.{k}" if path else k
-            if k in a and k in b:
-                yield from diff(a[k], b[k], sub)
-            else:
-                yield sub
+            yield from diff(a.get(k), b.get(k), sub)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from diff(x, y, f"{path}[{i}]")
     elif a != b and not (a != a and b != b):
-        yield path
+        yield path, a, b
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def sizes(differences) -> str:
+    """The largest absolute and relative difference over numeric value pairs."""
+    pairs = [(x, y) for _, x, y in differences if _number(x) and _number(y)]
+    if not pairs:
+        return "no numeric differences"
+    big = max(abs(x - y) for x, y in pairs)
+    rel = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+    return f"max |d| {big:.3g}, max rel {rel:.3g}"
+
+
+def fit_drift(a: dict, b: dict) -> str:
+    """Drift of one fit call: theta_raw, the objective, the KKT residuals, the
+    iteration counts and the converged flag."""
+    sa, sb = a["solver"], b["solver"]
+    dtheta = max((abs(x - y) for x, y in zip(a["theta_raw"], b["theta_raw"])), default=0.0)
+    parts = [f"max |d theta_raw| {dtheta:.3g}",
+             f"|d objective| {abs(sa['objective'] - sb['objective']):.3g}",
+             f"kkt {sa['kkt_residual']:.3g} -> {sb['kkt_residual']:.3g}"]
+    for key in ("newton_iterations", "outer_iterations", "converged"):
+        if sa[key] != sb[key]:
+            parts.append(f"{key} {sa[key]} -> {sb[key]}")
+    return ", ".join(parts)
 
 
 def run_side(checkout: str) -> dict:
@@ -123,13 +152,18 @@ def main(argv=None) -> int:
     differing = 0
     for key in keys:
         if key in parent and key in change:
-            paths = list(diff(parent[key], change[key]))
+            differences = list(diff(parent[key], change[key]))
         else:
-            paths = ["<call only on one side>"]
-        if paths:
+            differences = [("<call only on one side>", None, None)]
+        if differences:
             differing += 1
+            paths = [path for path, _, _ in differences]
             more = f" (+{len(paths) - 8} more)" if len(paths) > 8 else ""
             print(f"{key}: {', '.join(paths[:8])}{more}")
+            print(f"    {sizes(differences)}")
+            a, b = (side.get(key, {}).get("stdout") for side in (parent, change))
+            if all(isinstance(x, dict) and "solver" in x for x in (a, b)):
+                print(f"    {fit_drift(a, b)}")
     print(f"{differing} of {len(keys)} calls differ")
     return 1 if differing else 0
 

@@ -11,11 +11,14 @@ unless given; [I, -I] for a lasso split theta = theta+ - theta-).  Constraints
 enter through a logarithmic barrier scaled by mu; damped Newton steps
 recenter after each geometric shrink of mu.  Each symmetric matrix is stored
 once in svec form, its upper-triangle entries, so a stack of T maps is a
-(T, s', p) array B; with X_t = G_t^-1 from the Cholesky factors, the gradient
-is sum_t w_t B_t' svec(X_t) and the curvature -sum_t w_t B_t' (X_t (*) X_t) B_t,
-with (*) the symmetric Kronecker product (Vandenberghe, Boyd & Wu, SIAM J.
-Matrix Anal. Appl. 19(2), 1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3),
-1998).  The Newton system is solved with the LAPACK Cholesky routines
+(T, s', p) array B.  The Cholesky factors of the stack give the log-dets, and
+X_t = G_t^-1 in svec form comes from them by the dpotri recurrence, run
+elementwise over the whole stack; the gradient is sum_t w_t B_t' svec(X_t) and
+the curvature -sum_t w_t B_t' (X_t (*) X_t) B_t, with (*) the symmetric
+Kronecker product (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 19(2),
+1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998).  Linear rows with one
+nonzero (bounds) add their barrier curvature to the diagonal; the other rows
+give one Y'Y product.  The Newton system is solved with the LAPACK Cholesky routines
 dpotrf/dpotrs and the KKT certificate recovers its multipliers with nnls;
 both come from scipy and load on the first solve, so importing this module
 loads numpy only.  All arithmetic is deterministic: identical inputs produce
@@ -87,7 +90,7 @@ class AffineMatrix:
         """The (T, s, s) stack of matrices at theta."""
         T, sv, p = self.B.shape
         v = self.base + (self.B.reshape(T * sv, p) @ theta).reshape(T, sv)
-        return v[:, _svec_tables(self.size)[1]].reshape(T, self.size, self.size)
+        return v[:, _svec_tables(self.size)[0]].reshape(T, self.size, self.size)
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,12 @@ class MaxDetProblem:
         b = np.array([b for _, b in lin])
         object.__setattr__(self, "_lin_A", A)
         object.__setattr__(self, "_lin_b", b)
+        # bound rows (one nonzero) have diagonal barrier curvature
+        bound = np.count_nonzero(A, axis=1) == 1
+        rows = np.flatnonzero(bound)
+        cols = np.argmax(A[rows] != 0, axis=1)
+        object.__setattr__(self, "_bound_rows", (rows, cols, A[rows, cols]))
+        object.__setattr__(self, "_general_rows", (np.flatnonzero(~bound), A[~bound]))
 
     @property
     def barrier_degree(self) -> int:
@@ -154,39 +163,62 @@ class SolveReport:
 
 @functools.lru_cache(maxsize=None)
 def _svec_tables(s: int):
-    """svec tables of s x s matrices: the flat indices of the entries j <= k,
-    the svec position of each of the s*s entries, the gradient weights g (1 on
-    the diagonal, 2 off it), and the flat indices of X_jl, X_km, X_jm, X_kl
-    over rows (j, k) and columns (l, m) of the symmetric Kronecker product."""
+    """svec tables of s x s matrices: the svec position of each of the s*s
+    entries, the gradient weights g (1 on the diagonal, 2 off it), the svec
+    positions of X_jl, X_km, X_jm, X_kl over rows (j, k) and columns (l, m) of
+    the symmetric Kronecker product, those of the diagonal, and the steps
+    i = s-2 .. 0 of the inverse recurrence: i, the svec position of X_ii (row
+    i of the upper triangle follows it) and those of the block X[i+1:, i+1:]."""
     j, k = np.triu_indices(s)
     pos = np.empty((s, s), dtype=np.intp)
     pos[j, k] = pos[k, j] = np.arange(len(j))
-    J, K = j[:, None] * s, k[:, None] * s
-    return j * s + k, pos.ravel(), np.where(j == k, 1.0, 2.0), np.stack([J + j, K + k, J + k, K + j])
+    J, K = j[:, None], k[:, None]
+    gather = np.stack([pos[J, j], pos[K, k], pos[J, k], pos[K, j]])
+    steps = tuple((i, int(pos[i, i]), pos[i + 1:, i + 1:]) for i in range(s - 2, -1, -1))
+    return pos.ravel(), np.where(j == k, 1.0, 2.0), gather, np.diagonal(pos), steps
 
 
 def _inverse_svec(L):
-    """X_t = G_t^{-1} from the Cholesky factors, and g o svec(X_t)."""
-    tri, _, g, _ = _svec_tables(L.shape[-1])
-    Linv = np.linalg.inv(L)
-    X = Linv.transpose(0, 2, 1) @ Linv
-    return X, X.reshape(len(X), -1)[:, tri] * g
+    """svec(X_t) as an (s', T) array, X_t = G_t^{-1} from the Cholesky factors.
+
+    The dpotri recurrence runs elementwise over the stack-last factors, for
+    i = s-1 .. 0 with d_i = 1 / L_ii: X_ij = -d_i sum_{k>i} L_ki X_kj for
+    j > i, then X_ii = d_i (d_i - sum_{k>i} L_ki X_ki), with -d_i folded into
+    the factor columns.  Row i of the upper triangle is contiguous in svec, so
+    each step writes one slice.
+    """
+    T, s, _ = L.shape
+    _, _, _, diag, steps = _svec_tables(s)
+    d = 1.0 / np.diagonal(L, axis1=1, axis2=2).T
+    nl = np.multiply(L.transpose(1, 2, 0), -d, order="C")  # -d_i L_ki at [k, i]
+    X = np.empty((s * (s + 1) // 2, T))
+    X[diag] = d * d
+    for i, a, block in steps:
+        l = nl[i + 1:, i]
+        P = X.take(block, axis=0)
+        P *= l[:, None]
+        row = np.add.reduce(P, axis=0, out=X[a + 1:a + s - i])
+        l *= row
+        X[a] += np.add.reduce(l, axis=0)
+    return X
 
 
 def _block_gradients(stack, L):
     """The (p, T) per-block gradients tr(G_t^{-1} A_tk) = B_t' (g o svec X_t)."""
-    return np.einsum("ti,tip->pt", _inverse_svec(L)[1], stack.B)
+    g = _svec_tables(stack.size)[1]
+    return np.einsum("it,tip->pt", _inverse_svec(L) * g[:, None], stack.B)
 
 
 def _logdet_sum(stacks, theta, order, weighted):
     """Sum of (weighted) log-dets over the stacks with derivatives up to ``order``.
 
-    Returns (value, grad, hess): order 0 gives the value only, order 1 adds
-    the gradient sum_t w_t B_t' (g o svec X_t), X_t = G_t^{-1}, and order 2
-    the curvature -sum_t w_t B_t' K_t B_t with K_t = X_t (*) X_t in svec form,
-    K_t[(j,k),(l,m)] = 2 f_jk f_lm (X_jl X_km + X_jm X_kl), f = g / 2;
-    derivatives not asked for are None.  Returns None if any map is not
-    positive definite.
+    Returns (value, grad, hess): order 0 gives the value only, from the
+    Cholesky factors; order 1 adds the gradient sum_t w_t B_t' (g o svec X_t),
+    with svec(X_t) of X_t = G_t^{-1} from ``_inverse_svec`` as (s', T), and
+    order 2 the curvature -sum_t w_t B_t' K_t B_t with K_t = X_t (*) X_t in
+    svec form, K_t[(j,k),(l,m)] = 2 f_jk f_lm (X_jl X_km + X_jm X_kl),
+    f = g / 2, gathered from the svec rows; derivatives not asked for are
+    None.  Returns None if any map is not positive definite.
     """
     p = len(theta)
     value = 0.0
@@ -202,11 +234,11 @@ def _logdet_sum(stacks, theta, order, weighted):
         if order >= 1:
             T, sv, _ = stack.B.shape
             B = stack.B.reshape(T * sv, p)
-            X, gx = _inverse_svec(L)
-            grad += (gx * w[:, None]).reshape(-1) @ B
+            _, g, gather, _, _ = _svec_tables(stack.size)
+            X = _inverse_svec(L)
+            grad += np.multiply(X.T, np.outer(w, g), order="C").reshape(-1) @ B
             if order >= 2:
-                _, _, g, gather = _svec_tables(stack.size)
-                P = np.ascontiguousarray(X.reshape(T, -1).T)[gather]  # (4, s', s', T)
+                P = X[gather]  # (4, s', s', T)
                 K = P[0] * P[1] + P[2] * P[3]
                 K *= w
                 K *= 0.5 * np.outer(g, g)[:, :, None]
@@ -241,8 +273,11 @@ def _evaluate(problem: MaxDetProblem, theta, order: int, barrier: bool):
         if order >= 1:
             grad = grad - A.T @ (1.0 / s)
         if order >= 2:
-            Y = A / s[:, None]
+            rows, Y = problem._general_rows
+            Y = Y / s[rows, None]
             hess = hess - Y.T @ Y
+            rows, cols, a = problem._bound_rows
+            hess.flat[:: len(theta) + 1] -= np.bincount(cols, (a / s[rows]) ** 2, len(theta))
     return value, grad, hess
 
 

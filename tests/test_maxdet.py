@@ -146,6 +146,42 @@ class TestKernels:
             cols = _block_gradients(term, np.linalg.cholesky(P))
             np.testing.assert_allclose(cols, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("T", [1, 40, 216])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_inverse_svec_matches_inv(self, rng, s, T):
+        from sgm.maxdet import _inverse_svec
+
+        j, k = np.triu_indices(s)
+        A = rng.normal(size=(T, s, s))
+        well = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(s)
+        Q = np.linalg.qr(A)[0]
+        ill = (Q * np.logspace(0, -10, s)[None, None, :]) @ Q.transpose(0, 2, 1)
+        for G in (well, ill):
+            X = np.linalg.inv(G)
+            got = _inverse_svec(np.linalg.cholesky(G))
+            assert got.shape == (len(j), T)
+            # cond * eps relative, with a factor 4 for the rounding of both sides
+            err = np.abs(got - X[:, j, k].T).max(axis=0)
+            bound = 4 * np.linalg.cond(G) * np.finfo(float).eps * np.abs(X).max(axis=(1, 2))
+            assert (err <= bound).all()
+
+    def test_bound_row_curvature_matches_dense(self, rng):
+        from sgm.maxdet import _evaluate
+
+        # two bounds on theta_1 (one repeated column), one on theta_3, one general row
+        A = np.array([[0.0, -1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.0, -0.5, 0.25]])
+        b = np.array([0.3, 0.9, 0.7, 1.2])
+        prob = MaxDetProblem(
+            nvars=3,
+            objective_terms=(AffineMatrix(np.eye(2), np.zeros((3, 2, 2))),),
+            linear_constraints=tuple(zip(A, b)),
+        )
+        theta = 0.05 * rng.normal(size=3)
+        Y = A / (b - A @ theta)[:, None]
+        _, grad, hess = _evaluate(prob, theta, 2, barrier=True)
+        np.testing.assert_allclose(grad, -Y.sum(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hess, -Y.T @ Y, rtol=0, atol=1e-12)
+
     def test_gradient_and_curvature_match_einsum(self, rng):
         for T, p, s in self.SHAPES:
             term, _, coeffs = self.stack(rng, T, p, s)
