@@ -276,9 +276,7 @@ def _cv_subgrid(payload):
 def run_cv(args) -> None:
     started = time.time()
     raw = read_csv(args.input)
-    taus = _parse_list(args.tau_grid) if args.tau_grid else (np.arange(1, 11) / 10.0)
-    if len(taus) == 0:
-        raise UsageError(f"--tau-grid has no values: {args.tau_grid!r}")
+    taus = np.arange(1, 11) / 10.0 if args.tau_grid is None else args.tau_grid
     if args.no_preprocess and args.global_preprocess:
         raise UsageError("--no-preprocess and --global-preprocess are exclusive")
     mode = "none" if args.no_preprocess else (
@@ -578,6 +576,24 @@ def _at_least(low: int):
     return parse
 
 
+def _tau(text: str) -> float:
+    """argparse type: a tau in [0, 1]; anything else, nan included, is a usage error."""
+    try:
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a tau in [0, 1], got {text!r}")
+
+
+def _tau_grid(text: str) -> list[float]:
+    """argparse type: one or more comma-separated taus, each in [0, 1]."""
+    taus = [_tau(tok) for tok in text.split(",") if tok.strip()]
+    if not taus:
+        raise argparse.ArgumentTypeError(f"expected comma-separated taus, got {text!r}")
+    return taus
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgm",
@@ -597,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model to CSV data")
     common(p_fit)
     p_fit.add_argument("--region", choices=("lit", "lattice"), default="lit")
-    p_fit.add_argument("--tau", type=float, default=1.0)
+    p_fit.add_argument("--tau", type=_tau, default=1.0)
     p_fit.add_argument("--M", type=_at_least(1), default=None)
     p_fit.add_argument("--freqs", default="standard", help="standard or file:PATH")
     p_fit.add_argument("--no-preprocess", action="store_true")
@@ -605,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="cross-validate the tuning parameter")
     common(p_cv, seed=True)
     p_cv.add_argument("--folds", type=_at_least(2), default=5)
-    p_cv.add_argument("--tau-grid", help="comma-separated tau values")
+    p_cv.add_argument("--tau-grid", type=_tau_grid, help="comma-separated tau values")
     p_cv.add_argument("--jobs", type=_at_least(1), default=1)
     p_cv.add_argument("--global-preprocess", action="store_true",
                       help="standardize once on the full data instead of per fold")
@@ -618,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feas = sub.add_parser("feasible", help="feasibility report for a parameter file")
     common(p_feas, models=())
-    p_feas.add_argument("--tau", type=float, default=1.0)
+    p_feas.add_argument("--tau", type=_tau, default=1.0)
     p_feas.add_argument("--M", type=_at_least(1), default=None)
     p_feas.add_argument("--resolution", type=_at_least(2), default=None)
 
@@ -642,8 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=_at_least(1), default=20)
     p_sim.add_argument("--n", type=_at_least(2), default=40)
     p_sim.add_argument("--n-test", type=_at_least(1), default=10)
-    p_sim.add_argument("--tau", type=float, default=1.0)
-    p_sim.add_argument("--tau-gauss-predict", type=float, default=0.32)
+    p_sim.add_argument("--tau", type=_tau, default=1.0)
+    p_sim.add_argument("--tau-gauss-predict", type=_tau, default=0.32)
     p_sim.add_argument("--jobs", type=_at_least(1), default=1)
 
     return parser

@@ -102,18 +102,14 @@ def _check_unit_data(data, m) -> np.ndarray:
 
 
 def _term_values(model, freqs, data):
-    """Per-sample coefficient stacks for the objective terms.
+    """Per-sample objective stacks in svec form, as maxdet.AffineMatrix takes them.
 
-    Gradient model: (n, k, m, m) Hessian bases with identity base; mixture
-    model: (n, k, 1, 1) scalar cosine terms with base [[1]].
+    Gradient model: (n, m(m+1)/2, k) Hessian bases with identity base;
+    mixture model: (n, 1, k) scalar cosine terms with base [[1]].
     """
     if model == "sgm":
-        coeffs = hessian_basis_batch(freqs, data)
-        base = np.eye(freqs.dim)
-    else:
-        coeffs = (_cos_product(freqs, data) * freqs.sqnorms)[:, :, None, None]
-        base = np.eye(1)
-    return base, coeffs
+        return np.eye(freqs.dim), hessian_basis_batch(freqs, data)
+    return np.eye(1), (_cos_product(freqs, data) * freqs.sqnorms)[:, None, :]
 
 
 def _zero_fit(model, freqs, region) -> FitResult:
@@ -141,49 +137,41 @@ def _zero_fit(model, freqs, region) -> FitResult:
 
 
 def _lit_rows(model, freqs, tau):
-    """Budget rows (coefficients on |theta_u|) for the L1-type region."""
+    """Budget rows (coefficients on |theta_u|) for the L1-type region, (R, k)."""
     if model == "sgm":
         cols = freqs.freqs.astype(float) ** 2  # (k, m)
-        rows = [cols[:, j] for j in range(freqs.dim) if cols[:, j].any()]
-    else:
-        rows = [freqs.sqnorms]
-    return rows
+        return cols[:, cols.any(axis=0)].T
+    return freqs.sqnorms[None]
 
 
 def _lasso_split(m, rows, budget):
-    """Objective map and linear constraints of a lasso split.
+    """Objective map and linear constraints A theta < b of a lasso split.
 
     The variables are m unsplit ones, then the parts z+ and z- of k split
     ones; the map blockdiag(I_m, [I_k, -I_k]) gives (unsplit, z+ - z-).  Each
-    split part is >= -delta and each budget row r of length k gives
+    split part is >= -delta and each budget row r of the (R, k) ``rows`` gives
     r'(z+ + z-) <= budget - 2 delta sum(r), delta = budget / (4 max sum(r)),
     so theta = 0 is strictly feasible.
     """
-    k = len(rows[0])
+    R, k = rows.shape
     nvars = m + 2 * k
     E = np.zeros((m + k, nvars))
     E[:m, :m] = np.eye(m)
     E[m:, m:] = np.hstack([np.eye(k), -np.eye(k)])
-    delta = budget / (4.0 * max(float(r.sum()) for r in rows))
-    linear = []
-    for i in range(m, nvars):
-        e = np.zeros(nvars)
-        e[i] = -1.0
-        linear.append((e, delta))
-    for r in rows:
-        a = np.concatenate([np.zeros(m), r, r])
-        linear.append((a, budget - 2.0 * delta * float(r.sum())))
-    return E, tuple(linear)
+    sums = rows.sum(axis=1)
+    delta = budget / (4.0 * sums.max())
+    A = np.zeros((2 * k + R, nvars))
+    A[:2 * k, m:] = -np.eye(2 * k)
+    A[2 * k:, m:] = np.hstack([rows, rows])
+    b = np.concatenate([np.full(2 * k, delta), budget - 2.0 * delta * sums])
+    return E, A, b
 
 
 def _fit_lit(model, freqs, data, tau):
-    base, coeffs = _term_values(model, freqs, data)
-    E, linear = _lasso_split(0, _lit_rows(model, freqs, tau), tau)
+    base, B = _term_values(model, freqs, data)
+    E, A, b = _lasso_split(0, _lit_rows(model, freqs, tau), tau)
     problem = maxdet.MaxDetProblem(
-        nvars=E.shape[1],
-        objective_terms=(maxdet.AffineMatrix(base, coeffs),),
-        linear_constraints=linear,
-        objective_map=E,
+        nvars=E.shape[1], objective=maxdet.AffineMatrix(base, B), A=A, b=b, objective_map=E
     )
     report = maxdet.solve(problem)
     return E @ report.theta, report
@@ -191,13 +179,12 @@ def _fit_lit(model, freqs, data, tau):
 
 def _fit_lattice(model, freqs, data, M):
     lattice = lattice_points(freqs.dim, M)
-    base, coeffs = _term_values(model, freqs, data)
-    _, lat_coeffs = _term_values(model, freqs, lattice)
-    lat_coeffs = lat_coeffs / km_factors(freqs, M)[None, :, None, None]
+    base, B = _term_values(model, freqs, data)
+    _, lat_B = _term_values(model, freqs, lattice)
     problem = maxdet.MaxDetProblem(
         nvars=freqs.size,
-        objective_terms=(maxdet.AffineMatrix(base, coeffs),),
-        psd_constraints=(maxdet.AffineMatrix(base, lat_coeffs),),
+        objective=maxdet.AffineMatrix(base, B),
+        psd_constraint=maxdet.AffineMatrix(base, lat_B / km_factors(freqs, M)),
     )
     report = maxdet.solve(problem)
     return report.theta, report
@@ -265,22 +252,20 @@ def _gauss_problem(sigma, pairs, budget):
     """Concentration-matrix problem with C = I + X, maximizing logdet - trace.
 
     The objective sees z, the diagonal of X then its off-diagonal pairs,
-    which are lasso-split under the L1 budget.
+    which are lasso-split under the L1 budget; its one svec stack holds a
+    one in the row of each variable's entry.
     """
     m, q = sigma.shape[0], len(pairs)
-    coeffs = np.zeros((m + q, m, m))
-    cost = np.zeros(m + q)
-    for i in range(m):
-        coeffs[i, i, i] = 1.0
-        cost[i] = -sigma[i, i]
-    for v, (i, j) in enumerate(pairs, start=m):
-        coeffs[v, i, j] = coeffs[v, j, i] = 1.0
-        cost[v] = -2.0 * sigma[i, j]
-    E, linear = _lasso_split(m, [np.ones(q)], budget)
+    ends = np.array([(i, i) for i in range(m)] + pairs)  # (m + q, 2) matrix entries
+    j, l = np.triu_indices(m)
+    B = (j[:, None] == ends[:, 0]) & (l[:, None] == ends[:, 1])
+    cost = -np.where(ends[:, 0] == ends[:, 1], 1.0, 2.0) * sigma[ends[:, 0], ends[:, 1]]
+    E, A, b = _lasso_split(m, np.ones((1, q)), budget)
     return maxdet.MaxDetProblem(
         nvars=E.shape[1],
-        objective_terms=(maxdet.AffineMatrix(np.eye(m), coeffs),),
-        linear_constraints=linear,
+        objective=maxdet.AffineMatrix(np.eye(m), B),
+        A=A,
+        b=b,
         linear_cost=E.T @ cost,
         objective_map=E,
     )
@@ -313,8 +298,7 @@ def fit_gauss_lasso(standardized, tau: float) -> np.ndarray:
         return 0.5 * (inv + inv.T)  # the unconstrained MLE satisfies the budget
 
     problem = _gauss_problem(sigma, pairs, budget)
-    (term,) = problem.objective_terms
-    C = term(problem.objective_map @ maxdet.solve(problem).theta)[0]
+    C = problem.objective(problem.objective_map @ maxdet.solve(problem).theta)[0]
     off = np.abs(C[np.triu_indices(m, 1)])
     C[np.triu_indices(m, 1)] = np.where(off < ZERO_THRESHOLD, 0.0, C[np.triu_indices(m, 1)])
     C = np.triu(C) + np.triu(C, 1).T

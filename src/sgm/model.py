@@ -224,11 +224,14 @@ def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
 
 
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
-    """Per-frequency Hessian basis matrices H_u(x), shape (N, k, m, m)."""
+    """Per-frequency Hessian basis matrices H_u(x) in svec form, shape
+    (N, m(m+1)/2, k): row r holds H_u(x)[j_r, l_r] over u, with
+    (j, l) = np.triu_indices(m), the stack layout of maxdet.AffineMatrix."""
     cols, n = _columns(X)
-    H = np.zeros((n, freqs.size, freqs.dim, freqs.dim))
+    m = freqs.dim
+    H = np.zeros((n, m * (m + 1) // 2, freqs.size))
     for j, l, c, F in _hessian_entries(freqs, cols):
-        H[:, :, j, l] = H[:, :, l, j] = c * F
+        H[:, j * (2 * m - j - 1) // 2 + l] = c * F
     return H
 
 

@@ -71,6 +71,29 @@ def random_lit_interior(freqs: FrequencySet, rng, margin=0.2):
     return theta
 
 
+def svec(A):
+    """The upper-triangle entries of symmetric matrices (..., s, s) as (..., s'),
+    s' = s(s+1)/2, in np.triu_indices(s) order."""
+    A = np.asarray(A, dtype=float)
+    j, k = np.triu_indices(A.shape[-1])
+    return A[..., j, k]
+
+
+def smat(v):
+    """The symmetric matrices (..., s, s) whose svec is v (..., s')."""
+    v = np.asarray(v, dtype=float)
+    s = math.isqrt(8 * v.shape[-1] + 1) // 2
+    j, k = np.triu_indices(s)
+    A = np.zeros(v.shape[:-1] + (s, s))
+    A[..., j, k] = A[..., k, j] = v
+    return A
+
+
+def svec_stack(coeffs):
+    """The (..., s', p) svec stack of dense coefficient matrices (..., p, s, s)."""
+    return np.swapaxes(svec(coeffs), -1, -2)
+
+
 def random_maxdet_instance(rng, with_psd=True):
     """A bounded random determinant-maximization instance (box constraints)."""
     from sgm.maxdet import AffineMatrix, MaxDetProblem
@@ -81,24 +104,21 @@ def random_maxdet_instance(rng, with_psd=True):
 
     p = int(rng.integers(1, 6))
     s = int(rng.integers(1, 4))
-    terms = tuple(
-        AffineMatrix(np.eye(s), np.stack([rand_sym(s) for _ in range(p)]))
-        for _ in range(rng.integers(1, 4))
-    )
-    psd = ()
+    terms = [
+        np.stack([rand_sym(s) for _ in range(p)]) for _ in range(rng.integers(1, 4))
+    ]
+    psd = []
     if with_psd:
-        psd = tuple(
-            AffineMatrix(1.5 * np.eye(s), np.stack([rand_sym(s) for _ in range(p)]))
-            for _ in range(rng.integers(0, 3))
-        )
-    lin = []
+        psd = [
+            np.stack([rand_sym(s) for _ in range(p)]) for _ in range(rng.integers(0, 3))
+        ]
     r = float(rng.uniform(0.5, 2.0))
-    for k in range(p):
-        e = np.zeros(p)
-        e[k] = 1.0
-        lin += [(e.copy(), r), (-e, r)]
     return MaxDetProblem(
-        nvars=p, objective_terms=terms, psd_constraints=psd, linear_constraints=tuple(lin)
+        nvars=p,
+        objective=AffineMatrix(np.eye(s), svec_stack(np.stack(terms))),
+        psd_constraint=AffineMatrix(1.5 * np.eye(s), svec_stack(np.stack(psd))) if psd else None,
+        A=np.kron(np.eye(p), [[1.0], [-1.0]]),  # rows e_1, -e_1, e_2, -e_2, ...
+        b=np.full(2 * p, r),
     )
 
 

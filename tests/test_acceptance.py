@@ -277,13 +277,12 @@ def test_criterion_6_solver_correctness():
     for _ in range(10):
         a = float(rng.uniform(0.3, 1.5))
         c = float(rng.uniform(0.2, 1.0))
+        # one stack of two maps with bases 1 and 2: log(1 + a t) + log(2 - a t / 2)
         prob = MaxDetProblem(
             nvars=1,
-            objective_terms=(
-                AffineMatrix(np.eye(1), np.array([[[a]]])),
-                AffineMatrix(2 * np.eye(1), np.array([[[-0.5 * a]]])),
-            ),
-            linear_constraints=((np.array([1.0]), c), (np.array([-1.0]), c)),
+            objective=AffineMatrix([[[1.0]], [[2.0]]], [[[a]], [[-0.5 * a]]]),
+            A=[[1.0], [-1.0]],
+            b=[c, c],
         )
         rep = solve(prob)
 

@@ -437,6 +437,17 @@ class TestExitCodes:
         ["simulate", "--jobs", "-3"],
         ["simulate", "--n", "1"],
         ["simulate", "--n-test", "0"],
+        # tau outside [0, 1], or nan
+        ["fit", "--input", "P", "--tau", "1.5"],
+        ["fit", "--input", "P", "--model", "gauss", "--tau", "nan"],
+        ["feasible", "--input", "P", "--tau", "-0.5"],
+        ["feasible", "--input", "P", "--tau", "nan"],
+        ["simulate", "--tau", "1.5"],
+        ["simulate", "--tau-gauss-predict", "-0.1"],
+        ["simulate", "--tau-gauss-predict", "nan"],
+        ["cv", "--input", "P", "--tau-grid", "0.5,1.5"],
+        ["cv", "--input", "P", "--tau-grid", "nan"],
+        ["cv", "--input", "P", "--tau-grid", "0.5,x"],
         # flags that no runner reads
         ["fit", "--input", "P", "--seed", "1"],
         ["feasible", "--input", "P", "--model", "sgm"],

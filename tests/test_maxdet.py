@@ -12,7 +12,7 @@ from sgm.maxdet import (
     solve,
 )
 
-from conftest import fd_gradient, golden_section_max, random_maxdet_instance
+from conftest import fd_gradient, golden_section_max, random_maxdet_instance, svec, svec_stack
 
 
 def rand_sym(rng, s, scale=0.3):
@@ -23,99 +23,107 @@ def rand_sym(rng, s, scale=0.3):
 def one_var_problem(c=0.7):
     """maximize log(1 + theta) subject to theta <= c."""
     return MaxDetProblem(
-        nvars=1,
-        objective_terms=(AffineMatrix(np.eye(1), np.ones((1, 1, 1))),),
-        linear_constraints=((np.array([1.0]), c),),
+        nvars=1, objective=AffineMatrix(np.eye(1), np.ones((1, 1))), A=np.ones((1, 1)), b=[c]
     )
+
+
+def assert_strictly_feasible(prob, theta):
+    assert (prob.b - prob.A @ theta > 0).all()
+    if prob.psd_constraint is not None:
+        assert np.linalg.eigvalsh(prob.psd_constraint(theta)).min() > 0
 
 
 class TestProblemValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
-            AffineMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((1, 2, 2)))
+            AffineMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((3, 1)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            MaxDetProblem(
-                nvars=2,
-                objective_terms=(AffineMatrix(np.eye(2), np.zeros((3, 2, 2))),),
-            )
+            MaxDetProblem(nvars=2, objective=AffineMatrix(np.eye(2), np.zeros((3, 3))))
+
+    # s = 2 needs s' = 3 svec rows; dense (p, s, s) and (T, p, s, s) stacks are not svec
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (3, 2, 1), (1, 2, 2), (3, 1, 2, 2)])
+    def test_wrong_svec_length_rejected(self, shape):
+        with pytest.raises(DomainError):
+            AffineMatrix(np.eye(2), np.zeros(shape))
+
+    def test_single_map_accepted(self, rng):
+        B = rng.normal(size=(3, 4))
+        one = AffineMatrix(np.eye(2), B, weight=0.5)
+        assert one.count == 1 and one.B.shape == (1, 3, 4)
+        np.testing.assert_array_equal(one.weight, [0.5])
+        theta = rng.normal(size=4)
+        np.testing.assert_array_equal(one(theta), AffineMatrix(np.eye(2), B[None])(theta))
 
     def test_stacked_weight_of_wrong_length_rejected(self):
         with pytest.raises(DomainError):
-            AffineMatrix(np.eye(2), np.zeros((3, 1, 2, 2)), weight=np.ones(2))
+            AffineMatrix(np.eye(2), np.zeros((3, 3, 1)), weight=np.ones(2))
 
     def test_stacked_base_count_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            AffineMatrix(np.stack([np.eye(2)] * 2), np.zeros((3, 1, 2, 2)))
+            AffineMatrix(np.stack([np.eye(2)] * 2), np.zeros((3, 3, 1)))
 
-    def test_asymmetric_slice_in_stack_rejected(self):
-        coeffs = np.zeros((3, 1, 2, 2))
-        coeffs[1, 0, 0, 1] = 0.5
+    def test_weighted_psd_constraint_rejected(self):
+        # the barrier weighs every PSD map alike
         with pytest.raises(DomainError):
-            AffineMatrix(np.eye(2), coeffs)
+            MaxDetProblem(
+                nvars=1,
+                objective=AffineMatrix(np.eye(1), np.ones((1, 1))),
+                psd_constraint=AffineMatrix(np.eye(1), np.ones((2, 1, 1)), weight=[1.0, 2.0]),
+            )
+
+    @pytest.mark.parametrize("A,b", [(np.ones(1), [1.0]), (np.ones((1, 2)), [1.0]),
+                                     (np.ones((2, 1)), [1.0])])
+    def test_linear_rows_of_wrong_shape_rejected(self, A, b):
+        with pytest.raises(DomainError):
+            MaxDetProblem(nvars=1, objective=AffineMatrix(np.eye(1), np.ones((1, 1))), A=A, b=b)
 
     def test_infeasible_start_raises(self):
-        prob = MaxDetProblem(
-            nvars=1,
-            objective_terms=(AffineMatrix(np.eye(1), np.ones((1, 1, 1))),),
-            linear_constraints=((np.array([1.0]), 0.0),),  # slack 0 at theta = 0
-        )
+        prob = one_var_problem(0.0)  # slack 0 at theta = 0
         with pytest.raises(InfeasibleStartError):
             solve(prob)
 
 
 class TestStackedMaps:
-    """One stacked AffineMatrix is the same problem as its T single maps."""
+    """One stacked AffineMatrix is the sum of its T single maps."""
 
     @staticmethod
-    def both_forms(rng):
+    def stacked_and_single(rng):
         T, p, s = int(rng.integers(2, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
         weights = rng.uniform(0.5, 2.0, size=T)
         con = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(2)])
-        lin = []
-        for k in range(p):
-            e = np.zeros(p)
-            e[k] = 1.0
-            lin += [(e.copy(), 1.0), (-e, 1.0)]
         stacked = MaxDetProblem(
             nvars=p,
-            objective_terms=(AffineMatrix(bases, coeffs, weights),),
-            psd_constraints=(AffineMatrix(1.5 * np.eye(s), con),),
-            linear_constraints=tuple(lin),
+            objective=AffineMatrix(bases, svec_stack(coeffs), weights),
+            psd_constraint=AffineMatrix(1.5 * np.eye(s), svec_stack(con)),
+            A=np.kron(np.eye(p), [[1.0], [-1.0]]),
+            b=np.ones(2 * p),
         )
-        separate = MaxDetProblem(
-            nvars=p,
-            objective_terms=tuple(
-                AffineMatrix(bases[t], coeffs[t], weights[t]) for t in range(T)
-            ),
-            psd_constraints=tuple(AffineMatrix(1.5 * np.eye(s), c) for c in con),
-            linear_constraints=tuple(lin),
-        )
-        return stacked, separate
+        singles = [
+            MaxDetProblem(
+                nvars=p, objective=AffineMatrix(bases[t], svec_stack(coeffs[t]), weights[t])
+            )
+            for t in range(T)
+        ]
+        return stacked, singles
 
     def test_objective_matches_separate_maps(self, rng):
+        """The stacked evaluation equals the sum of the T single-map problems."""
         for _ in range(20):
-            stacked, separate = self.both_forms(rng)
+            stacked, singles = self.stacked_and_single(rng)
             theta = 0.05 * rng.normal(size=stacked.nvars)
-            for a, b in zip(objective_eval(stacked, theta), objective_eval(separate, theta)):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_solve_matches_separate_maps(self, rng):
-        for _ in range(10):
-            stacked, separate = self.both_forms(rng)
-            rep1, rep2 = solve(stacked), solve(separate)
-            assert rep1.converged and rep2.converged
-            np.testing.assert_allclose(rep1.theta, rep2.theta, rtol=0, atol=1e-9)
+            parts = zip(*(objective_eval(prob, theta) for prob in singles))
+            for a, b in zip(objective_eval(stacked, theta), parts):
+                np.testing.assert_allclose(a, sum(b), rtol=0, atol=1e-12)
 
     def test_barrier_degree_counts_every_map(self, rng):
-        stacked, separate = self.both_forms(rng)
-        (con,) = stacked.psd_constraints
+        stacked, _ = self.stacked_and_single(rng)
+        con = stacked.psd_constraint
         assert con.count == 2
-        assert stacked.barrier_degree == con.size * con.count + len(stacked.linear_constraints)
-        assert stacked.barrier_degree == separate.barrier_degree
+        assert stacked.barrier_degree == 2 * con.size + 2 * stacked.nvars
 
 
 class TestKernels:
@@ -128,7 +136,8 @@ class TestKernels:
         """The stack, with its dense (T, s, s) bases and (T, p, s, s) coefficients."""
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
-        return AffineMatrix(bases, coeffs, rng.uniform(0.5, 2.0, size=T)), bases, coeffs
+        term = AffineMatrix(bases, svec_stack(coeffs), rng.uniform(0.5, 2.0, size=T))
+        return term, bases, coeffs
 
     def test_svec_stack_and_block_gradients(self, rng):
         from sgm.maxdet import _block_gradients
@@ -171,11 +180,7 @@ class TestKernels:
         # two bounds on theta_1 (one repeated column), one on theta_3, one general row
         A = np.array([[0.0, -1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.0, -0.5, 0.25]])
         b = np.array([0.3, 0.9, 0.7, 1.2])
-        prob = MaxDetProblem(
-            nvars=3,
-            objective_terms=(AffineMatrix(np.eye(2), np.zeros((3, 2, 2))),),
-            linear_constraints=tuple(zip(A, b)),
-        )
+        prob = MaxDetProblem(nvars=3, objective=AffineMatrix(np.eye(2), np.zeros((3, 3))), A=A, b=b)
         theta = 0.05 * rng.normal(size=3)
         Y = A / (b - A @ theta)[:, None]
         _, grad, hess = _evaluate(prob, theta, 2, barrier=True)
@@ -192,7 +197,7 @@ class TestKernels:
             grad = np.einsum("t,tkii->k", w, Pinv_A)
             hess = -np.einsum("t,tkij,tlji->kl", w, Pinv_A, Pinv_A)
             value = float(w @ np.linalg.slogdet(P)[1])
-            prob = MaxDetProblem(nvars=p, objective_terms=(term,))
+            prob = MaxDetProblem(nvars=p, objective=term)
             val, g, H = objective_eval(prob, theta)
             assert val == pytest.approx(value, rel=0, abs=1e-12)
             np.testing.assert_allclose(g, grad, rtol=0, atol=1e-12)
@@ -208,22 +213,18 @@ class TestObjectiveMap:
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(k)] for _ in range(T)])
         weights = rng.uniform(0.5, 2.0, size=T)
-        lin = []
-        for i in range(2 * k):  # theta+/- >= -0.1 and a budget on their sum
-            e = np.zeros(2 * k)
-            e[i] = -1.0
-            lin.append((e, 0.1))
-        lin.append((np.ones(2 * k), 0.5))
-        common = dict(nvars=2 * k, linear_constraints=tuple(lin),
-                      linear_cost=0.1 * rng.normal(size=2 * k))
+        # theta+/- >= -0.1 and a budget on their sum
+        A = np.vstack([-np.eye(2 * k), np.ones((1, 2 * k))])
+        b = np.r_[np.full(2 * k, 0.1), 0.5]
+        common = dict(nvars=2 * k, A=A, b=b, linear_cost=0.1 * rng.normal(size=2 * k))
         mapped = MaxDetProblem(
-            objective_terms=(AffineMatrix(bases, coeffs, weights),),
+            objective=AffineMatrix(bases, svec_stack(coeffs), weights),
             objective_map=np.hstack([np.eye(k), -np.eye(k)]),
             **common,
         )
         split = MaxDetProblem(
-            objective_terms=(
-                AffineMatrix(bases, np.concatenate([coeffs, -coeffs], axis=1), weights),
+            objective=AffineMatrix(
+                bases, svec_stack(np.concatenate([coeffs, -coeffs], axis=1)), weights
             ),
             **common,
         )
@@ -253,7 +254,7 @@ class TestObjectiveMap:
         with pytest.raises(DomainError):
             MaxDetProblem(
                 nvars=4,
-                objective_terms=(AffineMatrix(np.eye(2), np.zeros((3, 2, 2))),),
+                objective=AffineMatrix(np.eye(2), np.zeros((3, 3))),
                 objective_map=np.zeros(shape),
             )
 
@@ -261,9 +262,7 @@ class TestObjectiveMap:
 class TestObjectiveEval:
     def test_scalar_closed_form(self):
         A = np.array([[0.4, 0.1], [0.1, -0.2]])
-        prob = MaxDetProblem(
-            nvars=1, objective_terms=(AffineMatrix(np.eye(2), A[None]),)
-        )
+        prob = MaxDetProblem(nvars=1, objective=AffineMatrix(np.eye(2), svec(A)[:, None]))
         val, g, H = objective_eval(prob, np.zeros(1))
         assert val == pytest.approx(0.0)
         assert g[0] == pytest.approx(np.trace(A))
@@ -317,20 +316,13 @@ class TestBarrierStep:
             theta = np.zeros(prob.nvars)
             for _ in range(20):
                 theta = _newton_step(prob, theta, 0.3, maxdet._NEWTON_TOL)[0]
-                for a, b in prob.linear_constraints:
-                    assert b - a @ theta > 0
-                for con in prob.psd_constraints:
-                    assert np.linalg.eigvalsh(con(theta)).min() > 0
+                assert_strictly_feasible(prob, theta)
 
 
 class TestKKTResidual:
     def test_unconstrained_equals_gradient_norm(self, rng):
-        prob = MaxDetProblem(
-            nvars=2,
-            objective_terms=(
-                AffineMatrix(np.eye(2), np.stack([rand_sym(rng, 2) for _ in range(2)])),
-            ),
-        )
+        coeffs = np.stack([rand_sym(rng, 2) for _ in range(2)])
+        prob = MaxDetProblem(nvars=2, objective=AffineMatrix(np.eye(2), svec_stack(coeffs)))
         theta = 0.05 * rng.normal(size=2)
         _, g, _ = objective_eval(prob, theta)
         assert kkt_residual(prob, theta) == pytest.approx(np.linalg.norm(g))
@@ -356,14 +348,12 @@ class TestSolve:
         for _ in range(10):
             a = float(rng.uniform(0.3, 1.5))
             c = float(rng.uniform(0.2, 1.0))
-            A = np.array([[[a]]])
+            # one stack of two maps, log(1 + a t) + log(2 - a t / 2), with |t| <= c
             prob = MaxDetProblem(
                 nvars=1,
-                objective_terms=(
-                    AffineMatrix(np.eye(1), A),
-                    AffineMatrix(2.0 * np.eye(1), -0.5 * A),
-                ),
-                linear_constraints=((np.array([1.0]), c), (np.array([-1.0]), c)),
+                objective=AffineMatrix([[[1.0]], [[2.0]]], [[[a]], [[-0.5 * a]]]),
+                A=[[1.0], [-1.0]],
+                b=[c, c],
             )
             rep = solve(prob)
             assert rep.converged
@@ -378,11 +368,7 @@ class TestSolve:
 
     def test_analytic_center_with_no_objective_terms(self):
         # symmetric box: the analytic center is the origin
-        prob = MaxDetProblem(
-            nvars=1,
-            objective_terms=(),
-            linear_constraints=((np.array([1.0]), 1.0), (np.array([-1.0]), 1.0)),
-        )
+        prob = MaxDetProblem(nvars=1, A=[[1.0], [-1.0]], b=[1.0, 1.0])
         rep = solve(prob)
         assert rep.converged
         assert rep.theta[0] == pytest.approx(0.0, abs=1e-9)
@@ -395,10 +381,7 @@ class TestSolve:
             rep = solve(prob)
             assert rep.converged, rep.message
             assert rep.kkt_residual <= 1e-8
-            for a, b in prob.linear_constraints:
-                assert b - a @ rep.theta > 0
-            for con in prob.psd_constraints:
-                assert np.linalg.eigvalsh(con(rep.theta)).min() > 0
+            assert_strictly_feasible(prob, rep.theta)
 
     def test_outer_path_monotone(self, rng):
         for _ in range(10):
@@ -423,15 +406,22 @@ class TestSolve:
 
     def test_nonconvergence_flagged_on_unbounded(self, monkeypatch):
         # unbounded: log(1 + theta) with no constraints
-        prob = MaxDetProblem(
-            nvars=1, objective_terms=(AffineMatrix(np.eye(1), np.ones((1, 1, 1))),)
-        )
+        prob = MaxDetProblem(nvars=1, objective=AffineMatrix(np.eye(1), np.ones((1, 1))))
         # at the default 50 steps the gradient-norm centering test certifies
         # this unbounded problem at theta ~ 1e9 (ROADMAP item 1)
         monkeypatch.setattr(maxdet, "_MAX_NEWTON", 20)
         rep = solve(prob)
         assert not rep.converged
         assert rep.message != ""
+
+    def test_budget_stop_above_target_not_converged(self, monkeypatch):
+        # with 13 outer iterations the best certificate of log(1 + theta),
+        # theta <= 0.3, is about 4e-9, above its target 1e-9 * (1 + |f'(0)|) = 2e-9
+        monkeypatch.setattr(maxdet, "_MAX_OUTER", 13)
+        rep = solve(one_var_problem(0.3))
+        assert rep.message == "outer iteration budget exhausted"
+        assert rep.kkt_residual > 2e-9
+        assert not rep.converged
 
     def test_mle_recovery_correlation_model(self):
         # n = 400 samples at theta = 0.5; estimate within 3 / sqrt(n J)

@@ -22,7 +22,7 @@ from sgm.model import (
     score_batch,
 )
 
-from conftest import brute_force_standard_freqs, fd_hessian, random_lit_interior
+from conftest import brute_force_standard_freqs, fd_hessian, random_lit_interior, smat, svec
 
 U11 = FrequencySet.from_vectors([[1, 1]])
 U12 = FrequencySet.from_vectors([[1, 2]])
@@ -76,13 +76,13 @@ class TestFrequencySet:
 
 class TestHessianBasis:
     def test_u11_at_origin_is_identity(self):
-        assert np.array_equal(hessian_basis_batch(U11, [[0.0, 0.0]])[0, 0], np.eye(2))
+        assert np.array_equal(smat(hessian_basis_batch(U11, [[0.0, 0.0]])[0, :, 0]), np.eye(2))
 
     def test_heteroscedastic_closed_form(self, rng):
         # diag (c(x1)c(2x2), 4 c(x1)c(2x2)), off-diagonal -2 s(x1)s(2x2)
         for _ in range(10):
             x = rng.random(2)
-            H = hessian_basis_batch(U12, x[None])[0, 0]
+            H = smat(hessian_basis_batch(U12, x[None])[0, :, 0])
             c = np.cos(np.pi * x[0]) * np.cos(2 * np.pi * x[1])
             s = np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1])
             expect = np.array([[c, -2 * s], [-2 * s, 4 * c]])
@@ -93,7 +93,7 @@ class TestHessianBasis:
             u = rng.integers(0, 3, size=3)
             if not u.any():
                 continue
-            H = hessian_basis_batch(FrequencySet.from_vectors(u), np.zeros((1, 3)))[0, 0]
+            H = smat(hessian_basis_batch(FrequencySet.from_vectors(u), np.zeros((1, 3)))[0, :, 0])
             np.testing.assert_allclose(H, np.diag(u.astype(float) ** 2), atol=1e-15)
 
 
@@ -487,8 +487,18 @@ class TestKernels:
         # angles (pi x_j) u_j, as the kernels form them; (pi u_j) x_j differs in the last bits
         direct = np.stack([(u @ u) * np.cos(np.pi * X * u).prod(axis=1) for u in fs.freqs], axis=1)
         assert np.array_equal(base, np.eye(1))
-        assert coeffs.shape == (200, fs.size, 1, 1)
-        np.testing.assert_allclose(coeffs[:, :, 0, 0], direct, rtol=0, atol=1e-15)
+        assert coeffs.shape == (200, 1, fs.size)
+        np.testing.assert_allclose(coeffs[:, 0], direct, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
+    def test_hessian_basis_rows_are_dense_triu_entries(self, fs, rng):
+        X = rng.random((200, fs.dim))
+        _, bases, _, _, _ = direct_formulas(fs, np.zeros(fs.size), X)
+        got = hessian_basis_batch(fs, X)
+        assert got.shape == (200, fs.dim * (fs.dim + 1) // 2, fs.size)
+        # svec of each (N, m, m) basis, stacked over the frequencies on the last axis
+        want = np.stack([svec(H) for H in bases], axis=-1)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_singular_hessian_raises(self):
         # G = 1 + theta cos(0) = 0 at x = 0
@@ -562,5 +572,5 @@ class TestProperties:
     def test_gram_is_identity_plus_weighted_bases(self, case, seed):
         fs, theta = case
         X = np.random.default_rng(seed).random((20, fs.dim))
-        expect = np.eye(fs.dim) + np.einsum("u,nujl->njl", theta, hessian_basis_batch(fs, X))
+        expect = np.eye(fs.dim) + smat(hessian_basis_batch(fs, X) @ theta)
         np.testing.assert_allclose(gram_batch(fs, theta, X), expect, rtol=0, atol=1e-14)
