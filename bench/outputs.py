@@ -11,8 +11,10 @@ workload (known defects included) through ``sgm.cli.main``, with the argv of
 this tree's ``perfbench/workloads.operation``, so both sides get the same
 inputs and calls.  Each call is recorded as its exit code, its stdout and its
 output file.  JSON is kept with ``timing_sec`` masked and the work directory
-replaced by ``<work>``; any other text, and every output file, is kept as its
-SHA-256.  Every call whose records differ is printed with the key paths that
+replaced by ``<work>``; TSV (a header line, then rows of tab-separated numbers,
+as ``analyze --what grid`` prints) is kept as its header and its rows of
+numbers; any other text, and every output file, is kept as its SHA-256.
+Every call whose records differ is printed with the key paths that
 differ (``code``, ``file`` or ``stdout.<json path>``) and the largest absolute
 and relative difference over its numeric values; a fit call also prints
 max |d theta_raw|, |d objective|, the KKT residual of each side, and any change
@@ -50,16 +52,24 @@ def _sha256(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _stdout_record(text: str, work: str):
+    """Masked JSON, {"header", "rows"} of a numeric TSV, or else the SHA-256."""
+    try:
+        return _mask(json.loads(text), work)
+    except ValueError:
+        pass
+    header, *rows = text.splitlines() or [""]
+    try:
+        return {"header": header, "rows": [[float(v) for v in r.split("\t")] for r in rows]}
+    except ValueError:
+        return _sha256(text.encode())
+
+
 def _run_call(cli, call, work: str) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(call.argv)
-    text = buf.getvalue()
-    try:
-        stdout = _mask(json.loads(text), work)
-    except ValueError:
-        stdout = _sha256(text.encode())
-    record = {"code": code, "stdout": stdout}
+    record = {"code": code, "stdout": _stdout_record(buf.getvalue(), work)}
     if call.output_file is not None and os.path.exists(call.output_file):
         with open(call.output_file, "rb") as fh:
             record["file"] = _sha256(fh.read())

@@ -222,7 +222,8 @@ def fisher_numeric(
 ) -> np.ndarray:
     """Fisher information matrix by quadrature of p * score_u * score_v.
 
-    Valid for interior-feasible theta; limited to m <= 3.
+    Valid for interior-feasible theta; limited to m <= 3.  Per mesh block, J
+    gains one GEMM (S w)' S of the scores S from ``model._gram_scores``.
     """
     if freqs.dim > 3:
         raise ResourceLimitError("numeric Fisher information limited to m <= 3")
@@ -235,7 +236,7 @@ def fisher_numeric(
         G, scores = _gram_scores(freqs, theta, mesh)
         w = weights[lo : lo + len(G)] * _psd_det(G)
         lo += len(G)
-        J += np.einsum("n,nu,nv->uv", w, scores, scores)
+        J += (scores * w[:, None]).T @ scores
     return J
 
 

@@ -183,8 +183,12 @@ def _resolve_freqs(option: str, m: int) -> FrequencySet:
 
 def _resolve_region(args) -> LitRegion | LatticeRegion:
     if args.region == "lit":
-        return LitRegion(args.tau)
+        if args.M is not None:
+            raise UsageError("--M applies to --region lattice only")
+        return LitRegion(1.0 if args.tau is None else args.tau)
     if args.region == "lattice":
+        if args.tau is not None:
+            raise UsageError("--tau does not apply to --region lattice")
         if args.M is None:
             raise UsageError("--region lattice requires --M")
         return LatticeRegion(args.M)
@@ -210,6 +214,7 @@ def _result(command: str, config: dict, body: dict, started: float) -> dict:
 
 def run_fit(args) -> None:
     started = time.time()
+    region = None if args.model == "gauss" else _resolve_region(args)
     raw = read_csv(args.input)
     n, m = raw.shape
     config = {
@@ -219,8 +224,8 @@ def run_fit(args) -> None:
     }
     if args.model == "gauss":
         data = raw if args.no_preprocess else Scaler.fit(raw).standardize(raw)
-        config["tau"] = args.tau
-        C = estimators.fit_gauss_lasso(data, args.tau)
+        config["tau"] = tau = 1.0 if args.tau is None else args.tau
+        C = estimators.fit_gauss_lasso(data, tau)
         body = {
             "concentration": C,
             "partial_correlations": estimators.partial_correlations(C),
@@ -230,7 +235,6 @@ def run_fit(args) -> None:
         return
 
     freqs = _resolve_freqs(args.freqs, m)
-    region = _resolve_region(args)
     config.update({"freqs": args.freqs, "region": _region_json(region)})
     data = raw if args.no_preprocess else Scaler.fit(raw).to_unit(raw)
     fit = (estimators.fit_sgm if args.model == "sgm" else estimators.fit_mixm)(
@@ -613,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model to CSV data")
     common(p_fit)
     p_fit.add_argument("--region", choices=("lit", "lattice"), default="lit")
-    p_fit.add_argument("--tau", type=_tau, default=1.0)
+    p_fit.add_argument("--tau", type=_tau, default=None, help="lit and gauss only (default 1)")
     p_fit.add_argument("--M", type=_at_least(1), default=None)
     p_fit.add_argument("--freqs", default="standard", help="standard or file:PATH")
     p_fit.add_argument("--no-preprocess", action="store_true")

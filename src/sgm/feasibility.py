@@ -150,26 +150,25 @@ def min_eig_grid(freqs: FrequencySet, theta, resolution: int | None = None) -> f
     if m <= 3:
         return _min_eig_over(freqs, theta, [axis] * m)
 
-    starts = np.random.default_rng(0).random((_MULTISTART_COUNT, m))
-    best = np.inf
-    for x0 in starts:
-        x = x0.copy()
-        val = _min_eig(gram_batch(freqs, theta, x[None]))[0]
-        for _ in range(8):  # coordinate-descent sweeps
-            improved = False
-            for j in range(m):
-                line = [axis if i == j else x[i : i + 1] for i in range(m)]
-                mesh = np.meshgrid(*line, indexing="ij", sparse=True)
-                vals = _min_eig(gram_batch(freqs, theta, mesh))
-                i = int(vals.argmin())
-                if vals[i] < val - 1e-14:
-                    val = vals[i]
-                    x[j] = axis[i]
-                    improved = True
-            if not improved:
-                break
-        best = min(best, float(val))
-    return best
+    # every start descends on its own; the starts still improving move together,
+    # each line as points, which give the bits of the line's mesh
+    x = np.random.default_rng(0).random((_MULTISTART_COUNT, m))
+    val = _min_eig(gram_batch(freqs, theta, x))
+    active = np.arange(len(x))
+    for _ in range(8):  # coordinate-descent sweeps
+        improved = np.zeros(len(x), dtype=bool)
+        for j in range(m):
+            pts = np.repeat(x[active], len(axis), axis=0)
+            pts[:, j] = np.tile(axis, len(active))
+            vals = _min_eig(gram_batch(freqs, theta, pts)).reshape(len(active), -1)
+            i = vals.argmin(axis=1)
+            lower = vals[range(len(active)), i] < val[active] - 1e-14
+            moved = active[lower]
+            val[moved], x[moved, j], improved[moved] = vals[lower, i[lower]], axis[i[lower]], True
+        active = active[improved[active]]
+        if not len(active):
+            break
+    return float(val.min())
 
 
 def ma2_feasible(theta11: float, theta22: float) -> bool:

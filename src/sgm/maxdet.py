@@ -8,35 +8,35 @@ Solves problems of the form
 
 where F = objective and G = psd_constraint are stacks of affine symmetric
 matrix maps (AffineMatrix) and E is a fixed objective map (the identity unless
-given; [I, -I] for a lasso split theta = theta+ - theta-).  Constraints
-enter through a logarithmic barrier scaled by mu; damped Newton steps
-recenter after each geometric shrink of mu.  Each symmetric matrix is stored
-once in svec form, its upper-triangle entries, so a stack of T maps is a
-(T, s', p) array B.  The Cholesky factors of the stack give the log-dets, and
-X_t = G_t^-1 in svec form comes from them by the dpotri recurrence, run
-elementwise over the whole stack; the gradient is sum_t w_t B_t' svec(X_t) and
-the curvature -sum_t w_t B_t' (X_t (*) X_t) B_t, with (*) the symmetric
-Kronecker product (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 19(2),
-1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998).  Linear rows with one
-nonzero (bounds) add their barrier curvature to the diagonal; the other rows
-give one Y'Y product.  The Newton system is solved with the LAPACK Cholesky routines
-dpotrf/dpotrs and the KKT certificate recovers its multipliers with nnls;
-both come from scipy and load on the first solve, so importing this module
-loads numpy only.  All arithmetic is deterministic: identical inputs produce
-bitwise-identical iterate sequences.
+given; [I, -I] for a lasso split theta = theta+ - theta-).  Constraints enter
+through a logarithmic barrier scaled by mu; damped Newton steps recenter after
+each geometric shrink of mu.  Each symmetric matrix is stored once in svec
+form, its upper-triangle entries, so a stack of T maps is a (T, s', p) array B.
+The Cholesky factors of the stack give the log-dets, and X_t = G_t^-1 in svec
+form comes from them by the dpotri recurrence, run elementwise over the whole
+stack by ``model._inverse_svec``, which the model's scores share; the gradient
+is sum_t w_t B_t' svec(X_t) and the curvature -sum_t w_t B_t' (X_t (*) X_t)
+B_t, with (*) the symmetric Kronecker product (Vandenberghe, Boyd & Wu, SIAM J.
+Matrix Anal. Appl. 19(2), 1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3),
+1998).  Linear rows with one nonzero (bounds) add their barrier curvature to
+the diagonal; the other rows give one Y'Y product.  The Newton system is solved
+with the LAPACK Cholesky routines dpotrf/dpotrs and the KKT certificate
+recovers its multipliers with nnls; both come from scipy and load on the first
+solve, so importing this module loads numpy only.  All arithmetic is
+deterministic: identical inputs produce bitwise-identical iterate sequences.
 The barrier schedule is fixed: mu starts at _BARRIER_INIT and shrinks by
 _BARRIER_SHRINK per outer iteration, within the Newton and outer budgets.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleStartError, LineSearchError
+from .model import _inverse_svec, _svec_tables
 
 logger = logging.getLogger("sgm.maxdet")
 
@@ -155,48 +155,6 @@ class SolveReport:
     mu_final: float
     path: tuple[tuple[float, float], ...] = field(default=())
     message: str = ""
-
-
-@functools.lru_cache(maxsize=None)
-def _svec_tables(s: int):
-    """svec tables of s x s matrices: the svec position of each of the s*s
-    entries, the gradient weights g (1 on the diagonal, 2 off it), the svec
-    positions of X_jl, X_km, X_jm, X_kl over rows (j, k) and columns (l, m) of
-    the symmetric Kronecker product, those of the diagonal, and the steps
-    i = s-2 .. 0 of the inverse recurrence: i, the svec position of X_ii (row
-    i of the upper triangle follows it) and those of the block X[i+1:, i+1:]."""
-    j, k = np.triu_indices(s)
-    pos = np.empty((s, s), dtype=np.intp)
-    pos[j, k] = pos[k, j] = np.arange(len(j))
-    J, K = j[:, None], k[:, None]
-    gather = np.stack([pos[J, j], pos[K, k], pos[J, k], pos[K, j]])
-    steps = tuple((i, int(pos[i, i]), pos[i + 1:, i + 1:]) for i in range(s - 2, -1, -1))
-    return pos.ravel(), np.where(j == k, 1.0, 2.0), gather, np.diagonal(pos), steps
-
-
-def _inverse_svec(L):
-    """svec(X_t) as an (s', T) array, X_t = G_t^{-1} from the Cholesky factors.
-
-    The dpotri recurrence runs elementwise over the stack-last factors, for
-    i = s-1 .. 0 with d_i = 1 / L_ii: X_ij = -d_i sum_{k>i} L_ki X_kj for
-    j > i, then X_ii = d_i (d_i - sum_{k>i} L_ki X_ki), with -d_i folded into
-    the factor columns.  Row i of the upper triangle is contiguous in svec, so
-    each step writes one slice.
-    """
-    T, s, _ = L.shape
-    _, _, _, diag, steps = _svec_tables(s)
-    d = 1.0 / np.diagonal(L, axis1=1, axis2=2).T
-    nl = np.multiply(L.transpose(1, 2, 0), -d, order="C")  # -d_i L_ki at [k, i]
-    X = np.empty((s * (s + 1) // 2, T))
-    X[diag] = d * d
-    for i, a, block in steps:
-        l = nl[i + 1:, i]
-        P = X.take(block, axis=0)
-        P *= l[:, None]
-        row = np.add.reduce(P, axis=0, out=X[a + 1:a + s - i])
-        l *= row
-        X[a] += np.add.reduce(l, axis=0)
-    return X
 
 
 def _block_gradients(stack, L):

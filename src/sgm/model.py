@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -175,9 +175,9 @@ def _axis_columns(freqs: FrequencySet, cols, fn) -> list[np.ndarray]:
     """fn(pi u_j x_j) as m per-axis (..., k) columns, gathered from fn((pi x_j) v)
     over the distinct components v of each axis and the coordinates of column
     j (once per grid coordinate on a mesh): the per-frequency angles, so the
-    same values.  np.take keeps each column C-ordered, fixing product order."""
+    same values.  Each gather [..., i] is a new C-ordered column."""
     uniq = (np.unique(u, return_inverse=True) for u in freqs.freqs.T)
-    return [np.take(fn((np.pi * x)[..., None] * v), i, axis=-1) for x, (v, i) in zip(cols, uniq)]
+    return [fn((np.pi * x)[..., None] * v)[..., i] for x, (v, i) in zip(cols, uniq)]
 
 
 def _cos_product(freqs: FrequencySet, X) -> np.ndarray:
@@ -200,27 +200,43 @@ def _hessian_entries(freqs: FrequencySet, cols):
         for l in range(j + 1, freqs.dim):
             c = -U[:, j] * U[:, l]
             if c.any():
-                rest = [C[i] for i in range(freqs.dim) if i not in (j, l)]
-                yield j, l, c, (S[j] * S[l] * reduce(np.multiply, rest, 1.0)).reshape(-1, len(c))
+                rest = [C[i] for i in range(freqs.dim) if i not in (j, l)] or [1.0]
+                yield j, l, c, (S[j] * S[l] * reduce(np.multiply, rest)).reshape(-1, len(c))
 
 
-def _gram(entries, theta: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """The (n, dim, dim) Hessians I + sum_u theta_u H_u from the entries."""
-    G = np.zeros((n, dim, dim))
-    for j, l, c, F in entries:
-        G[:, j, l] = G[:, l, j] = (j == l) + F @ (theta * c)
-    return G
+def _gram(freqs: FrequencySet, theta: np.ndarray, cols) -> np.ndarray:
+    """The (N, m, m) Hessians of ``gram_batch`` at the columns ``cols``, a view of
+    an (m, m, N) stack so that each entry is one contiguous write; no BLAS
+    product, since its rounding of a row depends on the row's place in the call."""
+    m, U = freqs.dim, freqs.freqs
+    uniq = [np.unique(u, return_inverse=True) for u in U.T]  # components v, each u's row in v
+    angles = (np.multiply.outer(v, np.pi * x) for (v, _), x in zip(uniq, cols))
+    *leading, (row, last) = [(i, (np.cos(a), np.sin(a))) for (_, i), a in zip(uniq, angles)]
+    G = np.zeros((m, m) + np.broadcast_shapes(*(np.shape(x) for x in cols)))  # stack-last
+    for j, l in itertools.combinations_with_replacement(range(m), 2):
+        w = theta * (U[:, j] * U[:, l] if j == l else -U[:, j] * U[:, l])
+        Q = {}  # Q_d on the leading axes, by the row d of the last component
+        for r in np.flatnonzero(w):
+            lead = [t[j < l and i in (j, l)][ix[r]] for i, (ix, t) in enumerate(leading) if U[r, i]]
+            Q[row[r]] = Q.get(row[r], 0.0) + reduce(np.multiply, lead, w[r])
+        sums = (q * last[j < l == m - 1][d] for d, q in sorted(Q.items()))
+        G[j, l] = G[l, j] = reduce(np.add, sums, float(j == l))
+    return np.moveaxis(G.reshape(m, m, -1), -1, 0)
 
 
 def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
-    """Model Hessians D2 psi(x | theta) at the points or mesh X, shape (N, m, m).
-
-    Exactly symmetric by construction.  The trigonometric formulas extend
-    naturally outside [0, 1]^m; the domain is not checked here.
+    """Model Hessians D2 psi(x | theta) at the points or mesh X, shape (N, m, m),
+    sum-factorized over the last axis (Orszag, J. Comput. Phys. 37, 1980):
+    G_jl = (j == l) + sum_d Q_d t_d, t_d = cos or sin(pi v_d x_m) over the last
+    axis' distinct components v_d, Q_d = sum over the u with u_m = v_d of theta_u
+    c_u (u_j^2, or -u_j u_l off the diagonal) times the leading axes' factors,
+    on the leading grid of a mesh.  Leading factors cos(0) and zero terms are
+    skipped, and the sums run elementwise in frequency order, so a mesh and its
+    expanded points give the same bits.  Exactly symmetric.  The trigonometric
+    formulas extend naturally outside [0, 1]^m; the domain is not checked here.
     """
     theta = freqs.check_theta(theta)
-    cols, n = _columns(X)
-    return _gram(_hessian_entries(freqs, cols), theta, n, freqs.dim)
+    return _gram(freqs, theta, _columns(X)[0])
 
 
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
@@ -294,21 +310,68 @@ def gradient_map_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _svec_tables(s: int):
+    """svec tables of s x s matrices: the svec position of each of the s*s
+    entries, the gradient weights g (1 on the diagonal, 2 off it), the svec
+    positions of X_jl, X_km, X_jm, X_kl over rows (j, k) and columns (l, m) of
+    the symmetric Kronecker product, those of the diagonal, and the steps
+    i = s-2 .. 0 of the inverse recurrence: i, the svec position of X_ii (row
+    i of the upper triangle follows it) and those of the block X[i+1:, i+1:]."""
+    j, k = np.triu_indices(s)
+    pos = np.empty((s, s), dtype=np.intp)
+    pos[j, k] = pos[k, j] = np.arange(len(j))
+    J, K = j[:, None], k[:, None]
+    gather = np.stack([pos[J, j], pos[K, k], pos[J, k], pos[K, j]])
+    steps = tuple((i, int(pos[i, i]), pos[i + 1:, i + 1:]) for i in range(s - 2, -1, -1))
+    return pos.ravel(), np.where(j == k, 1.0, 2.0), gather, np.diagonal(pos), steps
+
+
+def _inverse_svec(L):
+    """svec(X_t) as an (s', T) array, X_t = G_t^{-1} from the Cholesky factors.
+
+    The dpotri recurrence runs elementwise over the stack-last factors, for
+    i = s-1 .. 0 with d_i = 1 / L_ii: X_ij = -d_i sum_{k>i} L_ki X_kj for
+    j > i, then X_ii = d_i (d_i - sum_{k>i} L_ki X_ki), with -d_i folded into
+    the factor columns.  Row i of the upper triangle is contiguous in svec, so
+    each step writes one slice.
+    """
+    T, s, _ = L.shape
+    _, _, _, diag, steps = _svec_tables(s)
+    d = 1.0 / np.diagonal(L, axis1=1, axis2=2).T
+    nl = np.multiply(L.transpose(1, 2, 0), -d, order="C")  # -d_i L_ki at [k, i]
+    X = np.empty((s * (s + 1) // 2, T))
+    X[diag] = d * d
+    for i, a, block in steps:
+        l = nl[i + 1:, i]
+        P = X.take(block, axis=0)
+        P *= l[:, None]
+        row = np.add.reduce(P, axis=0, out=X[a + 1:a + s - i])
+        l *= row
+        X[a] += np.add.reduce(l, axis=0)
+    return X
+
+
 def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]:
-    """Hessians G (N, m, m) and scores tr(G^{-1} H_u) (N, k) from one entry pass,
-    as sum_{j<=l} ((G^{-1})_jl + (G^{-1})_lj) c_u F[:, u] (one term if j = l)."""
+    """Hessians G (N, m, m) and scores tr(G^{-1} H_u) (N, k), summed over entries
+    j <= l as g_jl (G^{-1})_jl c_u F[:, u], g = 1 on the diagonal and 2 off it.
+    svec(G^{-1}) comes from a batched Cholesky by ``_inverse_svec``, or if a G is
+    not positive definite from np.linalg.inv, raising SingularHessianError."""
     theta = freqs.check_theta(theta)
     cols, n = _columns(X)
-    entries = list(_hessian_entries(freqs, cols))
-    G = _gram(entries, theta, n, freqs.dim)
+    G = _gram(freqs, theta, cols)
     try:
-        Ginv = np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessianError("model Hessian is singular at a sample point") from exc
+        Ginv = _inverse_svec(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError:
+        try:
+            Ginv = np.linalg.inv(G).T[np.triu_indices(freqs.dim)]
+        except np.linalg.LinAlgError as exc:
+            raise SingularHessianError("model Hessian is singular at a sample point") from exc
+    pos, g = _svec_tables(freqs.dim)[:2]
     scores = np.zeros((n, freqs.size))
-    for j, l, c, F in entries:
-        w = Ginv[:, j, l] if j == l else Ginv[:, j, l] + Ginv[:, l, j]
-        scores += np.multiply.outer(w, c) * F
+    for j, l, c, F in _hessian_entries(freqs, cols):
+        r = pos[j * freqs.dim + l]
+        scores += np.multiply.outer(g[r] * Ginv[r], c) * F
     return G, scores
 
 

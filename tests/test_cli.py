@@ -154,6 +154,40 @@ class TestSampleFitRoundTrip:
         assert open(a).read() == open(b).read()
 
 
+class TestFitRegionFlags:
+    @pytest.fixture
+    def csv(self, tmp_path, rng):
+        path = tmp_path / "d.csv"
+        write_csv(str(path), 0.05 + 0.9 * rng.random((30, 2)))
+        return str(path)
+
+    @pytest.mark.parametrize("flags", [
+        ["--region", "lattice", "--M", "3", "--tau", "0.2"],
+        ["--region", "lattice", "--M", "3", "--tau", "1.0"],
+        ["--M", "3"],
+        ["--region", "lit", "--tau", "0.5", "--M", "3"],
+    ])
+    def test_flag_the_route_does_not_read_exits_2(self, tmp_path, csv, flags, capsys):
+        out = tmp_path / "f.json"
+        assert run(["fit", "--input", csv, "--no-preprocess", *flags, "--output", str(out)],
+                   capsys) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["sgm", "gauss"])
+    def test_tau_defaults_to_one(self, tmp_path, csv, model, capsys):
+        outs = []
+        for tau in ([], ["--tau", "1.0"]):
+            out = tmp_path / "f.json"
+            assert run(["fit", "--input", csv, "--model", model, "--no-preprocess", *tau,
+                        "--output", str(out)], capsys) == 0
+            obj = json.loads(out.read_text())
+            obj.pop("timing_sec")
+            outs.append(obj)
+        assert outs[0] == outs[1]
+        config = outs[0]["config"]
+        assert (config["region"]["tau"] if model == "sgm" else config["tau"]) == 1.0
+
+
 class TestFitGauss:
     def test_gauss_fit(self, tmp_path, capsys):
         csv = str(tmp_path / "g.csv")

@@ -180,6 +180,29 @@ class TestMinEigGrid:
         # the two blocks separate: exact min eig is (1-0.4) combined with (1-0.3)
         assert approx == pytest.approx(0.6, abs=1e-6)
 
+    @pytest.mark.parametrize("m,resolution", [(4, 17), (5, 9)])
+    def test_multistart_descent_equals_one_start_at_a_time(self, m, resolution, rng):
+        # reference: each start descends alone, each line evaluated as a mesh
+        fs = sgm.standard_freq_set(m)
+        theta = random_lit_interior(fs, rng) * 1.5  # past the region: lines keep improving
+        axis = np.linspace(0.0, 1.0, resolution)
+        best = np.inf
+        for x in np.random.default_rng(0).random((feasibility._MULTISTART_COUNT, m)):
+            val = feasibility._min_eig(gram_batch(fs, theta, x[None]))[0]
+            for _ in range(8):
+                improved = False
+                for j in range(m):
+                    line = [axis if i == j else x[i : i + 1] for i in range(m)]
+                    mesh = np.meshgrid(*line, indexing="ij", sparse=True)
+                    vals = feasibility._min_eig(gram_batch(fs, theta, mesh))
+                    i = int(vals.argmin())
+                    if vals[i] < val - 1e-14:
+                        val, x[j], improved = vals[i], axis[i], True
+                if not improved:
+                    break
+            best = min(best, float(val))
+        assert sgm.min_eig_grid(fs, theta, resolution) == best
+
     def test_resolution_validation(self):
         with pytest.raises(DomainError):
             sgm.min_eig_grid(U11, [0.1], resolution=1)

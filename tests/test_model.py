@@ -424,11 +424,13 @@ class TestFisher:
 
 
 # Frequency sets for the kernel checks: the standard sets, one with a
-# component of 3, and one on which the (0, 2) and (1, 2) off-diagonal
-# coefficients vanish for every frequency.
+# component of 3, one on which the (0, 2) and (1, 2) off-diagonal
+# coefficients vanish for every frequency, and one whose last axis has a
+# single distinct component.
 KERNEL_SETS = [sgm.standard_freq_set(m) for m in range(1, 6)] + [
     FrequencySet.from_vectors([[3, 0], [0, 3], [1, 2], [3, 1], [1, 1]]),
     FrequencySet.from_vectors([[1, 0, 0], [0, 2, 0], [1, 1, 0], [0, 0, 3], [2, 1, 0]]),
+    FrequencySet.from_vectors([[1, 0, 2], [0, 1, 2], [1, 1, 2], [2, 1, 2]]),
 ]
 
 
@@ -475,10 +477,33 @@ class TestKernels:
         theta = random_lit_interior(fs, rng)
         X = rng.random((200, fs.dim))
         G, bases, _, _, _ = direct_formulas(fs, theta, X)
+        np.linalg.cholesky(G)  # positive definite: the scores take the Cholesky path
         ref = np.stack(
             [np.trace(np.linalg.solve(G, H), axis1=1, axis2=2) for H in bases], axis=1
         )
         np.testing.assert_allclose(score_batch(fs, theta, X), ref, rtol=1e-12, atol=1e-12)
+
+    def test_scores_fall_back_to_inv_where_cholesky_fails(self):
+        # theta = 1 is on the boundary of the u = (1, 1) model: G is singular on
+        # x1 + x2 = 1, where the first three points lie (their rounded G fails
+        # Cholesky, not LU); the last two are interior
+        X = np.array([[0.15, 0.85], [0.8, 0.2], [0.9, 0.1], [0.3, 0.3], [0.6, 0.1]])
+        G, (H,), _, _, _ = direct_formulas(U11, [1.0], X)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram_batch(U11, [1.0], X))
+        ref = np.trace(np.linalg.solve(G, H), axis1=1, axis2=2)
+        assert np.abs(ref[:3]).min() > 1e15
+        np.testing.assert_allclose(score_batch(U11, [1.0], X)[:, 0], ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
+    def test_gram_on_points_and_meshes_matches_direct_formulas(self, fs, rng):
+        theta = random_lit_interior(fs, rng)
+        theta[::3] = 0.0  # frequencies with theta_u = 0 drop out of the sums
+        X = rng.random((50, fs.dim))
+        for name, mesh, points in [("points", X, X), *meshes(fs.dim, rng)]:
+            G = direct_formulas(fs, theta, points)[0]
+            np.testing.assert_allclose(gram_batch(fs, theta, mesh), G, rtol=0, atol=1e-14,
+                                       err_msg=name)
 
     @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
     def test_mixture_term_stack_matches_direct_formula(self, fs, rng):
@@ -509,8 +534,10 @@ class TestKernels:
 
 def meshes(m, rng):
     """(name, sparse ij mesh, the points it stands for in C order): a full
-    tensor grid, a grid with one-point axes, and rows of points (varying
-    along dimension 0) crossed with a grid over the trailing axes."""
+    tensor grid, a grid with one-point axes, rows of points (varying along
+    dimension 0) crossed with a grid over the trailing axes, and, for m >= 2,
+    rows over the first and last axes crossed with a grid over the others, so
+    that the last column varies with the rows (a marginal over axes (0, 2))."""
     full = [np.r_[0.0, rng.random(3), 1.0] for _ in range(m)]
     thin = [rng.random(1) if j % 2 else rng.random(4) for j in range(m)]
     for name, axes in (("full", full), ("one-point", thin)):
@@ -522,6 +549,12 @@ def meshes(m, rng):
     mesh += tuple(g[None] for g in np.meshgrid(*grid, indexing="ij", sparse=True))
     points = np.array([[*r, *g] for r in rows for g in itertools.product(*grid)])
     yield "points-x-grid", mesh, points
+    if m >= 2:
+        rows, grid = rng.random((5, 2)), [rng.random(3) for _ in range(m - 2)]
+        ends = [rows[:, d].reshape((-1,) + (1,) * len(grid)) for d in range(2)]
+        inner = [g[None] for g in np.meshgrid(*grid, indexing="ij", sparse=True)]
+        points = np.array([[r[0], *g, r[1]] for r in rows for g in itertools.product(*grid)])
+        yield "ends-x-grid", (ends[0], *inner, ends[1]), points
 
 
 class TestMesh:
