@@ -12,7 +12,9 @@ other; even pairs run the parent first and odd pairs this tree first, so
 drift of the machine's speed over a session falls on both sides alike.  Each run writes its ``result.json`` under its own checkout's
 ``.bench_out/``; this script reads them back and adds one set to
 ``bench/BENCH_<label>.json``: a summary (per metric, the quartiles of each side
-and in how many pairs this tree was lower; failed over attempted operations)
+and in how many pairs this tree was lower; the same for the raw median operation
+wall time and the calibration speed factor of untraced runs; failed over
+attempted operations)
 and every run's full result file.  Sets already in the file are kept, so one
 file collects the sets of several invocations; a set of the same workload and
 trace as one already in the file is refused before any run starts.
@@ -50,12 +52,25 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def readings(result: dict) -> dict:
+    """The metrics of one run and, if it ran untraced, two uncalibrated readings:
+    the raw median operation wall time and the calibration speed factor that
+    scales wall times into op_s, so a move of op_s can be told from a move of
+    the factor."""
+    out = dict(result["metrics"])
+    if not result["trace"]:
+        out["detail.op_wall_s.p50"] = result["detail"]["op_wall_s"]["p50"]
+        out["calibration.speed"] = result["calibration"]["speed"]
+    return out
+
+
 def summarize(runs: list[dict]) -> dict:
-    """Quartiles per side and lower-in-pairs count for every metric, then the
+    """Quartiles per side and lower-in-pairs count for every reading, then the
     failed/attempted operation counts of each side."""
+    sides = [(readings(r["parent"]), readings(r["change"])) for r in runs]
     summary = {}
-    for name in runs[0]["parent"]["metrics"]:
-        pairs = [(r["parent"]["metrics"][name], r["change"]["metrics"][name]) for r in runs]
+    for name in sides[0][0]:
+        pairs = [(parent[name], change[name]) for parent, change in sides]
         summary[name] = {
             "parent": quartiles([p for p, _ in pairs]),
             "change": quartiles([c for _, c in pairs]),

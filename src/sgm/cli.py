@@ -1,15 +1,17 @@
 """Command-line interface.
 
-Subcommands: fit, cv, sample, feasible, analyze, simulate.  All results are
-JSON (grids are TSV) with a schema version and the fully resolved
-configuration echoed; reruns are byte-identical apart from the timing field.
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
+Subcommands: fit, cv, sample, feasible, analyze, simulate.  The module
+parses options, reads inputs and writes results; the work is done by the
+library.  Each runner returns its resolved configuration and result body, or
+the TSV text of a table, and ``main`` alone writes it: JSON with a schema
+version, the command, the configuration and the timing.  Reruns are
+byte-identical apart from the timing field.  Exit codes: 0 success, 2 usage
+error, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -18,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import analysis, estimators, feasibility, model, sampling
+from . import analysis, estimators, feasibility, sampling
 from .errors import DataError, NumericalError, SgmError
 from .estimators import Scaler
 from .feasibility import LatticeRegion, LitRegion
@@ -143,8 +145,6 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return _jsonable(dataclasses.asdict(x))
     return x
 
 
@@ -182,17 +182,15 @@ def _resolve_freqs(option: str, m: int) -> FrequencySet:
 
 
 def _resolve_region(args) -> LitRegion | LatticeRegion:
-    if args.region == "lit":
-        if args.M is not None:
-            raise UsageError("--M applies to --region lattice only")
-        return LitRegion(1.0 if args.tau is None else args.tau)
     if args.region == "lattice":
         if args.tau is not None:
             raise UsageError("--tau does not apply to --region lattice")
         if args.M is None:
             raise UsageError("--region lattice requires --M")
         return LatticeRegion(args.M)
-    raise UsageError(f"unknown region {args.region!r}")
+    if args.M is not None:
+        raise UsageError("--M applies to --region lattice only")
+    return LitRegion(1.0 if args.tau is None else args.tau)
 
 
 def _region_json(region) -> dict:
@@ -201,22 +199,18 @@ def _region_json(region) -> dict:
     return {"kind": "lattice", "M": region.M}
 
 
-def _result(command: str, config: dict, body: dict, started: float) -> dict:
-    out = {"schema": SCHEMA_VERSION, "command": command, "config": config}
-    out.update(body)
-    out["timing_sec"] = time.time() - started
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def run_fit(args) -> None:
-    started = time.time()
-    region = None if args.model == "gauss" else _resolve_region(args)
+def run_fit(args) -> tuple[dict, dict]:
+    if args.model == "gauss":
+        for flag, value in (("--region", args.region), ("--M", args.M), ("--freqs", args.freqs)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to --model gauss")
+    else:
+        region = _resolve_region(args)
     raw = read_csv(args.input)
-    n, m = raw.shape
     config = {
         "input": args.input,
         "model": args.model,
@@ -226,59 +220,32 @@ def run_fit(args) -> None:
         data = raw if args.no_preprocess else Scaler.fit(raw).standardize(raw)
         config["tau"] = tau = 1.0 if args.tau is None else args.tau
         C = estimators.fit_gauss_lasso(data, tau)
-        body = {
+        return config, {
             "concentration": C,
             "partial_correlations": estimators.partial_correlations(C),
             "loglik": estimators.predictive_loglik("gauss", C, data),
         }
-        dump_json(_result("fit", config, body, started), args.output)
-        return
 
-    freqs = _resolve_freqs(args.freqs, m)
-    config.update({"freqs": args.freqs, "region": _region_json(region)})
+    freq_option = "standard" if args.freqs is None else args.freqs
+    freqs = _resolve_freqs(freq_option, raw.shape[1])
+    config.update({"freqs": freq_option, "region": _region_json(region)})
     data = raw if args.no_preprocess else Scaler.fit(raw).to_unit(raw)
     fit = (estimators.fit_sgm if args.model == "sgm" else estimators.fit_mixm)(
         data, freqs, region
     )
-    body = {
+    solver_keys = ("objective", "kkt_residual", "newton_iterations", "outer_iterations",
+                   "converged", "mu_final")
+    return config, {
         "frequencies": freqs.freqs,
         "theta": fit.theta,
         "theta_raw": fit.theta_raw,
         "scaled": fit.scaled,
         "loglik": fit.loglik,
-        "solver": {
-            "objective": fit.report.objective,
-            "kkt_residual": fit.report.kkt_residual,
-            "newton_iterations": fit.report.newton_iterations,
-            "outer_iterations": fit.report.outer_iterations,
-            "converged": fit.report.converged,
-            "mu_final": fit.report.mu_final,
-        },
+        "solver": {key: getattr(fit.report, key) for key in solver_keys},
     }
-    dump_json(_result("fit", config, body, started), args.output)
 
 
-def _map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], in min(jobs, len(items)) processes when that is > 1."""
-    workers = min(jobs, len(items))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _cv_subgrid(payload):
-    raw, model, taus, folds, seed, mode = payload
-    res = estimators.cross_validate(
-        raw, model, tau_grid=taus, folds=folds, seed=seed, preprocess_mode=mode
-    )
-    return list(zip(res.taus.tolist(), res.scores.tolist()))
-
-
-def run_cv(args) -> None:
-    started = time.time()
+def run_cv(args) -> tuple[dict, dict]:
     raw = read_csv(args.input)
     taus = np.arange(1, 11) / 10.0 if args.tau_grid is None else args.tau_grid
     if args.no_preprocess and args.global_preprocess:
@@ -295,22 +262,22 @@ def run_cv(args) -> None:
         "preprocess": mode,
         "jobs": args.jobs,
     }
-    chunks = np.array_split(np.asarray(taus, dtype=float), min(args.jobs, len(taus)))
-    payloads = [(raw, args.model, chunk, args.folds, args.seed, mode) for chunk in chunks]
-    rows = [r for part in _map(_cv_subgrid, payloads, args.jobs) for r in part]
-    best_i = int(np.argmax([s for _, s in rows]))
-    body = {
+    res = estimators.cross_validate(
+        raw, args.model, tau_grid=taus, folds=args.folds, seed=args.seed,
+        preprocess_mode=mode, jobs=args.jobs,
+    )
+    taus = res.taus.tolist()
+    best_i = taus.index(res.best_tau)  # the first row at the best tau, as np.argmax picks
+    return config, {
         "rows": [
             {"tau": t, "cv_loglik": s, "best": i == best_i}
-            for i, (t, s) in enumerate(rows)
+            for i, (t, s) in enumerate(zip(taus, res.scores.tolist()))
         ],
-        "best_tau": rows[best_i][0],
+        "best_tau": res.best_tau,
     }
-    dump_json(_result("cv", config, body, started), args.output)
 
 
-def run_sample(args) -> None:
-    started = time.time()
+def run_sample(args) -> tuple[dict, dict]:
     if args.output is None:
         raise UsageError("sample requires --output for the CSV file")
     config = {"model": args.model, "n": args.n, "seed": args.seed, "output": args.output}
@@ -332,11 +299,10 @@ def run_sample(args) -> None:
             "proposals": info.n_proposed,
             "acceptance_rate": info.acceptance_rate,
         }
-    dump_json(_result("sample", config, body, started), None)
+    return config, body
 
 
-def run_feasible(args) -> None:
-    started = time.time()
+def run_feasible(args) -> tuple[dict, dict]:
     if args.input is None:
         raise UsageError("feasible requires --input params JSON")
     freqs, theta = load_params(args.input)
@@ -351,7 +317,7 @@ def run_feasible(args) -> None:
         config["M"] = args.M
         check = feasibility.lattice_feasible(freqs, theta, args.M)
         body["lattice"] = {"feasible": check.feasible, "margin": check.margin}
-    dump_json(_result("feasible", config, body, started), args.output)
+    return config, body
 
 
 def _parse_list(text: str, kind=float) -> list:
@@ -377,8 +343,7 @@ def _parse_condition(text: str) -> dict[int, float]:
     return out
 
 
-def run_analyze(args) -> None:
-    started = time.time()
+def run_analyze(args) -> tuple[dict, dict] | str:
     rule = analysis.QuadratureRule.gauss_legendre(args.quad_nodes)
     what = args.what
     config = {"what": what, "model": args.model, "quad_nodes": args.quad_nodes}
@@ -386,26 +351,19 @@ def run_analyze(args) -> None:
         raise UsageError("--condition applies only to --what grid")
 
     if what == "table1":
-        body = {"table1": analysis.table1(args.quad_nodes)}
-        dump_json(_result("analyze", config, body, started), args.output)
-        return
+        return config, {"table1": analysis.table1(args.quad_nodes)}
 
     if what in ("correlation", "beta122", "beta123"):
         theta = _require_theta(args, count=1)[0]
         config["theta"] = theta
-        fn = getattr(analysis, what)
-        dump_json(_result("analyze", config, {what: fn(theta, args.model, rule)}, started),
-                  args.output)
-        return
+        return config, {what: getattr(analysis, what)(theta, args.model, rule)}
 
     if what == "cmi":
         theta = _require_theta(args, count=1)[0]
         if args.phi is None:
             raise UsageError("--what cmi requires --phi")
         config.update({"theta": theta, "phi": args.phi})
-        value = analysis.cond_mutual_info(theta, args.phi, args.model, rule)
-        dump_json(_result("analyze", config, {"cmi": value}, started), args.output)
-        return
+        return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, args.model, rule)}
 
     if args.input is None:
         raise UsageError(f"--what {what} requires --input params JSON")
@@ -413,10 +371,8 @@ def run_analyze(args) -> None:
     config["input"] = args.input
 
     if what == "fisher":
-        J = analysis.fisher_numeric(freqs, theta, rule)
-        body = {"frequencies": freqs.freqs, "fisher": J}
-        dump_json(_result("analyze", config, body, started), args.output)
-        return
+        return config, {"frequencies": freqs.freqs,
+                        "fisher": analysis.fisher_numeric(freqs, theta, rule)}
 
     if what == "marginal":
         axes = _parse_list(args.axes or "0", int)
@@ -428,8 +384,7 @@ def run_analyze(args) -> None:
         )
         lines = [f"x_{axes[0] + 1}\tdensity"]
         lines += [f"{x:.17g}\t{v:.17g}" for x, v in zip(grid, vals)]
-        _write_text("\n".join(lines) + "\n", args.output)
-        return
+        return "\n".join(lines) + "\n"
 
     if what == "grid":
         axes = _parse_list(args.axes or "0,1", int)
@@ -442,8 +397,7 @@ def run_analyze(args) -> None:
             freqs, theta, (axes[0], axes[1]), args.resolution,
             conditioning=conditioning, model=args.model, rule=rule,
         )
-        _write_text(grid.to_tsv(), args.output)
-        return
+        return grid.to_tsv()
 
     raise UsageError(f"unknown analysis {what!r}")
 
@@ -457,110 +411,10 @@ def _require_theta(args, count: int) -> list[float]:
     return vals
 
 
-# ---------------------------------------------------------------------------
-# Simulation driver
-# ---------------------------------------------------------------------------
-
-def _simulate_replicate(payload):
-    (index, seed, n, n_test, tau, tau_gauss) = payload
-    fs = standard_freq_set(5)
-    raw = sampling.sample_benchmark5(n, int(seed))
-    test_raw = sampling.sample_benchmark5(n_test, int(seed) + 2**31)
-    scaler = Scaler.fit(raw)
-    unit, std = scaler.to_unit(raw), scaler.standardize(raw)
-    unit_t, std_t = scaler.to_unit(test_raw), scaler.standardize(test_raw)
-    sqrt_j = np.sqrt(model.fisher_origin(fs))
-    fit_s = estimators.fit_sgm(unit, fs, LitRegion(tau))
-    fit_m = estimators.fit_mixm(unit, fs, LitRegion(tau))
-    C = estimators.fit_gauss_lasso(std, tau)
-    C_pred = C if tau_gauss == tau else estimators.fit_gauss_lasso(std, tau_gauss)
-    return {
-        "index": index,
-        "sgm_scaled": (sqrt_j * fit_s.theta).tolist(),
-        "mixm_scaled": (sqrt_j * fit_m.theta).tolist(),
-        "partial_corr": estimators.partial_correlations(C).tolist(),
-        "pred": {
-            "sgm": estimators.predictive_loglik("sgm", (fs, fit_s.theta), unit_t),
-            "mixm": estimators.predictive_loglik("mixm", (fs, fit_m.theta), unit_t),
-            "gauss": estimators.predictive_loglik("gauss", C_pred, std_t),
-        },
-    }
-
-
-def simulate(
-    replicates: int = 20,
-    n: int = 40,
-    n_test: int = 10,
-    seed: int = 0,
-    tau: float = 1.0,
-    tau_gauss_predict: float = 0.32,
-    jobs: int = 1,
-) -> dict:
-    """Benchmark experiment: draw five-dimensional data, fit all three models,
-    and aggregate scaled coefficients and held-out predictive log-likelihood."""
-    fs = standard_freq_set(5)
-    rep_seeds = np.random.SeedSequence(seed).generate_state(replicates)
-    payloads = [
-        (i, int(rep_seeds[i]), n, n_test, tau, tau_gauss_predict)
-        for i in range(replicates)
-    ]
-    outs = _map(_simulate_replicate_safe, payloads, jobs)
-    results = [out for out in outs if "error" not in out]
-    failures = [out for out in outs if "error" in out]
-    if not results:
-        first = f": replicate {failures[0]['index']}: {failures[0]['error']}" if failures else ""
-        raise NumericalError(f"no replicate completed{first}")
-
-    def agg(key):
-        arr = np.array([r[key] for r in results])
-        mean = arr.mean(axis=0)
-        half = 1.96 * arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0 * mean
-        return mean, half
-
-    sgm_mean, sgm_half = agg("sgm_scaled")
-    mixm_mean, mixm_half = agg("mixm_scaled")
-    rho = np.array([r["partial_corr"] for r in results])
-    pred = {
-        k: np.array([r["pred"][k] for r in results]) for k in ("sgm", "mixm", "gauss")
-    }
-    order = np.argsort(-np.abs(sgm_mean))
-    return {
-        "replicates": len(results),
-        "frequencies": fs.freqs.tolist(),
-        "sgm": {
-            "mean_scaled": sgm_mean.tolist(),
-            "ci95_half_width": sgm_half.tolist(),
-            "top_by_magnitude": [
-                {"u": fs.freqs[i].tolist(), "mean_scaled": float(sgm_mean[i])}
-                for i in order[:10]
-            ],
-        },
-        "mixm": {"mean_scaled": mixm_mean.tolist(), "ci95_half_width": mixm_half.tolist()},
-        "gauss": {"mean_partial_corr": rho.mean(axis=0).tolist()},
-        "predictive": {
-            k: {
-                "mean": float(v.mean()),
-                "se": float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0,
-                "values": v.tolist(),
-            }
-            for k, v in pred.items()
-        },
-        "failures": failures,
-    }
-
-
-def _simulate_replicate_safe(payload):
-    try:
-        return _simulate_replicate(payload)
-    except SgmError as exc:  # per-replicate failures recorded, not fatal
-        return {"index": payload[0], "error": str(exc)}
-
-
-def run_simulate(args) -> None:
-    started = time.time()
+def run_simulate(args) -> tuple[dict, dict]:
     keys = ("replicates", "n", "n_test", "seed", "tau", "tau_gauss_predict", "jobs")
     config = {key: getattr(args, key) for key in keys}
-    dump_json(_result("simulate", config, simulate(**config), started), args.output)
+    return config, estimators.simulate(**config)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a model to CSV data")
     common(p_fit)
-    p_fit.add_argument("--region", choices=("lit", "lattice"), default="lit")
+    p_fit.add_argument("--region", choices=("lit", "lattice"), help="default lit; not gauss")
     p_fit.add_argument("--tau", type=_tau, default=None, help="lit and gauss only (default 1)")
     p_fit.add_argument("--M", type=_at_least(1), default=None)
-    p_fit.add_argument("--freqs", default="standard", help="standard or file:PATH")
+    p_fit.add_argument("--freqs", help="standard (default) or file:PATH; not gauss")
     p_fit.add_argument("--no-preprocess", action="store_true")
 
     p_cv = sub.add_parser("cv", help="cross-validate the tuning parameter")
@@ -691,8 +545,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    started = time.time()
     try:
-        _RUNNERS[args.command](args)
+        out = _RUNNERS[args.command](args)
+        if isinstance(out, str):
+            _write_text(out, args.output)
+        else:
+            config, body = out
+            result = {"schema": SCHEMA_VERSION, "command": args.command, "config": config,
+                      **body, "timing_sec": time.time() - started}
+            # sample's --output is its CSV file; its report goes to stdout
+            dump_json(result, None if args.command == "sample" else args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

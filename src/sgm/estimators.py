@@ -3,8 +3,11 @@
 Constrained maximum likelihood for the gradient and mixture models over the
 lattice and L1-type regions (the latter giving a lasso-type sparse
 estimator), the graphical Gaussian lasso baseline, column preprocessing,
-predictive log-likelihood against the null model, and cross-validation of
-the tuning parameter.
+predictive log-likelihood against the null model, cross-validation of the
+tuning parameter, and the five-dimensional benchmark replication experiment
+(``simulate``) that compares the three models.  ``cross_validate`` and
+``simulate`` take ``jobs`` and run their chunks of tau grid or replicates in
+a process pool of at most one worker per work item.
 """
 
 from __future__ import annotations
@@ -15,8 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import maxdet
-from .errors import ConstantColumnError, DataError, DomainError, IndefiniteHessianError
+from . import maxdet, sampling
+from .errors import (
+    ConstantColumnError,
+    DataError,
+    DomainError,
+    IndefiniteHessianError,
+    NumericalError,
+    SgmError,
+)
 from .feasibility import LatticeRegion, LitRegion, Region, km_factors, lattice_points
 from .model import (
     FrequencySet,
@@ -80,11 +90,8 @@ def preprocess(raw) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FitResult:
-    model: str
-    freqs: FrequencySet
     theta: np.ndarray      # thresholded coefficients
     theta_raw: np.ndarray  # raw solver output
-    region: Region
     loglik: float
     scaled: np.ndarray     # sqrt(J_uu) * theta
     report: maxdet.SolveReport
@@ -110,30 +117,6 @@ def _term_values(model, freqs, data):
     if model == "sgm":
         return np.eye(freqs.dim), hessian_basis_batch(freqs, data)
     return np.eye(1), (_cos_product(freqs, data) * freqs.sqnorms)[:, None, :]
-
-
-def _zero_fit(model, freqs, region) -> FitResult:
-    zero = np.zeros(freqs.size)
-    report = maxdet.SolveReport(
-        theta=zero,
-        objective=0.0,
-        kkt_residual=0.0,
-        newton_iterations=0,
-        outer_iterations=0,
-        converged=True,
-        mu_final=0.0,
-        message="tau = 0 fixes theta = 0",
-    )
-    return FitResult(
-        model=model,
-        freqs=freqs,
-        theta=zero.copy(),
-        theta_raw=zero.copy(),
-        region=region,
-        loglik=0.0,
-        scaled=zero.copy(),
-        report=report,
-    )
 
 
 def _lit_rows(model, freqs, tau):
@@ -193,9 +176,15 @@ def _fit_lattice(model, freqs, data, M):
 def _fit(model, data, freqs, region):
     data = _check_unit_data(data, freqs.dim)
     if isinstance(region, LitRegion):
-        if region.tau == 0.0:
-            return _zero_fit(model, freqs, region)
-        theta_raw, report = _fit_lit(model, freqs, data, region.tau)
+        if region.tau == 0.0:  # the budget fixes theta = 0, where every log det is 0
+            theta_raw = np.zeros(freqs.size)
+            report = maxdet.SolveReport(
+                theta=theta_raw, objective=0.0, kkt_residual=0.0, newton_iterations=0,
+                outer_iterations=0, converged=True, mu_final=0.0,
+                message="tau = 0 fixes theta = 0",
+            )
+        else:
+            theta_raw, report = _fit_lit(model, freqs, data, region.tau)
         theta = np.where(np.abs(theta_raw) < ZERO_THRESHOLD, 0.0, theta_raw)
     elif isinstance(region, LatticeRegion):
         # no split variables: zeroing small entries could leave the region
@@ -203,16 +192,11 @@ def _fit(model, data, freqs, region):
         theta = theta_raw.copy()
     else:
         raise DomainError(f"unknown region {region!r}")
-    loglik = report.objective
-    scaled = np.sqrt(fisher_origin(freqs)) * theta
     return FitResult(
-        model=model,
-        freqs=freqs,
         theta=theta,
         theta_raw=theta_raw,
-        region=region,
-        loglik=loglik,
-        scaled=scaled,
+        loglik=report.objective,
+        scaled=np.sqrt(fisher_origin(freqs)) * theta,
         report=report,
     )
 
@@ -353,12 +337,20 @@ def predictive_loglik(model: str, params, test) -> float:
 
 @dataclass(frozen=True)
 class CVResult:
-    model: str
     taus: np.ndarray
     scores: np.ndarray
     best_tau: float
-    folds: int
-    seed: int
+
+
+def _map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in min(jobs, len(items)) processes when that is > 1."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def cross_validate(
@@ -368,6 +360,7 @@ def cross_validate(
     folds: int = 5,
     seed: int = 0,
     preprocess_mode: str = "fold",
+    jobs: int = 1,
 ) -> CVResult:
     """K-fold cross-validated predictive log-likelihood over a tau grid.
 
@@ -375,37 +368,46 @@ def cross_validate(
     the scaling statistics are fit on the training folds and applied to the
     held-out fold; ``"global"`` standardizes once on the full data;
     ``"none"`` uses the data as given (already on the model's scale).  The
-    gradient and mixture models use the standard frequency set.
+    gradient and mixture models use the standard frequency set.  The grid is
+    split into min(jobs, len(grid)) consecutive chunks, each scored over all
+    folds by one worker; the scores do not depend on ``jobs``.
     """
     raw = np.asarray(raw, dtype=float)
-    n = raw.shape[0]
-    if not (2 <= folds <= n):
+    if not (2 <= folds <= raw.shape[0]):
         raise DataError("need 2 <= folds <= n")
     if preprocess_mode not in ("fold", "global", "none"):
         raise DomainError(f"unknown preprocess_mode {preprocess_mode!r}")
     taus = np.asarray(
         tau_grid if tau_grid is not None else np.arange(1, 11) / 10.0, dtype=float
     )
+    if taus.ndim != 1 or len(taus) == 0:
+        raise DomainError("tau_grid must be a nonempty list of taus")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    chunks = np.array_split(taus, min(jobs, len(taus)))
+    payloads = [(raw, model, chunk, folds, seed, preprocess_mode) for chunk in chunks]
+    scores = np.concatenate(_map(_cv_scores, payloads, jobs))
+    return CVResult(taus=taus, scores=scores, best_tau=float(taus[int(np.argmax(scores))]))
+
+
+def _cv_scores(payload) -> np.ndarray:
+    """Held-out scores of one chunk of the tau grid, summed over the folds."""
+    raw, model, taus, folds, seed, preprocess_mode = payload
+    n = raw.shape[0]
     freqs = standard_freq_set(raw.shape[1]) if model in ("sgm", "mixm") else None
     perm = np.random.default_rng(seed).permutation(n)
     fold_ids = np.array_split(perm, folds)
     global_scaler = Scaler.fit(raw) if preprocess_mode == "global" else None
-
-    def transforms(scaler):
-        if scaler is None:
-            return (lambda d: d), (lambda d: d)
-        return scaler.standardize, scaler.to_unit
-
     scores = np.zeros(len(taus))
     for test_idx in fold_ids:
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
         train_raw, test_raw = raw[mask], raw[test_idx]
-        if preprocess_mode == "fold":
-            scaler = Scaler.fit(train_raw)
+        scaler = Scaler.fit(train_raw) if preprocess_mode == "fold" else global_scaler
+        if scaler is None:  # preprocessing disabled
+            to_std = to_unit = np.asarray
         else:
-            scaler = global_scaler  # None when preprocessing is disabled
-        to_std, to_unit = transforms(scaler)
+            to_std, to_unit = scaler.standardize, scaler.to_unit
         for i, tau in enumerate(taus):
             if model == "gauss":
                 C = fit_gauss_lasso(to_std(train_raw), tau)
@@ -415,7 +417,103 @@ def cross_validate(
                 scores[i] += predictive_loglik(
                     model, (freqs, fit.theta), to_unit(test_raw)
                 )
-    best = float(taus[int(np.argmax(scores))])
-    return CVResult(
-        model=model, taus=taus, scores=scores, best_tau=best, folds=folds, seed=seed
-    )
+    return scores
+
+
+# ---------------------------------------------------------------------------
+# Benchmark replication experiment
+# ---------------------------------------------------------------------------
+
+def _simulate_replicate(payload):
+    (index, seed, n, n_test, tau, tau_gauss) = payload
+    fs = standard_freq_set(5)
+    raw = sampling.sample_benchmark5(n, int(seed))
+    test_raw = sampling.sample_benchmark5(n_test, int(seed) + 2**31)
+    scaler = Scaler.fit(raw)
+    unit, std = scaler.to_unit(raw), scaler.standardize(raw)
+    unit_t, std_t = scaler.to_unit(test_raw), scaler.standardize(test_raw)
+    sqrt_j = np.sqrt(fisher_origin(fs))
+    fit_s = fit_sgm(unit, fs, LitRegion(tau))
+    fit_m = fit_mixm(unit, fs, LitRegion(tau))
+    C = fit_gauss_lasso(std, tau)
+    C_pred = C if tau_gauss == tau else fit_gauss_lasso(std, tau_gauss)
+    return {
+        "index": index,
+        "sgm_scaled": (sqrt_j * fit_s.theta).tolist(),
+        "mixm_scaled": (sqrt_j * fit_m.theta).tolist(),
+        "partial_corr": partial_correlations(C).tolist(),
+        "pred": {
+            "sgm": predictive_loglik("sgm", (fs, fit_s.theta), unit_t),
+            "mixm": predictive_loglik("mixm", (fs, fit_m.theta), unit_t),
+            "gauss": predictive_loglik("gauss", C_pred, std_t),
+        },
+    }
+
+
+def _simulate_replicate_safe(payload):
+    try:
+        return _simulate_replicate(payload)
+    except SgmError as exc:  # per-replicate failures recorded, not fatal
+        return {"index": payload[0], "error": str(exc)}
+
+
+def simulate(
+    replicates: int = 20,
+    n: int = 40,
+    n_test: int = 10,
+    seed: int = 0,
+    tau: float = 1.0,
+    tau_gauss_predict: float = 0.32,
+    jobs: int = 1,
+) -> dict:
+    """Benchmark experiment: draw five-dimensional data, fit all three models,
+    and aggregate scaled coefficients and held-out predictive log-likelihood."""
+    fs = standard_freq_set(5)
+    rep_seeds = np.random.SeedSequence(seed).generate_state(replicates)
+    payloads = [
+        (i, int(rep_seeds[i]), n, n_test, tau, tau_gauss_predict)
+        for i in range(replicates)
+    ]
+    outs = _map(_simulate_replicate_safe, payloads, jobs)
+    results = [out for out in outs if "error" not in out]
+    failures = [out for out in outs if "error" in out]
+    if not results:
+        first = f": replicate {failures[0]['index']}: {failures[0]['error']}" if failures else ""
+        raise NumericalError(f"no replicate completed{first}")
+
+    def agg(key):
+        arr = np.array([r[key] for r in results])
+        mean = arr.mean(axis=0)
+        half = 1.96 * arr.std(axis=0, ddof=1) / np.sqrt(len(arr)) if len(arr) > 1 else 0 * mean
+        return mean, half
+
+    sgm_mean, sgm_half = agg("sgm_scaled")
+    mixm_mean, mixm_half = agg("mixm_scaled")
+    rho = np.array([r["partial_corr"] for r in results])
+    pred = {
+        k: np.array([r["pred"][k] for r in results]) for k in ("sgm", "mixm", "gauss")
+    }
+    order = np.argsort(-np.abs(sgm_mean))
+    return {
+        "replicates": len(results),
+        "frequencies": fs.freqs.tolist(),
+        "sgm": {
+            "mean_scaled": sgm_mean.tolist(),
+            "ci95_half_width": sgm_half.tolist(),
+            "top_by_magnitude": [
+                {"u": fs.freqs[i].tolist(), "mean_scaled": float(sgm_mean[i])}
+                for i in order[:10]
+            ],
+        },
+        "mixm": {"mean_scaled": mixm_mean.tolist(), "ci95_half_width": mixm_half.tolist()},
+        "gauss": {"mean_partial_corr": rho.mean(axis=0).tolist()},
+        "predictive": {
+            k: {
+                "mean": float(v.mean()),
+                "se": float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0,
+                "values": v.tolist(),
+            }
+            for k, v in pred.items()
+        },
+        "failures": failures,
+    }

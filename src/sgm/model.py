@@ -7,7 +7,9 @@ The density is p(x) = det(D2 psi(x)) where the potential
 is indexed by a finite set of nonnegative integer frequency vectors u.
 This module provides the frequency-set construction, the Hessian field,
 density, score, the mixture baseline, and Fisher information (both the
-diagonal at the origin and the two known closed forms).
+diagonal at the origin and the two known closed forms).  No estimator calls
+``potential_batch`` or ``gradient_map_batch``; they stay as the paper's psi
+and its transport map D psi, the oracles the tests hold the Hessian to.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from scipy.stats import chi2
 import sgm
 from sgm import FrequencySet, QuadratureRule
 from sgm.analysis import tensor_grid
-from sgm.cli import simulate
+from sgm.estimators import simulate
 from sgm.feasibility import LatticeRegion, LitRegion
 from sgm.maxdet import objective_eval, solve
 from sgm.model import density_batch, gram_batch, mixm_density_batch

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from sgm import cli
-from sgm.cli import main, read_csv, simulate, write_csv
+from sgm import cli, estimators
+from sgm.cli import main, read_csv, write_csv
+from sgm.estimators import simulate
 from sgm.errors import NumericalError
 
 
@@ -172,6 +173,34 @@ class TestFitRegionFlags:
         assert run(["fit", "--input", csv, "--no-preprocess", *flags, "--output", str(out)],
                    capsys) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--M", "3"],
+        ["--region", "lattice", "--M", "3"],
+        ["--region", "lit"],
+        ["--freqs", "standard"],
+        ["--freqs", "file:MISSING"],
+    ])
+    def test_gauss_route_rejects_model_flags(self, tmp_path, csv, flags, capsys):
+        out = tmp_path / "f.json"
+        argv = ["fit", "--input", csv, "--model", "gauss", "--output", str(out)]
+        assert run(argv, capsys) == 0
+        out.unlink()
+        flags = [f"file:{tmp_path / 'missing.json'}" if f == "file:MISSING" else f
+                 for f in flags]
+        assert main(argv + flags) == 2
+        assert "does not apply to --model gauss" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["sgm", "mixm"])
+    def test_omitted_region_and_freqs_are_recorded_as_defaults(self, tmp_path, csv, model,
+                                                               capsys):
+        out = tmp_path / "f.json"
+        assert run(["fit", "--input", csv, "--model", model, "--no-preprocess",
+                    "--output", str(out)], capsys) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["freqs"] == "standard"
+        assert config["region"] == {"kind": "lit", "tau": 1.0}
 
     @pytest.mark.parametrize("model", ["sgm", "gauss"])
     def test_tau_defaults_to_one(self, tmp_path, csv, model, capsys):
@@ -366,7 +395,7 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("jobs,items,expect", [(3, 5, [3]), (1, 5, [])])
     def test_map(self, pool_sizes, jobs, items, expect):
-        assert cli._map(abs, list(range(-items, 0)), jobs) == list(range(items, 0, -1))
+        assert estimators._map(abs, list(range(-items, 0)), jobs) == list(range(items, 0, -1))
         assert pool_sizes == expect
 
     @pytest.mark.parametrize("grid,expect", [("0.5", []), ("0.5,1.0", [2])])

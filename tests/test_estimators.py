@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sgm
-from sgm import ConstantColumnError, DataError, FrequencySet
+from sgm import ConstantColumnError, DataError, DomainError, FrequencySet
 from sgm.estimators import ZERO_THRESHOLD, Scaler
 from sgm.feasibility import LatticeRegion, LitRegion
 
@@ -319,3 +319,15 @@ class TestCrossValidate:
     def test_validation(self):
         with pytest.raises(DataError):
             sgm.cross_validate(np.zeros((5, 2)), "sgm", folds=6)
+
+    @pytest.mark.parametrize("kwargs", [{"tau_grid": []}, {"jobs": 0}, {"jobs": -2}])
+    def test_empty_grid_or_jobs_below_one_raise(self, rng, kwargs):
+        with pytest.raises(DomainError):
+            sgm.cross_validate(rng.normal(size=(10, 2)), "gauss", folds=2, **kwargs)
+
+    def test_jobs_matches_serial(self, rng):
+        raw = rng.normal(size=(20, 2))
+        runs = [sgm.cross_validate(raw, "gauss", tau_grid=[0.2, 0.5, 1.0], folds=3, jobs=jobs)
+                for jobs in (1, 2)]
+        assert np.array_equal(runs[0].scores, runs[1].scores)
+        assert runs[0].best_tau == runs[1].best_tau
