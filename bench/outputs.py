@@ -18,8 +18,8 @@ Every call whose records differ is printed with the key paths that
 differ (``code``, ``file`` or ``stdout.<json path>``) and the largest absolute
 and relative difference over its numeric values; a fit call also prints
 max |d theta_raw|, |d objective|, the KKT residual of each side, and any change
-of the Newton and outer iteration counts or of ``converged``.  The script exits
-1 if any call differs.
+of the Newton and outer iteration counts, of ``converged`` or of ``mu_final``.
+The script exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -122,13 +122,13 @@ def sizes(differences) -> str:
 
 def fit_drift(a: dict, b: dict) -> str:
     """Drift of one fit call: theta_raw, the objective, the KKT residuals, the
-    iteration counts and the converged flag."""
+    iteration counts, the converged flag and the certified mu."""
     sa, sb = a["solver"], b["solver"]
     dtheta = max((abs(x - y) for x, y in zip(a["theta_raw"], b["theta_raw"])), default=0.0)
     parts = [f"max |d theta_raw| {dtheta:.3g}",
              f"|d objective| {abs(sa['objective'] - sb['objective']):.3g}",
              f"kkt {sa['kkt_residual']:.3g} -> {sb['kkt_residual']:.3g}"]
-    for key in ("newton_iterations", "outer_iterations", "converged"):
+    for key in ("newton_iterations", "outer_iterations", "converged", "mu_final"):
         if sa[key] != sb[key]:
             parts.append(f"{key} {sa[key]} -> {sb[key]}")
     return ", ".join(parts)

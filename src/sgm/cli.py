@@ -35,7 +35,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 # Rows formatted per write, which bounds the text held in memory at once.
-_CSV_ROWS = 65536
+_CSV_ROWS = 4096
 
 
 class UsageError(SgmError):

@@ -132,6 +132,18 @@ class TestFitSgm:
             sgm.fit_sgm(np.zeros((0, 2)), fs, LitRegion(1.0))
 
 
+class TestNewtonSteps:
+    def test_lit_fits_at_m5_take_at_most_70_newton_steps(self):
+        # tangent warm starts halve the path: 57 (sgm) and 44 (mixm) steps,
+        # against 105 and 110 when each centering started from the last center
+        _, unit = sgm.preprocess(sgm.sample_benchmark5(40, 0))
+        fs = sgm.standard_freq_set(5)
+        for fit in (sgm.fit_sgm, sgm.fit_mixm):
+            report = fit(unit, fs, LitRegion(1.0)).report
+            assert report.converged
+            assert report.newton_iterations <= 70
+
+
 class TestFitMixm:
     def test_tau_zero(self, rng):
         fs = sgm.standard_freq_set(2)

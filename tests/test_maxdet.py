@@ -319,6 +319,53 @@ class TestBarrierStep:
                 assert_strictly_feasible(prob, theta)
 
 
+class TestPredictor:
+    """The central path of log(1 + theta) + mu log(c - theta) is
+    theta(mu) = (c - mu) / (1 + mu), with d theta / d mu = -(1 + c) / (1 + mu)^2."""
+
+    C = 0.7
+
+    def center(self, mu):
+        return np.array([(self.C - mu) / (1 + mu)])
+
+    @pytest.mark.parametrize("mu", [1.0, 0.2, 1e-2, 1e-4])
+    def test_tangent_matches_closed_form(self, mu):
+        theta, tangent = _newton_step(one_var_problem(self.C), self.center(mu), mu,
+                                      maxdet._NEWTON_TOL)
+        np.testing.assert_array_equal(theta, self.center(mu))
+        exact = -(1 + self.C) / (1 + mu) ** 2
+        np.testing.assert_allclose(tangent, [exact], rtol=1e-12, atol=0)
+
+    def test_prediction_error_shrinks_like_mu(self):
+        prob, sigma = one_var_problem(self.C), maxdet._BARRIER_SHRINK
+        for mu in [1.0, 1e-1, 1e-2, 1e-3, 1e-4]:
+            theta = self.center(mu)
+            _, tangent = _newton_step(prob, theta, mu, maxdet._NEWTON_TOL)
+            predicted = maxdet._predict(prob, theta, (sigma * mu - mu) * tangent)
+            target = self.center(sigma * mu)
+            ratio = abs(predicted - target)[0] / abs(theta - target)[0]
+            # the first-order error over the step, exactly (1 - sigma) mu / (1 + mu)
+            assert ratio == pytest.approx((1 - sigma) * mu / (1 + mu), rel=1e-6)
+            assert ratio <= mu
+
+    def test_predicted_point_takes_a_corrector_step(self):
+        # at the center the decrement is at the floor, but a predicted point
+        # may not be declared centered by it
+        prob, mu = one_var_problem(self.C), 1.0
+        theta = self.center(mu) * (1 + 1e-12)
+        assert _newton_step(prob, theta, mu, 0.0)[1] is not None
+        new, tangent = _newton_step(prob, theta, mu, 0.0, predicted=True)
+        assert tangent is None and not np.array_equal(new, theta)
+
+    def test_infeasible_prediction_backtracks_or_keeps_the_center(self):
+        prob = one_var_problem(self.C)
+        theta = self.center(0.2)
+        # the slack 0.7 - theta is 0.28: a step of 0.4 crosses it, half of it does not
+        np.testing.assert_array_equal(maxdet._predict(prob, theta, np.array([0.4])),
+                                      theta + 0.2)
+        assert maxdet._predict(prob, theta, np.array([1e300])) is None
+
+
 class TestKKTResidual:
     def test_unconstrained_equals_gradient_norm(self, rng):
         coeffs = np.stack([rand_sym(rng, 2) for _ in range(2)])
@@ -422,6 +469,49 @@ class TestSolve:
         assert rep.message == "outer iteration budget exhausted"
         assert rep.kkt_residual > 2e-9
         assert not rep.converged
+
+    @staticmethod
+    def interior_problem():
+        """maximize log(1 + t) + log(2 - t), optimum t = 0.5, far inside |t| <= 50."""
+        return MaxDetProblem(nvars=1,
+                             objective=AffineMatrix([[[1.0]], [[2.0]]], [[[1.0]], [[-1.0]]]),
+                             A=[[1.0], [-1.0]], b=[50.0, 50.0])
+
+    @staticmethod
+    def count_certificates(monkeypatch, inflate):
+        """Route kkt_residual through inflate(call index, residual); returns the calls."""
+        calls = []
+        real = maxdet.kkt_residual
+
+        def kkt(prob, theta):
+            calls.append(real(prob, theta))
+            return inflate(len(calls), calls[-1])
+
+        monkeypatch.setattr(maxdet, "kkt_residual", kkt)
+        return calls
+
+    def test_failed_first_certificate_falls_back_to_previous_center(self, monkeypatch):
+        prob = self.interior_problem()
+        target = maxdet._NEWTON_TOL * (1 + np.linalg.norm(objective_eval(prob, [0.0])[1]))
+        calls = self.count_certificates(monkeypatch, lambda i, r: 10 * target if i == 1 else r)
+        first = maxdet._BARRIER_INIT  # the first mu that the certificate is tried at
+        while first * prob.barrier_degree > 0.5 * target:
+            first *= maxdet._BARRIER_SHRINK
+        rep = solve(prob)
+        assert len(calls) == 2
+        assert rep.converged and rep.kkt_residual == calls[1] <= target
+        assert rep.mu_final == pytest.approx(first / maxdet._BARRIER_SHRINK, rel=1e-12)
+        assert rep.path[-1][0] == pytest.approx(first, rel=1e-12)
+
+    def test_fallback_that_only_worsens_stops_at_the_floor(self, monkeypatch):
+        calls = self.count_certificates(monkeypatch, lambda i, r: 1e6 * r)
+        rep = solve(self.interior_problem())
+        assert not rep.converged
+        assert rep.message == "KKT residual at the floating-point floor"
+        # the earlier centers, newest first, until one is 4x worse than the first
+        assert len(calls) >= 2 and calls == sorted(calls)
+        assert calls[-1] > 4 * calls[0] >= calls[-2]
+        assert rep.kkt_residual == 1e6 * calls[0] and rep.mu_final == rep.path[-1][0]
 
     def test_mle_recovery_correlation_model(self):
         # n = 400 samples at theta = 0.5; estimate within 3 / sqrt(n J)
