@@ -37,7 +37,7 @@ class TestCsv:
         np.testing.assert_allclose(back, arr, atol=0)  # 17 digits round-trip exactly
 
     @pytest.mark.parametrize("shape", [(7, 1), (1, 7)])
-    @pytest.mark.parametrize("rows_per_write", [2, cli._CSV_ROWS])
+    @pytest.mark.parametrize("rows_per_write", [2, 65536])  # many blocks; one block
     def test_matches_per_value_formatting(self, tmp_path, monkeypatch, shape, rows_per_write):
         monkeypatch.setattr(cli, "_CSV_ROWS", rows_per_write)
         arr = np.array([-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0, 1e300]).reshape(shape)
