@@ -1,41 +1,38 @@
-"""Determinant maximization by log-barrier Newton path following.
+"""Determinant maximization by a primal-dual interior-point method.
 
 Solves problems of the form
 
-    maximize   sum_t w_t log det F_t(z) + c' theta,  z = E theta
+    maximize   f(theta) = sum_t w_t log det F_t(z) + c' theta,  z = E theta
     subject to G_j(theta) positive definite for every j,
                A theta < b,
 
-where F = objective and G = psd_constraint are stacks of affine symmetric
-matrix maps (AffineMatrix) and E is a fixed objective map (the identity unless
-given; [I, -I] for a lasso split theta = theta+ - theta-).  Constraints enter
-through a logarithmic barrier scaled by mu; damped Newton steps recenter after
-each geometric shrink of mu.  Each symmetric matrix is stored once in svec
-form, its upper-triangle entries, so a stack of T maps is a (T, s', p) array B.
-The Cholesky factors of the stack give the log-dets, and X_t = G_t^-1 in svec
-form comes from them by the dpotri recurrence, run elementwise over the whole
-stack by ``model._inverse_svec``, which the model's scores share; the gradient
-is sum_t w_t B_t' svec(X_t) and the curvature -sum_t w_t B_t' (X_t (*) X_t)
-B_t, with (*) the symmetric Kronecker product (Vandenberghe, Boyd & Wu, SIAM J.
-Matrix Anal. Appl. 19(2), 1998; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3),
-1998).  Linear rows with one nonzero (bounds) add their barrier curvature to
-the diagonal; the other rows give one Y'Y product.  The Newton system is solved
-with the LAPACK Cholesky routines dpotrf/dpotrs and the KKT certificate
-recovers its multipliers with nnls; both come from scipy and load on the first
-solve, so importing this module loads numpy only.  All arithmetic is
-deterministic: identical inputs produce bitwise-identical iterate sequences.
-The barrier schedule is fixed: mu starts at _BARRIER_INIT and shrinks by
-_BARRIER_SHRINK per outer iteration, within the Newton and outer budgets.
-Each centering starts from the previous center extrapolated along the tangent
-of the central path, which the declaring Newton step solves from the factor it
-already has (a predictor-corrector path; Boyd & Vandenberghe, Convex
-Optimization, 2004, 11.3-11.5).
+where F = objective and G = psd_constraint are svec stacks (AffineMatrix) and
+E is a fixed objective map (the identity unless given; [I, -I] for a lasso
+split theta = theta+ - theta-).  Cholesky factors give the log-dets and, by
+``model._inverse_svec``, X_t = G_t^-1: the gradient is sum_t w_t B_t' svec(X_t)
+and the curvature -sum_t w_t B_t' K(X_t, X_t) B_t, K the svec symmetric
+Kronecker product.  The iterate carries the multipliers Z_j and lambda and the
+slacks s, so b - A theta - s enters the system instead of a slack recomputed
+by cancellation (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 19(2),
+1998).  Each iteration factors one Newton system with dpotrf, HKM on the PSD
+blocks (Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998),
+
+    W = -hess f + sum_j B_j' K(X_j, Z_j) B_j + A' diag(lambda / s) A,
+
+for a Mehrotra affine predictor and a second-order corrector centred at
+sigma gap / nu, gap = sum_j <G_j, Z_j> + s' lambda, nu the barrier degree and
+sigma = (gap_aff / gap)^3 (Mehrotra, SIAM J. Optim. 2(4), 1992).  The step is
+0.98 of the largest that keeps G_j, Z_j, the objective stack, s and lambda
+positive, at most 1; there is no line search.  scipy's LAPACK wrappers load on
+the first solve, so importing this module loads numpy only.  Identical inputs
+give bitwise-identical iterate sequences.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,20 +41,26 @@ from .model import _inverse_svec, _svec_tables
 
 logger = logging.getLogger("sgm.maxdet")
 
-_BARRIER_INIT = 1.0
-_BARRIER_SHRINK = 0.2
 _NEWTON_TOL = 1e-9
 _MAX_NEWTON = 50
-_MAX_OUTER = 30
-_ARMIJO = 0.01
-_BACKTRACK = 0.5
-_MIN_STEP = 1e-14
+_STEP = 0.98
 
 
 def _symmetrize(A: np.ndarray, what: str) -> np.ndarray:
     if np.abs(A - np.swapaxes(A, -1, -2)).max() > 1e-10 * (1.0 + np.abs(A).max()):
         raise DomainError(f"{what} must be symmetric")
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _smat(V, s):
+    """The dense (T, s, s) matrices of svec columns V (s', T)."""
+    return V.T[:, _svec_tables(s)[0]].reshape(V.shape[1], s, s)
+
+
+def _svec(M):
+    """The svec columns (s', T) of the symmetric parts of M (T, s, s)."""
+    j, k = np.triu_indices(M.shape[-1])
+    return (M[:, j, k] + M[:, k, j]).T / 2
 
 
 class AffineMatrix:
@@ -94,9 +97,14 @@ class AffineMatrix:
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """The (T, s, s) stack of matrices at theta."""
-        T, sv, p = self.B.shape
-        v = self.base + (self.B.reshape(T * sv, p) @ theta).reshape(T, sv)
-        return v[:, _svec_tables(self.size)[0]].reshape(T, self.size, self.size)
+        return _smat(_values(self, theta), self.size)
+
+
+def _values(stack, theta, base=True):
+    """svec columns (s', T) of the stack at theta, or of its linear part alone."""
+    T, sv, p = stack.B.shape
+    v = (stack.B.reshape(T * sv, p) @ theta).reshape(T, sv)
+    return (stack.base + v).T if base else v.T
 
 
 class MaxDetProblem:
@@ -134,7 +142,7 @@ class MaxDetProblem:
         self.A, self.b = A, b
         self.linear_cost = linear_cost
         self.objective_map = E
-        # bound rows (one nonzero) have diagonal barrier curvature
+        # bound rows (one nonzero) have diagonal curvature A' diag(d) A
         bound = np.count_nonzero(A, axis=1) == 1
         rows = np.flatnonzero(bound)
         cols = np.argmax(A[rows] != 0, axis=1)
@@ -150,6 +158,13 @@ class MaxDetProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What ``solve`` returns: ``kkt_residual`` is the certificate of ``theta``
+    with its multipliers, at most _NEWTON_TOL * (1 + |grad f(0)|) at a certified
+    iterate when ``converged`` (see ``solve``); ``newton_iterations`` and
+    ``outer_iterations`` both count primal-dual iterations, one Newton system
+    each; ``mu_final`` is gap / nu at ``theta`` (0 without constraints), and
+    ``path`` holds one (gap / nu, objective) pair per iteration."""
+
     theta: np.ndarray
     objective: float
     kkt_residual: float
@@ -161,82 +176,65 @@ class SolveReport:
     message: str = ""
 
 
-def _block_gradients(stack, L):
-    """The (p, T) per-block gradients tr(G_t^{-1} A_tk) = B_t' (g o svec X_t)."""
-    g = _svec_tables(stack.size)[1]
-    return np.einsum("it,tip->pt", _inverse_svec(L) * g[:, None], stack.B)
+def _adjoint(stack, V):
+    """sum_t w_t B_t' (g o V_t) = sum_t w_t (tr(V_t A_tk))_k for svec columns V (s', T)."""
+    T, sv, p = stack.B.shape
+    wg = np.outer(stack.weight, _svec_tables(stack.size)[1])
+    return np.multiply(V.T, wg, order="C").reshape(-1) @ stack.B.reshape(T * sv, p)
+
+
+def _kron_curvature(stack, X, Z=None):
+    """sum_t w_t B_t' K(X_t, Z_t) B_t, (p, p), for svec columns X, Z (s', T), with
+    K(X, Z)[(j,k),(l,m)] = f_jk f_lm (X_jl Z_km + Z_jl X_km + X_jm Z_kl + Z_jm X_kl)
+    and f = g / 2 gathered from the svec rows, so that B_k' K(X, Z) B_l =
+    tr(A_k X A_l Z); Z = None means Z = X, the log-det curvature."""
+    T, sv, p = stack.B.shape
+    _, g, gather, _, _ = _svec_tables(stack.size)
+    P = X[gather]  # (4, s', s', T)
+    if Z is None:
+        K, scale = P[0] * P[1] + P[2] * P[3], 0.5
+    else:
+        Q = Z[gather]
+        K, scale = P[0] * Q[1] + Q[0] * P[1] + P[2] * Q[3] + Q[2] * P[3], 0.25
+    K *= stack.weight
+    K *= scale * np.outer(g, g)[:, :, None]
+    return stack.B.reshape(T * sv, p).T @ (K.transpose(2, 0, 1) @ stack.B).reshape(T * sv, p)
 
 
 def _logdet_sum(stack, theta, order):
-    """Weighted sum of the stack's log-dets with derivatives up to ``order``.
-
-    Returns (value, grad, hess): order 0 gives the value only, from the
-    Cholesky factors; order 1 adds the gradient sum_t w_t B_t' (g o svec X_t),
-    with svec(X_t) of X_t = G_t^{-1} from ``_inverse_svec`` as (s', T), and
-    order 2 the curvature -sum_t w_t B_t' K_t B_t with K_t = X_t (*) X_t in
-    svec form, K_t[(j,k),(l,m)] = 2 f_jk f_lm (X_jl X_km + X_jm X_kl),
-    f = g / 2, gathered from the svec rows; derivatives not asked for are
-    None.  A None stack contributes zeros.  Returns None if any map is not
-    positive definite.
+    """Weighted sum of the stack's log-dets with derivatives up to ``order``:
+    (value, grad, hess, L), L the (T, s, s) Cholesky factors, the gradient
+    sum_t w_t B_t' (g o svec X_t) with X_t = G_t^{-1} and the curvature
+    -sum_t w_t B_t' K(X_t, X_t) B_t; derivatives not asked for are None, and a
+    None stack contributes zeros.  None if any map is not positive definite.
     """
     p = len(theta)
     if stack is None:
-        return 0.0, np.zeros(p) if order >= 1 else None, np.zeros((p, p)) if order >= 2 else None
+        return 0.0, np.zeros(p) if order >= 1 else None, np.zeros((p, p)) if order >= 2 else None, None
     try:
         L = np.linalg.cholesky(stack(theta))
     except np.linalg.LinAlgError:
         return None
-    w = stack.weight
-    value = float(w @ (2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)))
-    grad = hess = None
-    if order >= 1:
-        T, sv, _ = stack.B.shape
-        B = stack.B.reshape(T * sv, p)
-        _, g, gather, _, _ = _svec_tables(stack.size)
-        X = _inverse_svec(L)
-        grad = np.multiply(X.T, np.outer(w, g), order="C").reshape(-1) @ B
-        if order >= 2:
-            P = X[gather]  # (4, s', s', T)
-            K = P[0] * P[1] + P[2] * P[3]
-            K *= w
-            K *= 0.5 * np.outer(g, g)[:, :, None]
-            hess = -(B.T @ (K.transpose(2, 0, 1) @ stack.B).reshape(T * sv, p))
-    return value, grad, hess
+    value = float(stack.weight @ (2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)))
+    X = _inverse_svec(L) if order >= 1 else None
+    grad = _adjoint(stack, X) if order >= 1 else None
+    hess = -_kron_curvature(stack, X) if order >= 2 else None
+    return value, grad, hess, L
 
 
-def _evaluate(problem: MaxDetProblem, theta, order: int, barrier: bool):
-    """_logdet_sum of the objective plus its linear cost, or with ``barrier`` of
-    the PSD constraint plus the linear-slack log barrier (unit mu)."""
-    if barrier:
-        parts = _logdet_sum(problem.psd_constraint, theta, order)
-    else:
-        E = problem.objective_map
-        parts = _logdet_sum(problem.objective, E @ theta, order)
+def _objective(problem: MaxDetProblem, theta, order: int):
+    """_logdet_sum of the objective through z = E theta plus its linear cost."""
+    E = problem.objective_map
+    parts = _logdet_sum(problem.objective, E @ theta, order)
     if parts is None:
         return None
-    value, grad, hess = parts
-    if not barrier:
-        # chain rule through z = E theta
-        grad = E.T @ grad if order >= 1 else None
-        hess = E.T @ hess @ E if order >= 2 else None
-        if problem.linear_cost is not None:
-            value = value + float(problem.linear_cost @ theta)
-            grad = grad + problem.linear_cost if order >= 1 else None
-    elif len(problem.b):
-        A, b = problem.A, problem.b
-        s = b - A @ theta
-        if (s <= 0).any():
-            return None
-        value += float(np.log(s).sum())
-        if order >= 1:
-            grad = grad - A.T @ (1.0 / s)
-        if order >= 2:
-            rows, Y = problem._general_rows
-            Y = Y / s[rows, None]
-            hess = hess - Y.T @ Y
-            rows, cols, a = problem._bound_rows
-            hess.flat[:: len(theta) + 1] -= np.bincount(cols, (a / s[rows]) ** 2, len(theta))
-    return value, grad, hess
+    value, grad, hess, L = parts
+    grad = E.T @ grad if order >= 1 else None
+    hess = E.T @ hess @ E if order >= 2 else None
+    if problem.linear_cost is not None:
+        value = value + float(problem.linear_cost @ theta)
+        grad = grad + problem.linear_cost if order >= 1 else None
+    return value, grad, hess, L
 
 
 def objective_eval(problem: MaxDetProblem, theta, need_hess: bool = True):
@@ -246,235 +244,237 @@ def objective_eval(problem: MaxDetProblem, theta, need_hess: bool = True):
     Raises DomainError if any objective term fails to factorize at theta.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    parts = _evaluate(problem, theta, 2 if need_hess else 1, barrier=False)
+    parts = _objective(problem, theta, 2 if need_hess else 1)
     if parts is None:
         raise DomainError("objective term is not positive definite at theta")
-    return parts
+    return parts[:3]
 
 
-def _merit(problem, theta, mu):
-    """Barrier-augmented objective value, or None if theta is out of domain."""
-    value = _evaluate(problem, theta, 0, barrier=False)
-    if value is None:
-        return None
-    bar = _evaluate(problem, theta, 0, barrier=True)
-    return None if bar is None else value[0] + mu * bar[0]
+def _linear_curvature(problem, d):
+    """A' diag(d) A: bound rows add to the diagonal, the other rows form one Y'Y."""
+    rows, Y = problem._general_rows
+    Y = Y * np.sqrt(d[rows])[:, None]
+    out = Y.T @ Y
+    rows, cols, a = problem._bound_rows
+    out.flat[:: problem.nvars + 1] += np.bincount(cols, a * a * d[rows], problem.nvars)
+    return out
 
 
-def _newton_direction(rhs, hess):
-    """Solve (-hess) x = rhs, one column per right-hand side, with an escalating
-    ridge if the curvature is flat."""
+def _newton_solver(W):
+    """x -> W^-1 x from one Cholesky factor of W, with an escalating ridge if W
+    is numerically singular."""
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    W = -hess
-    scale = max(np.trace(W) / max(len(rhs), 1), 1.0)
+    scale = max(np.trace(W) / max(len(W), 1), 1.0)
     ridge = 0.0
     for _ in range(12):
-        factor, info = dpotrf(W + ridge * np.eye(len(rhs)) if ridge else W, lower=True, clean=0)
+        factor, info = dpotrf(W + ridge * np.eye(len(W)) if ridge else W, lower=True, clean=0)
         if info == 0:
-            return dpotrs(factor, rhs, lower=True)[0]
+            return lambda rhs: dpotrs(factor, rhs, lower=True)[0]
         ridge = max(20.0 * ridge, 1e-11 * scale)
     raise LineSearchError("Newton system could not be factorized")
 
 
-def _newton_step(problem, theta, mu, grad_tol, predicted=False):
-    """One damped Newton step; returns (theta_new, tangent).
-
-    The tangent is None unless theta is declared the center at mu; then it is
-    the central path's derivative d theta / d mu = (-H)^-1 grad phi, with H
-    the barrier-objective curvature and phi the barrier, solved as the second
-    right-hand side of the factor that gives the Newton direction (Boyd &
-    Vandenberghe, Convex Optimization, 2004, 11.5).
-    Centering is declared when the barrier-objective gradient norm falls
-    below grad_tol, or when the Newton decrement reaches the floating-point
-    floor.  A ``predicted`` point, extrapolated along the tangent, is never
-    declared centered by the floor but takes one corrector step first, since
-    its decrement can be at the floor while its gradient is not.  On the
-    benchmark fits every center that reaches the certificate comes from the
-    decrement floor, with the gradient norm far above grad_tol; what bounds
-    the final KKT residual is the certificate that ``solve`` computes with
-    ``kkt_residual``, not this test.  Once the decrement drops below the
-    resolution at which merit improvements are verifiable, the full Newton
-    step is trusted subject to feasibility only.
-    """
-    value, grad, hess = objective_eval(problem, theta, need_hess=True)
-    bar = _evaluate(problem, theta, 2, barrier=True)
-    if bar is None:
-        raise InfeasibleStartError("theta is not strictly feasible")
-    bval, bgrad, bhess = bar
-    g = grad + mu * bgrad
-    direction, tangent = _newton_direction(np.column_stack([g, bgrad]), hess + mu * bhess).T
-    if np.linalg.norm(g) <= grad_tol:
-        return theta, tangent
-    decrement = float(g @ direction)
-    merit0 = value + mu * bval
-    scale = 1.0 + abs(merit0)
-    if decrement / 2.0 <= 1e-19 * scale and not predicted:
-        return theta, tangent  # flat to machine precision; cannot improve further
-    check_merit = decrement / 2.0 > 1e-12 * scale
-    t = 1.0
-    while t >= _MIN_STEP:
-        cand = theta + t * direction
-        merit = _merit(problem, cand, mu)
-        if merit is not None and (
-            not check_merit or merit >= merit0 + _ARMIJO * t * decrement
-        ):
-            return cand, None
-        t *= _BACKTRACK
-    raise LineSearchError(f"line search failed (decrement {decrement:.3e})")
+def _inverse_factor(L):
+    """L^-1 for a (T, s, s) stack of lower triangular factors, row by row."""
+    R = np.zeros_like(L)
+    d = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    for i in range(L.shape[1]):
+        R[:, i, :i] = -np.einsum("tk,tkj->tj", L[:, i, :i], R[:, :i, :i]) * d[:, i, None]
+        R[:, i, i] = d[:, i]
+    return R
 
 
-def _predict(problem, theta, step):
-    """theta + t step for the largest t = _BACKTRACK^k >= _MIN_STEP that is
-    strictly feasible, or None if there is none."""
-    t = 1.0
-    while t >= _MIN_STEP:
-        cand = theta + t * step
-        if _merit(problem, cand, 0.0) is not None:
-            return cand
-        t *= _BACKTRACK
-    return None
+def _max_step(R, dV, alpha):
+    """min(alpha, the largest a with L L' + a dV positive definite in every block),
+    for R = L^-1 (T, s, s) and svec columns dV (s', T).  A block's limit is
+    -1 / lambda_min(R dV R'); its least diagonal entry bounds lambda_min from
+    above and Gershgorin discs from below, so only blocks whose disc reaches
+    below -1 / alpha go to eigvalsh."""
+    W = R @ _smat(dV, R.shape[1]) @ R.transpose(0, 2, 1)
+    diag = np.diagonal(W, axis1=1, axis2=2)
+    hi = diag.min()
+    alpha = min(alpha, -1.0 / hi) if hi < 0 else alpha
+    low = (diag + np.abs(diag) - np.abs(W).sum(axis=2)).min(axis=1)
+    need = low < -1.0 / alpha
+    if need.any():
+        least = np.linalg.eigvalsh(W[need])[:, 0].min()
+        alpha = min(alpha, -1.0 / least) if least < 0 else alpha
+    return alpha
 
 
-def kkt_residual(problem: MaxDetProblem, theta) -> float:
-    """Stationarity-plus-complementarity residual with barrier-recovered multipliers.
-
-    Each constraint gets a nonnegative multiplier scale along its barrier
-    gradient direction (mu_l / slack for linear rows, mu_j P_j^{-1} for PSD
-    blocks); the scales minimize the combined norm of the stationarity
-    residual and the complementarity products.  Zero at the true optimum;
-    equals the plain gradient norm when the problem has no constraints.
-    """
-    from scipy.optimize import nnls
-
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    _, g, _ = objective_eval(problem, theta, need_hess=False)
-    if problem.barrier_degree == 0:
-        return float(np.linalg.norm(g))
-    cols = []
-    comp_weight = []
-    con = problem.psd_constraint
+def _linearize(problem, theta, s, lam, Z):
+    """What an iteration reads at the iterate (theta, s, lam, Z): the objective,
+    the factors, the residuals, the certificate and the factored Newton system."""
+    parts = _objective(problem, theta, 2)
+    if parts is None:
+        raise LineSearchError("iterate left the domain")
+    value, grad, hess, LF = parts
+    A, con = problem.A, problem.psd_constraint
+    pt = SimpleNamespace(theta=theta, s=s, lam=lam, Z=Z, value=value, grad=grad, d=lam / s,
+                         r_p=problem.b - A @ theta - s, RF=None if LF is None else _inverse_factor(LF))
+    r_d = grad - A.T @ lam
+    W = _linear_curvature(problem, pt.d) - hess
+    gz, pt.adjX = np.zeros(0), 0.0
     if con is not None:
+        pt.G = _values(con, theta)
         try:
-            L = np.linalg.cholesky(con(theta))
+            LG = np.linalg.cholesky(_smat(pt.G, con.size))
+            LZ = np.linalg.cholesky(_smat(Z, con.size))
         except np.linalg.LinAlgError:
-            raise InfeasibleStartError("theta is not strictly feasible") from None
-        cols.append(_block_gradients(con, L))
-        comp_weight.append(np.full(con.count, float(con.size)))
-    A, b = problem.A, problem.b
-    if len(b):
-        s = b - A @ theta
-        if (s <= 0).any():
-            raise InfeasibleStartError("theta is not strictly feasible")
-        cols.append(-(A / s[:, None]).T)
-        comp_weight.append(np.ones(len(b)))
-    M = np.concatenate(cols, axis=1)
-    q = M.shape[1]
-    augmented = np.vstack([M, np.diag(np.concatenate(comp_weight))])
-    rhs = np.concatenate([-g, np.zeros(q)])
-    _, resid = nnls(augmented, rhs)
-    return float(resid)
+            raise LineSearchError("iterate left the domain") from None
+        pt.X, pt.RG, pt.RZ = _inverse_svec(LG), _inverse_factor(LG), _inverse_factor(LZ)
+        pt.adjX = _adjoint(con, pt.X)  # the PSD barrier gradient at unit mu
+        r_d += _adjoint(con, Z)
+        W += _kron_curvature(con, pt.X, Z)
+        gz = _svec_tables(con.size)[1] @ (pt.G * Z)
+    pt.gap = gz.sum() + s @ lam
+    pt.kkt = float(np.linalg.norm(np.concatenate([r_d, gz, lam * s])))
+    pt.solve = _newton_solver(W)
+    pt.dec = float(r_d @ pt.solve(r_d))
+    return pt
+
+
+def _direction(problem, pt, smu, aff=None):
+    """The primal-dual Newton direction centred at smu = sigma mu: the affine
+    predictor for smu = 0, else the corrector with the second-order terms of
+    the affine direction ``aff``.  HKM: dZ = smu X - Z - sym(X (dG Z + dG_a dZ_a))."""
+    A, con, s, lam = problem.A, problem.psd_constraint, pt.s, pt.lam
+    rhs = pt.grad + A.T @ (pt.d * pt.r_p) + smu * (pt.adjX - A.T @ (1.0 / s))
+    second, Q = np.zeros(len(s)), 0.0
+    if aff is not None:
+        second = aff.ds * aff.dlam / s
+        rhs += A.T @ second
+        if con is not None:
+            Q = _svec(_smat(pt.X, con.size) @ _smat(aff.dG, con.size) @ _smat(aff.dZ, con.size))
+            rhs -= _adjoint(con, Q)
+    dtheta = pt.solve(rhs)
+    ds = pt.r_p - A @ dtheta
+    out = SimpleNamespace(dtheta=dtheta, ds=ds, dlam=smu / s - lam - pt.d * ds - second)
+    if con is not None:
+        out.dG = _values(con, dtheta, base=False)
+        P = _smat(pt.X, con.size) @ _smat(out.dG, con.size) @ _smat(pt.Z, con.size)
+        out.dZ = smu * pt.X - pt.Z - _svec(P) - Q
+    return out
+
+
+def _step_length(problem, pt, dirn, alpha):
+    """min(alpha, the largest step along ``dirn`` that keeps the objective
+    stack, G, Z, s and lambda positive)."""
+    if pt.RF is not None:
+        E = problem.objective_map
+        alpha = _max_step(pt.RF, _values(problem.objective, E @ dirn.dtheta, base=False), alpha)
+    if problem.psd_constraint is not None:
+        alpha = _max_step(pt.RG, dirn.dG, alpha)
+        alpha = _max_step(pt.RZ, dirn.dZ, alpha)
+    for v, dv in ((pt.s, dirn.ds), (pt.lam, dirn.dlam)):  # ratio tests over dv < 0
+        alpha = float(np.divide(v, -dv, out=np.full(len(v), alpha), where=dv < 0).min(initial=alpha))
+    return alpha
+
+
+def _step(problem, pt):
+    """The Mehrotra predictor-corrector step from pt: the next (theta, s, lam, Z)."""
+    nu, con = problem.barrier_degree, problem.psd_constraint
+    dirn = _direction(problem, pt, 0.0)
+    if nu:
+        # the gap after the longest affine step sets the centring weight sigma
+        a = _step_length(problem, pt, dirn, 1.0)
+        gap = (pt.s + a * dirn.ds) @ (pt.lam + a * dirn.dlam)
+        if con is not None:
+            gap += (_svec_tables(con.size)[1] @ ((pt.G + a * dirn.dG) * (pt.Z + a * dirn.dZ))).sum()
+        sigma = min(max(gap / pt.gap, 0.0), 1.0) ** 3
+        dirn = _direction(problem, pt, sigma * pt.gap / nu, dirn)
+    alpha = min(1.0, _STEP * _step_length(problem, pt, dirn, 1.0 / _STEP))
+    Z = None if pt.Z is None else pt.Z + alpha * dirn.dZ
+    return (pt.theta + alpha * dirn.dtheta, pt.s + alpha * dirn.ds,
+            pt.lam + alpha * dirn.dlam, Z)
+
+
+def kkt_residual(problem: MaxDetProblem, theta, lam=None, Z=None) -> float:
+    """KKT residual of theta with explicit multipliers lam (L,) >= 0 and Z
+    (J, s, s) positive semidefinite, None meaning zero multipliers:
+    sqrt(|grad f + sum_j A_j*(Z_j) - A' lam|^2 + sum_j <G_j, Z_j>^2 +
+    sum_i (lam_i s_i)^2), s = b - A theta and A_j*(Z)_k = tr(A_jk Z).  Zero at
+    the optimum with its multipliers; the gradient norm without constraints.
+    """
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    _, r, _ = objective_eval(problem, theta, need_hess=False)
+    A, con = problem.A, problem.psd_constraint
+    s = problem.b - A @ theta
+    if (s <= 0).any() or _logdet_sum(con, theta, 0) is None:
+        raise InfeasibleStartError("theta is not strictly feasible")
+    lam = np.zeros(len(s)) if lam is None else np.asarray(lam, dtype=float)
+    if lam.shape != s.shape or (lam < 0).any():
+        raise DomainError("lam must hold one nonnegative multiplier per linear row")
+    parts = [r - A.T @ lam, lam * s]
+    if con is not None:
+        Z = np.zeros((con.count, con.size, con.size)) if Z is None else np.asarray(Z, dtype=float)
+        if Z.shape != (con.count, con.size, con.size) or (
+                np.linalg.eigvalsh(Z)[:, 0] < -1e-14 * np.abs(Z).max(axis=(1, 2))).any():
+            raise DomainError("Z must hold one positive semidefinite (s, s) matrix per PSD map")
+        Zv = _svec(Z)
+        parts[0] = parts[0] + _adjoint(con, Zv)
+        parts.append(_svec_tables(con.size)[1] @ (_values(con, theta) * Zv))
+    return float(np.linalg.norm(np.concatenate(parts)))
 
 
 def solve(problem: MaxDetProblem) -> SolveReport:
     """Maximize the objective over the strictly feasible region from theta = 0.
 
-    The outer loop shrinks mu geometrically until the recovered KKT residual
-    falls below _NEWTON_TOL * (1 + |grad f(0)|); each center is found by
-    damped Newton iteration, started after the first from the previous
-    center plus (mu_new - mu_old) d theta / d mu, cut back by _BACKTRACK
-    until strictly feasible (or the center itself if no cut is).  The
-    certificate is tried once mu * nu <= target / 2; if that first try
-    fails, the earlier, better conditioned larger-mu centers are tried,
-    newest first.  A certificate more than 4x the best so far ends the
-    solve at the floating-point floor.  Exhausted budgets return the best
-    certified iterate; a prediction is made only as a centering starts, so a
-    solve that stops between centerings returns a center.  The report is
-    converged exactly when its KKT residual is at most that target.
+    The multipliers start on the barrier gradient at mu = 1, Z_j = G_j(0)^-1
+    and lam = 1 / b.  An iterate is certified when its KKT residual and its
+    Newton decrement r' W^-1 r, r the stationarity residual, are at most
+    target = _NEWTON_TOL * (1 + |grad f(0)|) and b - A theta recomputed from
+    theta is positive; an unbounded log(1 + theta) has decrement 1 wherever
+    its residual falls.  Iteration stops at a certified residual of target /
+    100, when two iterations after the first certified one fail to halve the
+    best, or after _MAX_NEWTON iterations; the best certified iterate (else
+    the last) is returned with ``kkt_residual`` recomputed from its theta.
     """
     theta = np.zeros(problem.nvars)
-    start = _evaluate(problem, theta, 1, barrier=False)
+    start = _objective(problem, theta, 1)
     if start is None:
         raise InfeasibleStartError("objective terms not positive definite at theta = 0")
-    if _evaluate(problem, theta, 0, barrier=True) is None:
+    con, A, b = problem.psd_constraint, problem.A, problem.b
+    margins = _logdet_sum(con, theta, 0)
+    if margins is None or (b <= 0).any():
         raise InfeasibleStartError("a constraint margin at theta = 0 is not strictly positive")
-    target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(start[1])))
-    grad_tol = 0.5 * target
-    nu = problem.barrier_degree
+    Z = None if con is None else _inverse_svec(margins[3])
+    target, nu = _NEWTON_TOL * (1.0 + float(np.linalg.norm(start[1]))), problem.barrier_degree
+    s, lam = b.copy(), 1.0 / b
 
-    mu = _BARRIER_INIT
-    newton_total = 0
-    outer = 0
-    path: list[tuple[float, float]] = []
-    message = ""
-    centers: list[tuple[np.ndarray, float]] = []  # earlier (theta, mu) centers
-    tangent = None
-    best: tuple[float, np.ndarray, float] | None = None  # (kkt, theta, mu)
-    while outer < _MAX_OUTER:
-        outer += 1
-        predicted = False
-        if tangent is not None:
-            cand = _predict(problem, theta, (mu - centers[-1][1]) * tangent)
-            if cand is not None:
-                theta, predicted = cand, True
-        tangent = None
-        for _ in range(_MAX_NEWTON):
-            try:
-                new, tangent = _newton_step(problem, theta, mu, grad_tol, predicted)
-            except LineSearchError as exc:
-                message = str(exc)
+    path, best, last, stall, message = [], None, None, 0, ""
+    for _ in range(_MAX_NEWTON):
+        try:
+            pt = _linearize(problem, theta, s, lam, Z)
+            path.append((float(pt.gap) / nu if nu else 0.0, pt.value))
+            logger.debug("iteration %d: mu=%.3e objective=%.12g kkt=%.3e decrement=%.3e",
+                         len(path), path[-1][0], pt.value, pt.kkt, pt.dec)
+            last = pt
+            stall = 0 if best is None or pt.kkt <= 0.5 * best.kkt else stall + 1
+            if (pt.kkt <= target and pt.dec <= target and (best is None or pt.kkt < best.kkt)
+                    and (b - A @ theta > 0).all()):
+                best = pt
+            if best is not None and (best.kkt <= 0.01 * target or stall >= 2):
                 break
-            if tangent is not None:
-                break
-            newton_total += 1
-            theta, predicted = new, False
-        value = _evaluate(problem, theta, 0, barrier=False)[0]
-        path.append((mu, value))
-        logger.debug("outer %d: mu=%.3e objective=%.12g", outer, mu, value)
-        if nu == 0:
-            if tangent is None and not message:
-                message = "newton budget exhausted"
+            theta, s, lam, Z = _step(problem, pt)
+        except LineSearchError as exc:
+            if last is None:
+                raise
+            message = str(exc)
             break
-        if message:
-            break
-        if tangent is None:
-            message = "newton budget exhausted"
-            break
-        if mu * nu <= 0.5 * target:
-            # a failed first certificate falls back to the better conditioned
-            # larger-mu centers, newest first
-            held = [(theta, mu)] + (centers[::-1] if best is None else [])
-            for center in held:
-                kkt = kkt_residual(problem, center[0])
-                if best is None or kkt < best[0]:
-                    best = (kkt, *center)
-                if kkt <= target or kkt > 4.0 * best[0]:
-                    break
-            if kkt <= target:
-                break
-            if kkt > 4.0 * best[0]:
-                # shrinking mu further only degrades the certificate numerically
-                message = "KKT residual at the floating-point floor"
-                break
-        centers.append((theta, mu))
-        mu *= _BARRIER_SHRINK
     else:
-        message = "outer iteration budget exhausted"
+        message = "iteration budget exhausted"
 
+    pt, kkt = best or last, last.kkt
     if best is not None:
-        kkt, theta, mu = best
-    else:
-        kkt = kkt_residual(problem, theta)
-    converged = kkt <= target
-    value = _evaluate(problem, theta, 0, barrier=False)[0]
-    return SolveReport(
-        theta=theta,
-        objective=value,
-        kkt_residual=kkt,
-        newton_iterations=newton_total,
-        outer_iterations=outer,
-        converged=converged,
-        mu_final=mu,
-        path=tuple(path),
-        message=message,
-    )
+        kkt = kkt_residual(problem, pt.theta, pt.lam, None if con is None else _smat(pt.Z, con.size))
+    elif pt.kkt <= target and pt.dec > target:
+        message = (f"objective unbounded: Newton decrement {pt.dec:.3g} does not vanish "
+                   f"while the KKT residual {pt.kkt:.3g} falls ({message})")
+    converged = best is not None and kkt <= target
+    message = "" if converged else message
+    return SolveReport(theta=pt.theta, objective=pt.value, kkt_residual=kkt,
+                       newton_iterations=len(path), outer_iterations=len(path),
+                       converged=converged, mu_final=float(pt.gap) / nu if nu else 0.0,
+                       path=tuple(path), message=message)

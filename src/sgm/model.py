@@ -56,7 +56,7 @@ class FrequencySet:
         if (arr.sum(axis=1) == 0).any():
             raise DomainError("the all-zero frequency is not identifiable")
         arr = arr[np.lexsort(arr.T)]
-        if any(np.array_equal(arr[i], arr[i + 1]) for i in range(len(arr) - 1)):
+        if (np.diff(arr, axis=0) == 0).all(axis=1).any():  # sorted: duplicates are adjacent
             raise DomainError("frequency vectors must be distinct")
         arr.setflags(write=False)
         object.__setattr__(self, "freqs", arr)
@@ -173,18 +173,19 @@ def _mesh_blocks(axes, chunk: int):
         yield (mesh[0][lo : lo + step], *mesh[1:])
 
 
-def _axis_columns(freqs: FrequencySet, cols, fn) -> list[np.ndarray]:
-    """fn(pi u_j x_j) as m per-axis (..., k) columns, gathered from fn((pi x_j) v)
-    over the distinct components v of each axis and the coordinates of column
-    j (once per grid coordinate on a mesh): the per-frequency angles, so the
-    same values.  Each gather [..., i] is a new C-ordered column."""
-    uniq = (np.unique(u, return_inverse=True) for u in freqs.freqs.T)
-    return [fn((np.pi * x)[..., None] * v)[..., i] for x, (v, i) in zip(cols, uniq)]
+def _axis_columns(freqs: FrequencySet, cols, *fns) -> list[list[np.ndarray]]:
+    """Per fn, fn(pi u_j x_j) as m per-axis (..., k) columns, gathered from
+    fn((pi x_j) v) over the distinct components v of each axis and the
+    coordinates of column j (once per grid coordinate on a mesh): the per-
+    frequency angles, so the same values; each gather is a new C-ordered column."""
+    uniq = [np.unique(u, return_inverse=True) for u in freqs.freqs.T]
+    return [[fn((np.pi * x)[..., None] * v)[..., i] for x, (v, i) in zip(cols, uniq)]
+            for fn in fns]
 
 
 def _cos_product(freqs: FrequencySet, X) -> np.ndarray:
     """The cosine series terms prod_j cos(pi u_j x_j) at the points or mesh X, (N, k)."""
-    return reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos)).reshape(-1, freqs.size)
+    return reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos)[0]).reshape(-1, freqs.size)
 
 
 def _hessian_entries(freqs: FrequencySet, cols):
@@ -194,7 +195,7 @@ def _hessian_entries(freqs: FrequencySet, cols):
     Off-diagonal entries whose coefficients all vanish are skipped.
     """
     U = freqs.freqs.astype(float)
-    C, S = (_axis_columns(freqs, cols, fn) for fn in (np.cos, np.sin))
+    C, S = _axis_columns(freqs, cols, np.cos, np.sin)
     P = reduce(np.multiply, C).reshape(-1, freqs.size)
     for j in range(freqs.dim):
         yield j, j, U[:, j] ** 2, P
@@ -304,7 +305,7 @@ def gradient_map_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     theta = freqs.check_theta(theta)
     X = np.asarray(X, dtype=float)
     U = freqs.freqs.astype(float)
-    C, S = (_axis_columns(freqs, _columns(X)[0], fn) for fn in (np.cos, np.sin))
+    C, S = _axis_columns(freqs, _columns(X)[0], np.cos, np.sin)
     out = X.copy()
     for j in range(freqs.dim):
         rest = reduce(np.multiply, [C[i] for i in range(freqs.dim) if i != j], 1.0)

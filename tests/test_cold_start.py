@@ -51,7 +51,7 @@ codes = [
     sgm.cli.main(["fit", "--input", D, "--region", "lattice", "--M", "3",
                   "--no-preprocess", "--output", out("lat.json")]),
 ]
-print(json.dumps({"codes": codes}))
+print(json.dumps({"codes": codes, "after_run": heavy()}))
 """
 
 
@@ -76,4 +76,8 @@ def test_fits_load_the_solver_on_first_use(tmp_path):
     (tmp_path / "params.json").write_text(json.dumps(PARAMS))
     assert sgm.cli.main(["sample", "--input", str(tmp_path / "params.json"), "--n", "60",
                          "--seed", "4", "--output", str(tmp_path / "data.csv")]) == 0
-    assert fresh(SOLVE, tmp_path) == {"codes": [0, 0]}
+    report = fresh(SOLVE, tmp_path)
+    assert report["codes"] == [0, 0]
+    # the solver needs scipy's LAPACK wrappers only, not scipy.optimize
+    assert "scipy.linalg.lapack" in report["after_run"]
+    assert not [m for m in report["after_run"] if m.startswith("scipy.optimize")]

@@ -134,14 +134,57 @@ class TestFitSgm:
 
 class TestNewtonSteps:
     def test_lit_fits_at_m5_take_at_most_70_newton_steps(self):
-        # tangent warm starts halve the path: 57 (sgm) and 44 (mixm) steps,
-        # against 105 and 110 when each centering started from the last center
+        # the primal-dual path takes 15 (sgm) and 14 (mixm) iterations; the
+        # barrier path took 57 and 44 Newton steps with tangent warm starts
         _, unit = sgm.preprocess(sgm.sample_benchmark5(40, 0))
         fs = sgm.standard_freq_set(5)
         for fit in (sgm.fit_sgm, sgm.fit_mixm):
             report = fit(unit, fs, LitRegion(1.0)).report
             assert report.converged
             assert report.newton_iterations <= 70
+
+
+class TestPrimalDualFits:
+    """Certificates with margin and short paths from the primal-dual solver."""
+
+    @staticmethod
+    def solved(monkeypatch, fit, *args):
+        """The fit result and the MaxDetProblem that its solve was given."""
+        from sgm import maxdet
+
+        seen, real = [], maxdet.solve
+        monkeypatch.setattr(maxdet, "solve", lambda problem: seen.append(problem) or real(problem))
+        return fit(*args), seen[0]
+
+    @staticmethod
+    def target(problem):
+        from sgm import maxdet
+
+        _, g, _ = maxdet.objective_eval(problem, np.zeros(problem.nvars), need_hess=False)
+        return maxdet._NEWTON_TOL * (1 + np.linalg.norm(g))
+
+    def test_lit_fits_at_m5_take_at_most_25_iterations_and_stay_feasible(self, monkeypatch):
+        _, unit = sgm.preprocess(sgm.sample_benchmark5(40, 0))
+        fs = sgm.standard_freq_set(5)
+        for fit in (sgm.fit_sgm, sgm.fit_mixm):
+            result, problem = self.solved(monkeypatch, fit, unit, fs, LitRegion(1.0))
+            report = result.report
+            assert report.converged and report.newton_iterations <= 25
+            # strictly feasible with the slacks recomputed from theta
+            assert (problem.b - problem.A @ report.theta > 0).all()
+
+    def test_lattice_fits_certify_ten_times_below_target(self, monkeypatch):
+        fs = sgm.standard_freq_set(3)
+        truth = np.zeros(fs.size)
+        for u, value in (((1, 2, 0), 0.1), ((0, 1, 1), 0.3), ((1, 1, 1), 0.2)):
+            truth[fs.index(u)] = value
+        _, unit5 = sgm.preprocess(sgm.sample_benchmark5(100, 0))
+        for data, freqs, M in ((sgm.sample_sgm(fs, truth, 100, seed=0), fs, 5),
+                               (unit5, sgm.standard_freq_set(5), 3)):
+            result, problem = self.solved(monkeypatch, sgm.fit_sgm, data, freqs, LatticeRegion(M))
+            assert result.report.converged
+            assert result.report.kkt_residual <= self.target(problem) / 10
+            assert sgm.lattice_feasible(freqs, result.theta_raw, M).feasible
 
 
 class TestFitMixm:
