@@ -247,27 +247,26 @@ def run_fit(args) -> tuple[dict, dict]:
 
 def run_cv(args) -> tuple[dict, dict]:
     raw = read_csv(args.input)
-    taus = np.arange(1, 11) / 10.0 if args.tau_grid is None else args.tau_grid
     if args.no_preprocess and args.global_preprocess:
         raise UsageError("--no-preprocess and --global-preprocess are exclusive")
     mode = "none" if args.no_preprocess else (
         "global" if args.global_preprocess else "fold"
     )
+    res = estimators.cross_validate(
+        raw, args.model, tau_grid=args.tau_grid, folds=args.folds, seed=args.seed,
+        preprocess_mode=mode, jobs=args.jobs,
+    )
+    taus = res.taus.tolist()
+    best_i = taus.index(res.best_tau)  # the first row at the best tau, as np.argmax picks
     config = {
         "input": args.input,
         "model": args.model,
         "folds": args.folds,
         "seed": args.seed,
-        "tau_grid": list(np.asarray(taus, dtype=float)),
+        "tau_grid": taus,
         "preprocess": mode,
         "jobs": args.jobs,
     }
-    res = estimators.cross_validate(
-        raw, args.model, tau_grid=taus, folds=args.folds, seed=args.seed,
-        preprocess_mode=mode, jobs=args.jobs,
-    )
-    taus = res.taus.tolist()
-    best_i = taus.index(res.best_tau)  # the first row at the best tau, as np.argmax picks
     return config, {
         "rows": [
             {"tau": t, "cv_loglik": s, "best": i == best_i}

@@ -38,4 +38,5 @@ class InfeasibleStartError(NumericalError):
 
 
 class LineSearchError(NumericalError):
-    """Backtracking line search could not find an acceptable step."""
+    """The MAXDET Newton system could not be factorized even with the escalating
+    ridge, or an iterate left the domain (a factor stack failed Cholesky)."""

@@ -3,7 +3,8 @@
 Membership tests for the L1-type conservative region and the lattice inner
 approximation, grid scans of the minimum Hessian eigenvalue, the exact MA(2)
 region for the two-frequency special case, and the Fejer-kernel
-reconstruction identity used as a numerical oracle.
+reconstruction identity used as a numerical oracle.  Eigenvalues come from
+``model._least_eigs``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .model import EPS_PD, FrequencySet, _mesh_blocks, _tensor_points, gram_batch
+from .model import EPS_PD, FrequencySet, _least_eigs, _mesh_blocks, _tensor_points, gram_batch
 
 # Hard cap on the number of lattice / reconstruction points evaluated at once.
 LATTICE_POINT_CAP = 10**7
@@ -74,31 +75,16 @@ def scale_km(freqs: FrequencySet, theta, M: int) -> np.ndarray:
     return theta / km_factors(freqs, M)
 
 
-def _min_eig(G: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a batch of symmetric matrices (N, m, m)."""
-    m = G.shape[-1]
-    if m == 1:
-        return G[..., 0, 0]
-    if m == 2:
-        tr = G[..., 0, 0] + G[..., 1, 1]
-        disc = (G[..., 0, 0] - G[..., 1, 1]) ** 2 + 4.0 * G[..., 0, 1] ** 2
-        return 0.5 * (tr - np.sqrt(disc))
-    return np.linalg.eigvalsh(G)[..., 0]
-
-
 def _min_eig_over(freqs: FrequencySet, theta, axes) -> float:
     """Smallest Hessian eigenvalue over the tensor grid of per-axis coordinates,
-    calling ``_min_eig`` only where the Gershgorin bound min_r (2 G_rr - sum_c |G_rc|)
-    is within _GERSHGORIN_SLACK * max |G| (far above eigensolver error) of the
-    block's least diagonal entry or the best value so far, each >= the min."""
+    solving only the blocks whose Gershgorin bound lies below the least
+    diagonal entry or the best value so far (each >= the min) by
+    _GERSHGORIN_SLACK * max |G|, far above eigensolver error."""
     best = np.inf
     for mesh in _mesh_blocks(axes, _CHUNK):
         G = gram_batch(freqs, theta, mesh)
-        T = np.moveaxis(G, 0, -1).copy()  # (m, m, N): long inner loops
-        diag, A = T[range(len(T)), range(len(T))], np.abs(T)
-        bound = (2.0 * diag - A.sum(axis=1)).min(axis=0)
-        cap = min(best, diag.min()) + _GERSHGORIN_SLACK * A.max()
-        best = min(best, float(_min_eig(G[bound <= cap]).min(initial=np.inf)))
+        cap = min(best, G.diagonal(axis1=1, axis2=2).min()) + _GERSHGORIN_SLACK * np.abs(G).max()
+        best = min(best, float(_least_eigs(G, cap).min()))
     return best
 
 
@@ -153,14 +139,14 @@ def min_eig_grid(freqs: FrequencySet, theta, resolution: int | None = None) -> f
     # every start descends on its own; the starts still improving move together,
     # each line as points, which give the bits of the line's mesh
     x = np.random.default_rng(0).random((_MULTISTART_COUNT, m))
-    val = _min_eig(gram_batch(freqs, theta, x))
+    val = _least_eigs(gram_batch(freqs, theta, x))
     active = np.arange(len(x))
     for _ in range(8):  # coordinate-descent sweeps
         improved = np.zeros(len(x), dtype=bool)
         for j in range(m):
             pts = np.repeat(x[active], len(axis), axis=0)
             pts[:, j] = np.tile(axis, len(active))
-            vals = _min_eig(gram_batch(freqs, theta, pts)).reshape(len(active), -1)
+            vals = _least_eigs(gram_batch(freqs, theta, pts)).reshape(len(active), -1)
             i = vals.argmin(axis=1)
             lower = vals[range(len(active)), i] < val[active] - 1e-14
             moved = active[lower]

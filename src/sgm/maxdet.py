@@ -23,9 +23,10 @@ for a Mehrotra affine predictor and a second-order corrector centred at
 sigma gap / nu, gap = sum_j <G_j, Z_j> + s' lambda, nu the barrier degree and
 sigma = (gap_aff / gap)^3 (Mehrotra, SIAM J. Optim. 2(4), 1992).  The step is
 0.98 of the largest that keeps G_j, Z_j, the objective stack, s and lambda
-positive, at most 1; there is no line search.  scipy's LAPACK wrappers load on
-the first solve, so importing this module loads numpy only.  Identical inputs
-give bitwise-identical iterate sequences.
+positive, at most 1, read off the factors by ``model._least_eigs``; there is
+no line search.  scipy's LAPACK wrappers load on the first solve, so
+importing this module loads numpy only.  Identical inputs give
+bitwise-identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, InfeasibleStartError, LineSearchError
-from .model import _inverse_svec, _svec_tables
+from .model import _inverse_svec, _least_eigs, _svec_tables
 
 logger = logging.getLogger("sgm.maxdet")
 
@@ -288,19 +289,14 @@ def _inverse_factor(L):
 def _max_step(R, dV, alpha):
     """min(alpha, the largest a with L L' + a dV positive definite in every block),
     for R = L^-1 (T, s, s) and svec columns dV (s', T).  A block's limit is
-    -1 / lambda_min(R dV R'); its least diagonal entry bounds lambda_min from
-    above and Gershgorin discs from below, so only blocks whose disc reaches
-    below -1 / alpha go to eigvalsh."""
+    -1 / lambda_min(R dV R'); the least diagonal entry bounds lambda_min from
+    above, and ``_least_eigs`` solves only the blocks whose Gershgorin discs
+    reach below -1 / alpha."""
     W = R @ _smat(dV, R.shape[1]) @ R.transpose(0, 2, 1)
-    diag = np.diagonal(W, axis1=1, axis2=2)
-    hi = diag.min()
+    hi = np.diagonal(W, axis1=1, axis2=2).min()
     alpha = min(alpha, -1.0 / hi) if hi < 0 else alpha
-    low = (diag + np.abs(diag) - np.abs(W).sum(axis=2)).min(axis=1)
-    need = low < -1.0 / alpha
-    if need.any():
-        least = np.linalg.eigvalsh(W[need])[:, 0].min()
-        alpha = min(alpha, -1.0 / least) if least < 0 else alpha
-    return alpha
+    least = _least_eigs(W, -1.0 / alpha).min()
+    return min(alpha, -1.0 / least) if least < 0 else alpha
 
 
 def _linearize(problem, theta, s, lam, Z):
@@ -410,7 +406,7 @@ def kkt_residual(problem: MaxDetProblem, theta, lam=None, Z=None) -> float:
     if con is not None:
         Z = np.zeros((con.count, con.size, con.size)) if Z is None else np.asarray(Z, dtype=float)
         if Z.shape != (con.count, con.size, con.size) or (
-                np.linalg.eigvalsh(Z)[:, 0] < -1e-14 * np.abs(Z).max(axis=(1, 2))).any():
+                _least_eigs(Z, 0.0) < -1e-14 * np.abs(Z).max(axis=(1, 2))).any():
             raise DomainError("Z must hold one positive semidefinite (s, s) matrix per PSD map")
         Zv = _svec(Z)
         parts[0] = parts[0] + _adjoint(con, Zv)
@@ -430,6 +426,7 @@ def solve(problem: MaxDetProblem) -> SolveReport:
     100, when two iterations after the first certified one fail to halve the
     best, or after _MAX_NEWTON iterations; the best certified iterate (else
     the last) is returned with ``kkt_residual`` recomputed from its theta.
+    A LineSearchError propagates only when the first iteration fails.
     """
     theta = np.zeros(problem.nvars)
     start = _objective(problem, theta, 1)

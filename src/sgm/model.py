@@ -254,13 +254,28 @@ def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
     return H
 
 
+def _least_eigs(G: np.ndarray, cap: float = np.inf) -> np.ndarray:
+    """Smallest eigenvalue of each block of a symmetric stack G (N, s, s): by
+    eigvalsh where the Gershgorin bound min_r (G_rr - sum_{c != r} |G_rc|) is
+    below cap, else that bound, which is >= cap.  The package's one eigvalsh."""
+    r = np.arange(G.shape[-1])
+    A = np.abs(G)
+    A[:, r, r] = 0.0
+    out = (G.diagonal(axis1=1, axis2=2) - A.sum(axis=2)).min(axis=1)
+    need = out < cap
+    if need.any():
+        out[need] = np.linalg.eigvalsh(G[need])[:, 0]
+    return out
+
+
 def _psd_det(G: np.ndarray) -> np.ndarray:
     """det G for a stack of model Hessians under the semidefinite rule: the LU
     determinant, returned as is if every unpivoted LDL^T pivot exceeds
     _PIVOT_SCREEN times its diagonal entry, a margin far above any Cholesky's
-    rounding.  Otherwise a failed batched Cholesky triggers eigvalsh: an
-    eigenvalue below -EPS_PD raises IndefiniteHessianError (theta is
-    infeasible), and points whose smallest eigenvalue is <= 0 get 0."""
+    rounding.  Otherwise a failed batched Cholesky sends the blocks whose
+    Gershgorin discs reach 0 to ``_least_eigs``: an eigenvalue below -EPS_PD
+    raises IndefiniteHessianError (theta is infeasible), and points whose
+    smallest eigenvalue is <= 0 get 0."""
     p = np.linalg.det(G)
     S = np.moveaxis(G, 0, -1).copy()  # Schur complements, one (N,) column per entry
     for k in range(len(S)):
@@ -272,7 +287,7 @@ def _psd_det(G: np.ndarray) -> np.ndarray:
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        lam = np.linalg.eigvalsh(G)[:, 0]
+        lam = _least_eigs(G, np.finfo(float).smallest_subnormal)
         if lam.min() < -EPS_PD:
             i = int(lam.argmin())
             raise IndefiniteHessianError(
@@ -358,18 +373,16 @@ def _inverse_svec(L):
 def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]:
     """Hessians G (N, m, m) and scores tr(G^{-1} H_u) (N, k), summed over entries
     j <= l as g_jl (G^{-1})_jl c_u F[:, u], g = 1 on the diagonal and 2 off it.
-    svec(G^{-1}) comes from a batched Cholesky by ``_inverse_svec``, or if a G is
-    not positive definite from np.linalg.inv, raising SingularHessianError."""
+    svec(G^{-1}) comes from a batched Cholesky by ``_inverse_svec``; where it fails,
+    ``_psd_det`` raises as the density does, and else SingularHessianError is raised."""
     theta = freqs.check_theta(theta)
     cols, n = _columns(X)
     G = _gram(freqs, theta, cols)
     try:
         Ginv = _inverse_svec(np.linalg.cholesky(G))
     except np.linalg.LinAlgError:
-        try:
-            Ginv = np.linalg.inv(G).T[np.triu_indices(freqs.dim)]
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessianError("model Hessian is singular at a sample point") from exc
+        _psd_det(G)
+        raise SingularHessianError("model Hessian is singular at a sample point") from None
     pos, g = _svec_tables(freqs.dim)[:2]
     scores = np.zeros((n, freqs.size))
     for j, l, c, F in _hessian_entries(freqs, cols):

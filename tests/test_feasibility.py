@@ -188,13 +188,13 @@ class TestMinEigGrid:
         axis = np.linspace(0.0, 1.0, resolution)
         best = np.inf
         for x in np.random.default_rng(0).random((feasibility._MULTISTART_COUNT, m)):
-            val = feasibility._min_eig(gram_batch(fs, theta, x[None]))[0]
+            val = np.linalg.eigvalsh(gram_batch(fs, theta, x[None]))[0, 0]
             for _ in range(8):
                 improved = False
                 for j in range(m):
                     line = [axis if i == j else x[i : i + 1] for i in range(m)]
                     mesh = np.meshgrid(*line, indexing="ij", sparse=True)
-                    vals = feasibility._min_eig(gram_batch(fs, theta, mesh))
+                    vals = np.linalg.eigvalsh(gram_batch(fs, theta, mesh))[:, 0]
                     i = int(vals.argmin())
                     if vals[i] < val - 1e-14:
                         val, x[j], improved = vals[i], axis[i], True
@@ -219,16 +219,17 @@ class TestMinEigOver:
         theta = direction * load / (np.abs(direction) @ fs.freqs.astype(float) ** 2).max()
         if small_blocks:
             monkeypatch.setattr(feasibility, "_CHUNK", 1)
-        block_sizes = []
-        min_eig = feasibility._min_eig
-        monkeypatch.setattr(feasibility, "_min_eig",
-                            lambda G: block_sizes.append(len(G)) or min_eig(G))
+        block_sizes = []  # per scanned block of points, the points solved by eigvalsh
+        eigvalsh, least_eigs = np.linalg.eigvalsh, feasibility._least_eigs
+        monkeypatch.setattr(feasibility, "_least_eigs",
+                            lambda G, cap: block_sizes.append(0) or least_eigs(G, cap))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda G: block_sizes.__setitem__(-1, len(G)) or eigvalsh(G))
         dense = {1: 201, 2: 101, 3: 41}[m]
         for axes in ([np.linspace(0.0, 1.0, dense)] * m, feasibility._lattice_axes(m, 5),
                      [np.sort(rng.random(dense // 2)) for _ in range(m)]):
             G = gram_batch(fs, theta, _tensor_points(axes))
-            # scans at m = 2 use the closed form, at m = 1 and 3 the eigensolver
-            want = (min_eig(G) if m == 2 else np.linalg.eigvalsh(G)[:, 0]).min()
+            want = eigvalsh(G)[:, 0].min()
             block_sizes.clear()
             assert feasibility._min_eig_over(fs, theta, axes) == want
             assert sum(block_sizes) < len(G)

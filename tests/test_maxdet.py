@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgm
 from sgm import DomainError, InfeasibleStartError, maxdet
@@ -367,6 +369,22 @@ class TestBarrierStep:
                                dG=svec(A)[:, None], dZ=np.zeros((3, 1)))
         assert _step_length(prob, pt, dirn, 1.0) == pytest.approx(limit, rel=1e-12)
         assert _step_length(prob, pt, dirn, 0.2) == 0.2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 40), st.floats(0.01, 10.0),
+           st.integers(0, 2**32 - 1))
+    def test_max_step_equals_exhaustive_eigenvalue_limit(self, s, T, alpha, seed):
+        from sgm.maxdet import _inverse_factor, _max_step
+
+        # the pruned limit against min(alpha, -1 / lambda_min) over every whitened
+        # block; directions of mixed scales, so that alpha or a block binds
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(T, s, s))
+        R = _inverse_factor(np.linalg.cholesky(A @ A.transpose(0, 2, 1) + 0.1 * np.eye(s)))
+        dV = svec(np.stack([rand_sym(rng, s, 10.0 ** rng.uniform(-4, 0)) for _ in range(T)])).T
+        least = np.linalg.eigvalsh(R @ smat(dV.T) @ R.transpose(0, 2, 1))[:, 0].min()
+        want = min(alpha, -1.0 / least) if least < 0 else alpha
+        assert _max_step(R, dV, alpha) == want
 
 
 class TestPredictor:

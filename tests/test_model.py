@@ -12,6 +12,7 @@ from sgm.analysis import tensor_grid
 from sgm.estimators import _term_values
 from sgm.model import (
     EPS_PD,
+    _least_eigs,
     _psd_det,
     density_batch,
     gradient_map_batch,
@@ -287,6 +288,37 @@ class TestPsdDet:
         assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
 
 
+def gershgorin(G):
+    """min_r (G_rr - sum_{c != r} |G_rc|) per block, a lower bound on lambda_min."""
+    off = np.abs(G) * (1.0 - np.eye(G.shape[-1]))
+    return (np.diagonal(G, axis1=1, axis2=2) - off.sum(axis=2)).min(axis=1)
+
+
+class TestLeastEigs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(pd_stacks(), rank_deficient_stacks(), even_indefinite_stacks()),
+           st.floats(-10.0, 10.0))
+    def test_exact_below_cap_and_a_bound_at_or_above_it(self, G, cap):
+        exact = np.linalg.eigvalsh(G)[:, 0]
+        bound = gershgorin(G)
+        got = _least_eigs(G, cap)
+        below = bound < cap
+        assert np.array_equal(got[below], exact[below])
+        assert np.array_equal(got[~below], bound[~below])
+        assert (got[~below] >= cap).all()
+        assert (bound <= exact + 1e-12 * np.abs(G).max(axis=(1, 2))).all()  # Gershgorin
+        assert np.array_equal(_least_eigs(G), exact)
+
+    def test_single_entry_blocks_are_exact_at_any_cap(self, rng):
+        G = rng.normal(size=(20, 1, 1))
+        for cap in (-np.inf, -0.5, 0.0, 0.5, np.inf):
+            assert np.array_equal(_least_eigs(G, cap), G[:, 0, 0])
+
+    def test_empty_stack(self):
+        for cap in (0.0, np.inf):
+            assert _least_eigs(np.zeros((0, 3, 3)), cap).shape == (0,)
+
+
 class TestPotentialAndGradientMap:
     def test_zero_theta(self, rng):
         fs = sgm.standard_freq_set(2)
@@ -483,17 +515,20 @@ class TestKernels:
         )
         np.testing.assert_allclose(score_batch(fs, theta, X), ref, rtol=1e-12, atol=1e-12)
 
-    def test_scores_fall_back_to_inv_where_cholesky_fails(self):
+    def test_scores_raise_singular_where_cholesky_fails(self):
         # theta = 1 is on the boundary of the u = (1, 1) model: G is singular on
-        # x1 + x2 = 1, where the first three points lie (their rounded G fails
-        # Cholesky, not LU); the last two are interior
+        # x1 + x2 = 1, where the first three points lie (their rounded stack
+        # fails Cholesky, and no eigenvalue is below -EPS_PD); the last two are
+        # interior
         X = np.array([[0.15, 0.85], [0.8, 0.2], [0.9, 0.1], [0.3, 0.3], [0.6, 0.1]])
         G, (H,), _, _, _ = direct_formulas(U11, [1.0], X)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(gram_batch(U11, [1.0], X))
-        ref = np.trace(np.linalg.solve(G, H), axis1=1, axis2=2)
-        assert np.abs(ref[:3]).min() > 1e15
-        np.testing.assert_allclose(score_batch(U11, [1.0], X)[:, 0], ref, rtol=1e-12, atol=0)
+            np.linalg.cholesky(gram_batch(U11, [1.0], X[:3]))
+        for boundary in (X[:3], X):
+            with pytest.raises(SingularHessianError):
+                score_batch(U11, [1.0], boundary)
+        ref = np.trace(np.linalg.solve(G[3:], H[3:]), axis1=1, axis2=2)
+        np.testing.assert_allclose(score_batch(U11, [1.0], X[3:])[:, 0], ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("fs", KERNEL_SETS, ids=lambda fs: f"m{fs.dim}k{fs.size}")
     def test_gram_on_points_and_meshes_matches_direct_formulas(self, fs, rng):
