@@ -19,7 +19,6 @@ from .model import (
     _gram_scores,
     _mesh_blocks,
     _points,
-    _psd_det,
     _tensor_points,
     density_batch,
     mixm_density_batch,
@@ -223,7 +222,7 @@ def fisher_numeric(
     """Fisher information matrix by quadrature of p * score_u * score_v.
 
     Valid for interior-feasible theta; limited to m <= 3.  Per mesh block, J
-    gains one GEMM (S w)' S of the scores S from ``model._gram_scores``.
+    gains (S w)' S, with S and the densities in w from ``model._gram_scores``.
     """
     if freqs.dim > 3:
         raise ResourceLimitError("numeric Fisher information limited to m <= 3")
@@ -233,9 +232,9 @@ def fisher_numeric(
     J = np.zeros((freqs.size, freqs.size))
     lo = 0
     for mesh in _mesh_blocks([rule.nodes] * freqs.dim, _CHUNK):
-        G, scores = _gram_scores(freqs, theta, mesh)
-        w = weights[lo : lo + len(G)] * _psd_det(G)
-        lo += len(G)
+        p, scores = _gram_scores(freqs, theta, mesh)
+        w = weights[lo : lo + len(p)] * p
+        lo += len(p)
         J += (scores * w[:, None]).T @ scores
     return J
 

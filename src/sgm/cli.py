@@ -136,33 +136,16 @@ def load_params(path: str) -> tuple[FrequencySet, np.ndarray]:
     return freqs, theta[order]
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
-def dump_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2)
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def dump_json(obj: dict, path: str | None) -> None:
+    _write_text(json.dumps(obj, indent=2, default=lambda x: x.tolist()) + "\n", path)
 
 
 # ---------------------------------------------------------------------------

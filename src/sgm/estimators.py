@@ -119,7 +119,7 @@ def _term_values(model, freqs, data):
     return np.eye(1), (_cos_product(freqs, data) * freqs.sqnorms)[:, None, :]
 
 
-def _lit_rows(model, freqs, tau):
+def _lit_rows(model, freqs):
     """Budget rows (coefficients on |theta_u|) for the L1-type region, (R, k)."""
     if model == "sgm":
         cols = freqs.freqs.astype(float) ** 2  # (k, m)
@@ -152,7 +152,7 @@ def _lasso_split(m, rows, budget):
 
 def _fit_lit(model, freqs, data, tau):
     base, B = _term_values(model, freqs, data)
-    E, A, b = _lasso_split(0, _lit_rows(model, freqs, tau), tau)
+    E, A, b = _lasso_split(0, _lit_rows(model, freqs), tau)
     problem = maxdet.MaxDetProblem(
         nvars=E.shape[1], objective=maxdet.AffineMatrix(base, B), A=A, b=b, objective_map=E
     )

@@ -268,38 +268,39 @@ def _least_eigs(G: np.ndarray, cap: float = np.inf) -> np.ndarray:
     return out
 
 
-def _psd_det(G: np.ndarray) -> np.ndarray:
-    """det G for a stack of model Hessians under the semidefinite rule: the LU
-    determinant, returned as is if every unpivoted LDL^T pivot exceeds
-    _PIVOT_SCREEN times its diagonal entry, a margin far above any Cholesky's
-    rounding.  Otherwise a failed batched Cholesky sends the blocks whose
-    Gershgorin discs reach 0 to ``_least_eigs``: an eigenvalue below -EPS_PD
-    raises IndefiniteHessianError (theta is infeasible), and points whose
-    smallest eigenvalue is <= 0 get 0."""
+def _psd_det(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det G for a stack of model Hessians under the semidefinite rule, and the
+    stack-last Cholesky factors C (s, s, N) in their lower triangles.  The
+    elimination runs elementwise, so each point is decided by its own pivots:
+    if each exceeds _PIVOT_SCREEN times its diagonal entry, a margin far above
+    any Cholesky's rounding, the point keeps the LU determinant.  Other points
+    go to ``_least_eigs``: an eigenvalue below -EPS_PD raises
+    IndefiniteHessianError (theta is infeasible), and points whose smallest
+    eigenvalue is <= 0 get 0.  C's diagonal is 0 or nan where a pivot is not
+    positive."""
     p = np.linalg.det(G)
-    S = np.moveaxis(G, 0, -1).copy()  # Schur complements, one (N,) column per entry
-    for k in range(len(S)):
-        if not (S[k, k] > _PIVOT_SCREEN * G[:, k, k]).all():  # also stops on nan
-            break
-        S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * (S[k, k + 1 :] / S[k, k])
-    else:
-        return p
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        lam = _least_eigs(G, np.finfo(float).smallest_subnormal)
+    C = np.moveaxis(G, 0, -1).copy()  # factor columns and Schur complements, (N,) each
+    ok = np.ones(len(G), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(C)):
+            ok &= C[k, k] > _PIVOT_SCREEN * G[:, k, k]  # False on nan
+            C[k:, k] /= np.sqrt(C[k, k])
+            C[k + 1 :, k + 1 :] -= C[k + 1 :, k, None] * C[None, k + 1 :, k]
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        lam = _least_eigs(G[bad], np.finfo(float).smallest_subnormal)
         if lam.min() < -EPS_PD:
             i = int(lam.argmin())
             raise IndefiniteHessianError(
-                f"Hessian indefinite at point {i}: min eigenvalue {lam[i]:.3e}"
-            ) from None
-        p[lam <= 0] = 0.0
-    return p
+                f"Hessian indefinite at point {bad[i]}: min eigenvalue {lam[i]:.3e}"
+            )
+        p[bad[lam <= 0]] = 0.0
+    return p, C
 
 
 def density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     """det(D2 psi) for a batch of points, under the rule of ``_psd_det``."""
-    return _psd_det(gram_batch(freqs, theta, X))
+    return _psd_det(gram_batch(freqs, theta, X))[0]
 
 
 def mixm_density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
@@ -371,24 +372,23 @@ def _inverse_svec(L):
 
 
 def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]:
-    """Hessians G (N, m, m) and scores tr(G^{-1} H_u) (N, k), summed over entries
+    """Densities p (N,) and scores tr(G^{-1} H_u) (N, k), summed over entries
     j <= l as g_jl (G^{-1})_jl c_u F[:, u], g = 1 on the diagonal and 2 off it.
-    svec(G^{-1}) comes from a batched Cholesky by ``_inverse_svec``; where it fails,
-    ``_psd_det`` raises as the density does, and else SingularHessianError is raised."""
+    ``_psd_det`` gives p, raising as the density does, and the Cholesky factors
+    that ``_inverse_svec`` turns into svec(G^{-1}); SingularHessianError is
+    raised if any point has a pivot that is not positive or density 0."""
     theta = freqs.check_theta(theta)
     cols, n = _columns(X)
-    G = _gram(freqs, theta, cols)
-    try:
-        Ginv = _inverse_svec(np.linalg.cholesky(G))
-    except np.linalg.LinAlgError:
-        _psd_det(G)
-        raise SingularHessianError("model Hessian is singular at a sample point") from None
+    p, C = _psd_det(_gram(freqs, theta, cols))
+    if not ((np.diagonal(C) > 0).all() and p.all()):
+        raise SingularHessianError("model Hessian is singular at a sample point")
+    Ginv = _inverse_svec(np.moveaxis(C, -1, 0))
     pos, g = _svec_tables(freqs.dim)[:2]
     scores = np.zeros((n, freqs.size))
     for j, l, c, F in _hessian_entries(freqs, cols):
         r = pos[j * freqs.dim + l]
         scores += np.multiply.outer(g[r] * Ginv[r], c) * F
-    return G, scores
+    return p, scores
 
 
 def score_batch(freqs: FrequencySet, theta, X) -> np.ndarray:

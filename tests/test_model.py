@@ -189,6 +189,15 @@ class TestDensity:
         with pytest.raises(IndefiniteHessianError, match="at point 1"):
             density_batch(fs, theta, X)
 
+    def test_boundary_point_is_decided_alone(self):
+        # (0.8, 0.2) lies on the singular line x1 + x2 = 1 of the u = (1, 1)
+        # model at theta = 1; its rounded G passes a LAPACK Cholesky, and that
+        # of (0.15, 0.85) fails it
+        for X in ([[0.8, 0.2]], [[0.8, 0.2], [0.15, 0.85]]):
+            assert density_batch(U11, [1.0], X)[0] == 0.0
+        with pytest.raises(SingularHessianError):
+            score_batch(U11, [1.0], [[0.8, 0.2]])
+
     def test_semidefinite_points_give_zero(self):
         # at theta = 1 the smallest eigenvalue 1 + cos(pi (x1 + x2)) vanishes
         # on the antidiagonal, where rounding leaves it on either side of 0
@@ -204,20 +213,22 @@ class TestDensity:
 
 
 def psd_det_reference(G):
-    """The semidefinite rule as a batched Cholesky classifies it, beside the
-    LU determinant; _psd_det must agree with it bit for bit."""
+    """The semidefinite rule from eigvalsh: the LU determinant, 0 where the
+    smallest eigenvalue is <= 0, and IndefiniteHessianError at the least
+    eigenvalue if it is below -EPS_PD; _psd_det must agree with it bit for bit."""
     p = np.linalg.det(G)
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.eigvalsh(G)[:, 0]
-        if lam.min() < -EPS_PD:
-            i = int(lam.argmin())
-            raise IndefiniteHessianError(
-                f"Hessian indefinite at point {i}: min eigenvalue {lam[i]:.3e}"
-            ) from None
-        p[lam <= 0] = 0.0
+    lam = np.linalg.eigvalsh(G)[:, 0]
+    if lam.min() < -EPS_PD:
+        i = int(lam.argmin())
+        raise IndefiniteHessianError(
+            f"Hessian indefinite at point {i}: min eigenvalue {lam[i]:.3e}"
+        )
+    p[lam <= 0] = 0.0
     return p
+
+
+def psd_det(G):
+    return _psd_det(G)[0]
 
 
 def outcome(fn, G):
@@ -237,9 +248,9 @@ def symmetric(G):
 
 
 @st.composite
-def pd_stacks(draw):
+def pd_stacks(draw, m=None, n_max=6):
     """A A^T + c I with c in [1e-3, 2]: positive definite."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    m, n = m or draw(st.integers(1, 5)), draw(st.integers(1, n_max))
     A = draw(hnp.arrays(np.float64, (n, m, m), elements=ENTRY))
     c = draw(st.floats(1e-3, 2.0))
     return symmetric(A @ np.swapaxes(A, 1, 2) + c * np.eye(m))
@@ -268,11 +279,20 @@ def even_indefinite_stacks(draw, m=None, n_max=6):
     return symmetric(Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2)))
 
 
+@st.composite
+def mixed_stacks(draw):
+    """Up to four stacks of one size m, each of one of the three kinds above."""
+    m = draw(st.integers(1, 5))
+    kinds = [pd_stacks(m, n_max=2), rank_deficient_stacks(m, n_max=2)]
+    kinds += [even_indefinite_stacks(m, n_max=2)] if m >= 2 else []
+    return np.concatenate(draw(st.lists(st.one_of(kinds), min_size=1, max_size=4)))
+
+
 class TestPsdDet:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(pd_stacks(), rank_deficient_stacks(), even_indefinite_stacks()))
-    def test_matches_cholesky_classifier(self, G):
-        assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
+    def test_matches_eigenvalue_rule(self, G):
+        assert outcome(psd_det, G) == outcome(psd_det_reference, G)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -283,9 +303,20 @@ class TestPsdDet:
         bad = data.draw(st.one_of(kinds))[0]
         A = np.random.default_rng(seed).uniform(-3, 3, size=(500, m, m))
         G = symmetric(A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(m))
-        assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
+        assert outcome(psd_det, G) == outcome(psd_det_reference, G)
         G[data.draw(st.integers(0, len(G) - 1))] = bad
-        assert outcome(_psd_det, G) == outcome(psd_det_reference, G)
+        assert outcome(psd_det, G) == outcome(psd_det_reference, G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_stacks())
+    def test_each_point_is_decided_alone(self, G):
+        alone = [outcome(psd_det, g[None]) for g in G]
+        if any(isinstance(o, tuple) for o in alone):
+            assert isinstance(outcome(psd_det, G), tuple)
+            return
+        assert outcome(psd_det, G) == b"".join(alone)
+        C = np.concatenate([_psd_det(g[None])[1] for g in G], axis=-1)
+        np.testing.assert_array_equal(_psd_det(G)[1], C)
 
 
 def gershgorin(G):

@@ -5,7 +5,8 @@ of a symmetric stack is asked for by the feasibility scans, the solver's step
 lengths, its Z >= 0 check and the density's semidefinite rule; all of them go
 through ``model._least_eigs``, the only caller of ``eigvalsh``, so a second
 Gershgorin prefilter cannot creep in unnoticed.  ``model.py`` decides
-"singular" and "indefinite" by Cholesky and ``_psd_det`` alone, without an
+"singular" and "indefinite" by the pivots of ``_psd_det``'s own elementwise
+Cholesky, whose factor the scores invert, without a LAPACK ``cholesky`` or an
 ``inv``.
 """
 
@@ -54,3 +55,7 @@ def test_eigvalsh_is_called_only_in_least_eigs():
 
 def test_model_calls_no_inverse():
     assert [c for c in calls("inv") if c[0] == "model.py"] == []
+
+
+def test_model_calls_no_cholesky():
+    assert [c for c in calls("cholesky") if c[0] == "model.py"] == []
