@@ -4,11 +4,14 @@ Rejection sampling for the gradient and mixture models with analytic
 envelope constants, and the five-dimensional sequential benchmark
 generator.  Streams are fully determined by a 64-bit seed via the PCG64
 generator; proposals and acceptance uniforms are drawn in a fixed order.
+The gradient-model sampler evaluates its density only where a per-cell
+ceiling cannot reject the proposal, which leaves each stream as it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from .errors import DomainError, SgmError
 from .model import FrequencySet, density_batch, mixm_density_batch
 
 _BATCH = 8192
+_CELLS = 4096  # cells of the squeeze's grid, at most
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,41 @@ def rejection_bound(freqs: FrequencySet, theta, model: str = "sgm") -> float:
     raise DomainError(f"unknown model {model!r}")
 
 
-def _rejection(freqs, theta, n, seed, density_fn, bound):
+def _cell_ceiling(freqs: FrequencySet, theta) -> tuple[int, np.ndarray]:
+    """Per-cell density ceilings for ``sample_sgm``'s squeeze, shape (r,) * m: the
+    cube cut into r^m equal cells, r the largest integer with r^m <= _CELLS.
+    cos(pi u_j x_j) ranges on [i/r, (i+1)/r] over its endpoint values, widened to
+    +-1 where an even or odd integer lies strictly inside (u_j i/r, u_j (i+1)/r).
+    Interval products over the axes bound each prod_j cos on a cell by [lo, hi], so
+    G_jj <= g_j = 1 + sum_u max(c lo, c hi), c = theta_u u_j^2, rounded outward, and
+    Hadamard's inequality gives det G <= prod_j G_jj for G >= 0.  A g_j < 0 puts
+    G_jj < 0 on a whole cell: DomainError."""
+    theta = freqs.check_theta(theta)
+    (k, m), U = freqs.freqs.shape, freqs.freqs
+    r = int(_CELLS ** (1 / m) + 1e-9)  # the largest r with r^m <= _CELLS
+    a = U[:, :, None] * np.arange(r + 1)  # angles pi a / r at the cell ends, (k, m, r+1)
+    ends = np.cos(np.pi * a / r)
+    k0, k1 = a[..., :-1] // r + 1, (a[..., 1:] - 1) // r  # the integers strictly inside
+    lo = np.where(k1 >= k0 + 1 - k0 % 2, -1.0, np.minimum(ends[..., :-1], ends[..., 1:]))
+    hi = np.where(k1 >= k0 + k0 % 2, 1.0, np.maximum(ends[..., :-1], ends[..., 1:]))
+    L, H = lo[:, 0], hi[:, 0]  # (k, cells so far), first axis slowest
+    for j in range(1, m):
+        P = [(x[:, :, None] * y[:, None]).reshape(k, -1) for x in (L, H) for y in (lo[:, j], hi[:, j])]
+        L, H = reduce(np.minimum, P), reduce(np.maximum, P)
+    c = theta[:, None] * U**2
+    # outward rounding: angles, cosines, their m-fold products and the (k+1)-term sum
+    slack = (k + 2 + m * (10 * freqs.u_max + 3)) * np.finfo(float).eps
+    g = np.stack([1.0 + np.maximum(cj[:, None] * L, cj[:, None] * H).sum(axis=0) for cj in c.T])
+    g += slack * (1.0 + np.abs(c).sum(axis=0))[:, None]
+    if (g < 0).any():
+        raise DomainError("a Hessian diagonal is negative on a whole cell: theta is infeasible")
+    return r, g.prod(axis=0).reshape((r,) * m)
+
+
+def _rejection(freqs, n, seed, density_fn, bound, ceiling):
+    """Rejection under the global ``bound``, squeezed by ``ceiling(X)`` >= the density:
+    a proposal with U bound above its ceiling is rejected unevaluated, which keeps
+    every draw since ``density_fn`` gives each point the same bits in any batch."""
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -54,22 +92,25 @@ def _rejection(freqs, theta, n, seed, density_fn, bound):
     while filled < n:
         X = rng.random((_BATCH, freqs.dim))
         U = rng.random(_BATCH)
-        p = density_fn(X)
+        top = np.broadcast_to(ceiling(X) * (1.0 + 1e-12) + 1e-12 * bound, U.shape)
+        live = np.flatnonzero(U * bound <= top)
+        p = np.zeros(_BATCH)
+        p[live] = density_fn(X[live])
         proposed += _BATCH
         if p.min() < -1e-12 * bound:
             raise DomainError(
                 f"negative density {p.min():.3e} at a proposal: theta is infeasible"
             )
-        if p.max() > bound * (1.0 + 1e-12):
-            raise SgmError(
-                f"rejection bound violated: density {p.max():.17g} > bound {bound:.17g}"
-            )
-        acc = X[U * bound <= p]
+        if (p > top).any():
+            i = int(np.argmax(p - top))
+            raise SgmError(f"rejection ceiling violated: density {p[i]:.17g} > ceiling {top[i]:.17g}")
+        hit = U * bound <= p
+        acc = X[hit]
         take = min(len(acc), n - filled)
         out[filled : filled + take] = acc[:take]
         # count only proposals actually examined so the acceptance rate is unbiased
         if take < len(acc):
-            used = np.nonzero(U * bound <= p)[0][take - 1] + 1
+            used = np.nonzero(hit)[0][take - 1] + 1
             proposed -= _BATCH - int(used)
         filled += take
     return out, RejectionInfo(n_samples=n, n_proposed=proposed, bound=bound)
@@ -79,11 +120,14 @@ def sample_sgm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool 
     """n i.i.d. draws from the gradient-model density by rejection.
 
     Exact in distribution; the expected number of proposals per sample is
-    the envelope constant.
+    the envelope constant.  The density is evaluated only at proposals that
+    ``_cell_ceiling``'s squeeze cannot reject: the draws are plain rejection's, bit for bit.
     """
     bound = rejection_bound(freqs, theta, "sgm")
+    r, ceil = _cell_ceiling(freqs, theta)
     out, info = _rejection(
-        freqs, theta, n, seed, lambda X: density_batch(freqs, theta, X), bound
+        freqs, n, seed, lambda X: density_batch(freqs, theta, X), bound,
+        lambda X: ceil[tuple(np.minimum((X * r).astype(np.intp), r - 1).T)],
     )
     return (out, info) if return_info else out
 
@@ -92,7 +136,7 @@ def sample_mixm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool
     """n i.i.d. draws from the mixture-model density by rejection."""
     bound = rejection_bound(freqs, theta, "mixm")
     out, info = _rejection(
-        freqs, theta, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound
+        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound, lambda X: bound
     )
     return (out, info) if return_info else out
 

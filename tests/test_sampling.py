@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgm
-from sgm import DomainError, FrequencySet, QuadratureRule
+from sgm import DomainError, FrequencySet, QuadratureRule, sampling
 from sgm.model import density_batch, mixm_density_batch
+from sgm.sampling import _cell_ceiling
 
 from conftest import random_lit_interior
 
@@ -75,6 +80,125 @@ class TestSampleSgm:
     def test_infeasible_theta_detected(self):
         with pytest.raises(DomainError):
             sgm.sample_sgm(U11, [1.8], 100, seed=0)
+
+
+def boundary_theta(fs, rng):
+    """A theta on the L1 region's boundary: its heaviest axis carries load exactly 1."""
+    z = rng.normal(size=fs.size)
+    return z / (np.abs(z) @ fs.freqs.astype(float) ** 2).max()
+
+
+def assert_ceiling_dominates(fs, theta, rng, per_cell=4):
+    """On every cell, the density at the cell's corners, its centre and per_cell
+    random points is within the sampler's tolerance of the cell's ceiling."""
+    bound = sgm.rejection_bound(fs, theta)
+    r, ceil = _cell_ceiling(fs, theta)
+    m = fs.dim
+    assert ceil.shape == (r,) * m and r ** m <= 4096 < (r + 1) ** m
+    cells = np.array(list(itertools.product(range(r), repeat=m)))
+    V = np.concatenate([list(itertools.product((0.0, 1.0), repeat=m)), np.full((1, m), 0.5)])
+    V = np.concatenate([np.broadcast_to(V, (len(cells),) + V.shape),
+                        rng.random((len(cells), per_cell, m))], axis=1)
+    X = np.minimum((cells[:, None] + V) / r, 1.0)
+    p = density_batch(fs, theta, X.reshape(-1, m)).reshape(len(cells), -1)
+    top = ceil[tuple(cells.T)] * (1.0 + 1e-12) + 1e-12 * bound
+    assert (p <= top[:, None]).all()
+
+
+class TestCellCeiling:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_dominates_density_on_every_cell(self, m, on_boundary, seed):
+        fs, rng = sgm.standard_freq_set(m), np.random.default_rng(seed)
+        if on_boundary:
+            theta = boundary_theta(fs, rng)
+        else:
+            theta = random_lit_interior(fs, rng, margin=0.05)
+        assert_ceiling_dominates(fs, theta, rng)
+
+    @pytest.mark.parametrize("fs, theta", [
+        (U11, [1.0]),
+        (FrequencySet.from_vectors([[2]]), [0.25]),
+        (FrequencySet.from_vectors([[2]]), [-0.25]),
+        (FrequencySet.from_vectors([[3]]), [-1.0 / 9.0]),  # extrema 1/3, 2/3 inside cells
+        # r = 5 at m = 5: the middle cells [0.4, 0.6] straddle the extremum x = 1/2 of u = 2
+        (FrequencySet.from_vectors([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [1, 1, 0, 0, 0],
+                                    [0, 0, 2, 1, 0], [0, 0, 0, 1, 2]]),
+         [-0.2, -0.2, 0.15, -0.2, -0.2]),
+    ])
+    def test_dominates_density_at_interior_extrema_and_boundary(self, fs, theta):
+        assert_ceiling_dominates(fs, theta, np.random.default_rng(0))
+
+    def test_widens_to_the_interior_extremum(self):
+        fs = FrequencySet.from_vectors([[2, 0, 0, 0, 0]])
+        r, ceil = _cell_ceiling(fs, [-0.2])
+        assert r == 5
+        # G_00 = 1 + 0.8 on the cell around x_0 = 1/2, where cos(2 pi x_0) = -1
+        assert ceil[2, 0, 0, 0, 0] >= 1.8
+        assert ceil[2, 0, 0, 0, 0] == pytest.approx(1.8, rel=1e-13)
+
+    def test_negative_diagonal_raises_before_any_proposal(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("density evaluated")
+        monkeypatch.setattr(sampling, "density_batch", never)
+        for seed in range(20):
+            with pytest.raises(DomainError, match="theta is infeasible"):
+                sgm.sample_sgm(U11, [1.05], 100, seed=seed)
+
+
+def plain_rejection(density, bound, dim, n, seed):
+    """Rejection under the global bound with no squeeze, in 8,192-row batches
+    of X then U: the draws and the count of proposals examined."""
+    rng = np.random.default_rng(seed)
+    rows, proposed, filled = [], 0, 0
+    while filled < n:
+        X = rng.random((8192, dim))
+        U = rng.random(8192)
+        hit = np.flatnonzero(U * bound <= density(X))
+        need = n - filled
+        proposed += 8192 if len(hit) <= need else int(hit[need - 1]) + 1
+        rows.append(X[hit[:need]])
+        filled += len(rows[-1])
+    return np.concatenate(rows), proposed
+
+
+def stream_cases():
+    rng = np.random.default_rng(2024)
+    fs3 = sgm.standard_freq_set(3)
+    return [(U11, np.array([0.5])), (U7, theta7()),
+            (fs3, random_lit_interior(fs3, rng)), (fs3, boundary_theta(fs3, rng))]
+
+
+class TestSqueezeKeepsStreams:
+    @pytest.mark.parametrize("case", range(4))
+    def test_sgm_equals_plain_rejection(self, case):
+        fs, theta = stream_cases()[case]
+        bound = sgm.rejection_bound(fs, theta)
+        ref, proposed = plain_rejection(
+            lambda X: density_batch(fs, theta, X), bound, fs.dim, 6000, seed=41 + case)
+        out, info = sgm.sample_sgm(fs, theta, 6000, seed=41 + case, return_info=True)
+        assert out.tobytes() == ref.tobytes()
+        assert (info.n_proposed, info.bound) == (proposed, bound)
+
+    def test_mixm_equals_plain_rejection(self):
+        fs = sgm.standard_freq_set(2)
+        z = np.random.default_rng(3).normal(size=fs.size)
+        theta = 0.8 * z / (np.abs(z) @ fs.sqnorms)  # density >= 0.2
+        bound = sgm.rejection_bound(fs, theta, "mixm")
+        ref, proposed = plain_rejection(
+            lambda X: mixm_density_batch(fs, theta, X), bound, 2, 6000, seed=5)
+        out, info = sgm.sample_mixm(fs, theta, 6000, seed=5, return_info=True)
+        assert out.tobytes() == ref.tobytes() and info.n_proposed == proposed
+
+    def test_density_evaluated_at_most_at_half_the_proposals(self, monkeypatch):
+        points = []
+
+        def counted(freqs, theta, X):
+            points.append(len(X))
+            return density_batch(freqs, theta, X)
+        monkeypatch.setattr(sampling, "density_batch", counted)
+        out, info = sgm.sample_sgm(U7, theta7(), 20000, seed=5, return_info=True)
+        assert 0 < sum(points) <= info.n_proposed / 2
 
 
 class TestSampleMixm:
