@@ -5,7 +5,9 @@ envelope constants, and the five-dimensional sequential benchmark
 generator.  Streams are fully determined by a 64-bit seed via the PCG64
 generator; proposals and acceptance uniforms are drawn in a fixed order.
 The gradient-model sampler evaluates its density only where a per-cell
-ceiling cannot reject the proposal, which leaves each stream as it was.
+ceiling cannot reject the proposal or the cell is not proven semidefinite,
+which leaves each stream as it was and raises for an infeasible theta no
+later than plain rejection.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .model import FrequencySet, density_batch, mixm_density_batch
 
 _BATCH = 8192
 _CELLS = 4096  # cells of the squeeze's grid, at most
+_WORK = 2**20  # m k r^m, which the squeeze's setup time grows with, at most
 
 
 @dataclass(frozen=True)
@@ -48,41 +51,51 @@ def rejection_bound(freqs: FrequencySet, theta, model: str = "sgm") -> float:
     raise DomainError(f"unknown model {model!r}")
 
 
-def _cell_ceiling(freqs: FrequencySet, theta) -> tuple[int, np.ndarray]:
-    """Per-cell density ceilings for ``sample_sgm``'s squeeze, shape (r,) * m: the
-    cube cut into r^m equal cells, r the largest integer with r^m <= _CELLS.
-    cos(pi u_j x_j) ranges on [i/r, (i+1)/r] over its endpoint values, widened to
-    +-1 where an even or odd integer lies strictly inside (u_j i/r, u_j (i+1)/r).
-    Interval products over the axes bound each prod_j cos on a cell by [lo, hi], so
-    G_jj <= g_j = 1 + sum_u max(c lo, c hi), c = theta_u u_j^2, rounded outward, and
-    Hadamard's inequality gives det G <= prod_j G_jj for G >= 0.  A g_j < 0 puts
-    G_jj < 0 on a whole cell: DomainError."""
+def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.ndarray]:
+    """Density ceilings on the r^m equal cells of the cube, shape (r,) * m, r >= 1 the
+    largest with r^m <= _CELLS and m k r^m <= _WORK.  The exact ranges of cos(pi u_j x_j)
+    and |sin| on each cell's sides, multiplied over the axes, bound G_jj by [d_j, g_j]
+    and sum_{l != j} |G_jl| by R_j, all rounded outward.  A cell with every d_j >= R_j
+    has G >= 0 (Gershgorin), so det G <= prod_j g_j (Hadamard); the other cells get
+    ``bound``, so each of their proposals is evaluated.  A g_j < 0 puts G_jj < 0 on a
+    whole cell: DomainError.  One cell's ceiling is the bound, so r = 1 squeezes nothing."""
     theta = freqs.check_theta(theta)
     (k, m), U = freqs.freqs.shape, freqs.freqs
-    r = int(_CELLS ** (1 / m) + 1e-9)  # the largest r with r^m <= _CELLS
-    a = U[:, :, None] * np.arange(r + 1)  # angles pi a / r at the cell ends, (k, m, r+1)
-    ends = np.cos(np.pi * a / r)
-    k0, k1 = a[..., :-1] // r + 1, (a[..., 1:] - 1) // r  # the integers strictly inside
-    lo = np.where(k1 >= k0 + 1 - k0 % 2, -1.0, np.minimum(ends[..., :-1], ends[..., 1:]))
-    hi = np.where(k1 >= k0 + k0 % 2, 1.0, np.maximum(ends[..., :-1], ends[..., 1:]))
-    L, H = lo[:, 0], hi[:, 0]  # (k, cells so far), first axis slowest
-    for j in range(1, m):
-        P = [(x[:, :, None] * y[:, None]).reshape(k, -1) for x in (L, H) for y in (lo[:, j], hi[:, j])]
+    r = max(1, int(min(_CELLS, _WORK / (m * k)) ** (1 / m) + 1e-9))
+    a = 2 * U[:, :, None] * np.arange(r + 1)  # 2t r at the cell ends of each angle pi t
+    n0, n1 = a[..., :-1] // r + 1, (a[..., 1:] - 1) // r  # the integers 2t strictly inside
+    peak = lambda e, p: n0 + (e - n0) % p <= n1  # some 2t = e (mod p) inside the cell
+    cos, sin = np.cos(np.pi * a / (2 * r)), np.abs(np.sin(np.pi * a / (2 * r)))
+    lo = np.where(peak(2, 4), -1.0, np.minimum(cos[..., :-1], cos[..., 1:]))
+    hi = np.where(peak(0, 4), 1.0, np.maximum(cos[..., :-1], cos[..., 1:]))
+    S = np.where(peak(1, 2), 1.0, np.maximum(sin[..., :-1], sin[..., 1:])) * U[..., None]
+    C = np.maximum(-lo, hi)
+    ax = lambda v, j: v[:, j].T.reshape((1,) * j + (r,) + (1,) * (m - j - 1) + (k,))
+    L = H = 1.0  # over the grid (r,) * m + (k,), frequencies last
+    for j in range(m):
+        P = [x * y for x in (L, H) for y in (ax(lo, j), ax(hi, j))]
         L, H = reduce(np.minimum, P), reduce(np.maximum, P)
-    c = theta[:, None] * U**2
-    # outward rounding: angles, cosines, their m-fold products and the (k+1)-term sum
-    slack = (k + 2 + m * (10 * freqs.u_max + 3)) * np.finfo(float).eps
-    g = np.stack([1.0 + np.maximum(cj[:, None] * L, cj[:, None] * H).sum(axis=0) for cj in c.T])
-    g += slack * (1.0 + np.abs(c).sum(axis=0))[:, None]
-    if (g < 0).any():
+    # outward rounding: angles, sines and cosines, their m-fold products and the sums
+    w = np.abs(theta)
+    slack = (k + 2 + m * (10 * freqs.u_max + 4)) * np.finfo(float).eps
+    slack = slack * (1.0 + w @ (U * U.sum(axis=1, keepdims=True)))  # each row's weight
+    g, ok = [], True
+    for j, cj in enumerate(theta * U.T**2):
+        g.append(1.0 + np.maximum(cj * L, cj * H).sum(axis=-1) + slack[j])
+        P, D = 1.0, 0.0  # the dual product of |cos_i| + e |u_i sin_i| over i != j
+        for i in set(range(m)) - {j}:
+            P, D = P * ax(C, i), D * ax(C, i) + P * ax(S, i)
+        ok &= 1.0 + np.minimum(cj * L, cj * H).sum(axis=-1) - (ax(S, j) * D) @ w >= slack[j]
+    if (np.array(g) < 0).any():
         raise DomainError("a Hessian diagonal is negative on a whole cell: theta is infeasible")
-    return r, g.prod(axis=0).reshape((r,) * m)
+    return r, np.where(ok, np.prod(g, axis=0) + 1e-12 * bound, bound)
 
 
-def _rejection(freqs, n, seed, density_fn, bound, ceiling):
+def _rejection(freqs, n, seed, density_fn, bound, ceiling=None):
     """Rejection under the global ``bound``, squeezed by ``ceiling(X)`` >= the density:
     a proposal with U bound above its ceiling is rejected unevaluated, which keeps
-    every draw since ``density_fn`` gives each point the same bits in any batch."""
+    every draw since ``density_fn`` gives each point the same bits in any batch.
+    With no ``ceiling``, every proposal is evaluated."""
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -92,10 +105,14 @@ def _rejection(freqs, n, seed, density_fn, bound, ceiling):
     while filled < n:
         X = rng.random((_BATCH, freqs.dim))
         U = rng.random(_BATCH)
-        top = np.broadcast_to(ceiling(X) * (1.0 + 1e-12) + 1e-12 * bound, U.shape)
-        live = np.flatnonzero(U * bound <= top)
-        p = np.zeros(_BATCH)
-        p[live] = density_fn(X[live])
+        top = bound if ceiling is None else ceiling(X)
+        top = np.broadcast_to(top * (1.0 + 1e-12), U.shape)
+        live = U * bound <= top
+        if live.all():
+            p = density_fn(X)
+        else:
+            p = np.zeros(_BATCH)
+            p[live] = density_fn(X[live])
         proposed += _BATCH
         if p.min() < -1e-12 * bound:
             raise DomainError(
@@ -103,7 +120,9 @@ def _rejection(freqs, n, seed, density_fn, bound, ceiling):
             )
         if (p > top).any():
             i = int(np.argmax(p - top))
-            raise SgmError(f"rejection ceiling violated: density {p[i]:.17g} > ceiling {top[i]:.17g}")
+            raise SgmError(
+                f"rejection ceiling violated: density {p[i]:.17g} > ceiling {top[i]:.17g}"
+            )
         hit = U * bound <= p
         acc = X[hit]
         take = min(len(acc), n - filled)
@@ -122,12 +141,14 @@ def sample_sgm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool 
     Exact in distribution; the expected number of proposals per sample is
     the envelope constant.  The density is evaluated only at proposals that
     ``_cell_ceiling``'s squeeze cannot reject: the draws are plain rejection's, bit for bit.
+    Cells not proven semidefinite are not squeezed, so an indefinite Hessian raises
+    no later than under plain rejection.
     """
     bound = rejection_bound(freqs, theta, "sgm")
-    r, ceil = _cell_ceiling(freqs, theta)
+    r, ceil = _cell_ceiling(freqs, theta, bound)
     out, info = _rejection(
         freqs, n, seed, lambda X: density_batch(freqs, theta, X), bound,
-        lambda X: ceil[tuple(np.minimum((X * r).astype(np.intp), r - 1).T)],
+        None if r == 1 else lambda X: ceil[tuple(np.minimum((X * r).astype(np.intp), r - 1).T)],
     )
     return (out, info) if return_info else out
 
@@ -136,7 +157,7 @@ def sample_mixm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool
     """n i.i.d. draws from the mixture-model density by rejection."""
     bound = rejection_bound(freqs, theta, "mixm")
     out, info = _rejection(
-        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound, lambda X: bound
+        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound
     )
     return (out, info) if return_info else out
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sgm
 from sgm import DomainError, FrequencySet, QuadratureRule, sampling
-from sgm.model import density_batch, mixm_density_batch
+from sgm.model import density_batch, gram_batch, mixm_density_batch
 from sgm.sampling import _cell_ceiling
 
 from conftest import random_lit_interior
@@ -88,20 +88,26 @@ def boundary_theta(fs, rng):
     return z / (np.abs(z) @ fs.freqs.astype(float) ** 2).max()
 
 
-def assert_ceiling_dominates(fs, theta, rng, per_cell=4):
-    """On every cell, the density at the cell's corners, its centre and per_cell
-    random points is within the sampler's tolerance of the cell's ceiling."""
-    bound = sgm.rejection_bound(fs, theta)
-    r, ceil = _cell_ceiling(fs, theta)
-    m = fs.dim
-    assert ceil.shape == (r,) * m and r ** m <= 4096 < (r + 1) ** m
+def cell_points(r, m, rng, per_cell=4):
+    """The cells of the r^m grid, (C, m), and points of each, (C, 2^m + 1 + per_cell, m):
+    its corners, its centre and per_cell random points."""
     cells = np.array(list(itertools.product(range(r), repeat=m)))
     V = np.concatenate([list(itertools.product((0.0, 1.0), repeat=m)), np.full((1, m), 0.5)])
     V = np.concatenate([np.broadcast_to(V, (len(cells),) + V.shape),
                         rng.random((len(cells), per_cell, m))], axis=1)
-    X = np.minimum((cells[:, None] + V) / r, 1.0)
+    return cells, np.minimum((cells[:, None] + V) / r, 1.0)
+
+
+def assert_ceiling_dominates(fs, theta, rng):
+    """On every cell, the density at the cell's points is within the sampler's
+    tolerance of the cell's ceiling."""
+    bound = sgm.rejection_bound(fs, theta)
+    r, ceil = _cell_ceiling(fs, theta, bound)
+    m = fs.dim
+    assert ceil.shape == (r,) * m and r ** m <= 4096 and m * fs.size * r ** m <= 2**20
+    cells, X = cell_points(r, m, rng)
     p = density_batch(fs, theta, X.reshape(-1, m)).reshape(len(cells), -1)
-    top = ceil[tuple(cells.T)] * (1.0 + 1e-12) + 1e-12 * bound
+    top = ceil[tuple(cells.T)] * (1.0 + 1e-12)
     assert (p <= top[:, None]).all()
 
 
@@ -131,11 +137,39 @@ class TestCellCeiling:
 
     def test_widens_to_the_interior_extremum(self):
         fs = FrequencySet.from_vectors([[2, 0, 0, 0, 0]])
-        r, ceil = _cell_ceiling(fs, [-0.2])
+        r, ceil = _cell_ceiling(fs, [-0.2], 1.8)
         assert r == 5
         # G_00 = 1 + 0.8 on the cell around x_0 = 1/2, where cos(2 pi x_0) = -1
         assert ceil[2, 0, 0, 0, 0] >= 1.8
-        assert ceil[2, 0, 0, 0, 0] == pytest.approx(1.8, rel=1e-13)
+        assert ceil[2, 0, 0, 0, 0] == pytest.approx(1.8, rel=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([U11, U7, FrequencySet.from_vectors([[1, 0, 0]]), sgm.standard_freq_set(2),
+                            sgm.standard_freq_set(3)]),
+           st.floats(0.9, 1.3), st.integers(0, 2**32 - 1))
+    def test_squeezed_cells_are_semidefinite(self, fs, scale, seed):
+        # a cell whose ceiling is below the envelope skips evaluations, so no
+        # point of it may have an indefinite Hessian
+        rng = np.random.default_rng(seed)
+        theta = scale * boundary_theta(fs, rng)
+        bound = sgm.rejection_bound(fs, theta)
+        try:
+            r, ceil = _cell_ceiling(fs, theta, bound)
+        except DomainError:
+            return
+        cells, X = cell_points(r, fs.dim, rng)
+        X = X[ceil[tuple(cells.T)] < bound].reshape(-1, fs.dim)
+        assert np.linalg.eigvalsh(gram_batch(fs, theta, X))[:, 0].min() >= -1e-12
+
+    @pytest.mark.parametrize("fs, theta", [
+        (FrequencySet.from_vectors([[1, 0, 0]]), [1.019]),  # G_00 < 0 on part of the last cell
+        (U11, [-1.0001]),  # G indefinite on a band along x_1 = x_2, diagonal >= 0
+    ])
+    def test_partly_indefinite_cells_are_evaluated(self, fs, theta):
+        _cell_ceiling(fs, theta, sgm.rejection_bound(fs, theta))  # no cell is wholly negative
+        for seed in range(20):
+            with pytest.raises(DomainError, match="indefinite|infeasible"):
+                sgm.sample_sgm(fs, theta, 100, seed=seed)
 
     def test_negative_diagonal_raises_before_any_proposal(self, monkeypatch):
         def never(*args):
