@@ -28,11 +28,11 @@ from .errors import (
     DomainError,
     IndefiniteHessianError,
     InfeasibleStartError,
-    LineSearchError,
     NumericalError,
     ResourceLimitError,
     SgmError,
     SingularHessianError,
+    SolverError,
 )
 from .feasibility import (
     LatticeRegion,

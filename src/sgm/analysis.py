@@ -102,23 +102,36 @@ def _grid_density(freqs, theta, model, rule):
     return np.concatenate([dens(mesh) for mesh in blocks]).reshape((len(rule),) * freqs.dim)
 
 
-def correlation(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
-    """Correlation of the two-dimensional single-frequency u=(1,1) model."""
-    bound = 1.0 if model == "sgm" else 0.5
+def _region_bound(u, model: str) -> float:
+    """Largest |theta| at which the one-frequency model u is feasible: 1 / max_j u_j^2
+    for the gradient model (its L1-type region at tau = 1), 1 / ||u||^2 for the mixture."""
+    sq = np.square(u, dtype=float)
+    return 1.0 / (sq.max() if model == "sgm" else sq.sum())
+
+
+def _standardized_moment(u, theta, model, rule, center=None) -> float:
+    """E[prod_j (X_j - c_j)^a_j] / prod_j E[(X_j - c_j)^2]^(a_j / 2) under the
+    one-frequency model u at theta, with the frequency's own exponents a = u and
+    c_j the mean of X_j, or ``center`` for every j."""
+    bound = _region_bound(u, model)
     if abs(theta) > bound + 1e-12:
         raise DomainError(f"|theta| must be <= {bound} for model {model!r}")
     rule = _rule(rule)
-    freqs = FrequencySet.from_vectors([[1, 1]])
-    p = _grid_density(freqs, [theta], model, rule)
-    w, x = rule.weights, rule.nodes
-    mass_x = (w[:, None] * w[None, :] * p).sum(axis=1)
-    mass_y = (w[:, None] * w[None, :] * p).sum(axis=0)
-    ex = x @ mass_x
-    ey = x @ mass_y
-    exy = x @ ((w[:, None] * w[None, :] * p) @ x)
-    vx = (x**2) @ mass_x - ex**2
-    vy = (x**2) @ mass_y - ey**2
-    return float((exy - ex * ey) / np.sqrt(vx * vy))
+    m = len(u)
+    p = _grid_density(FrequencySet.from_vectors([u]), [theta], model, rule)
+    W = p * _tensor_weights(rule, m).reshape(p.shape)  # the quadrature masses
+    num, scale = W, 1.0
+    for j, a in enumerate(u):
+        marg = W.sum(axis=tuple(i for i in range(m) if i != j))
+        d = rule.nodes - (rule.nodes @ marg if center is None else center)
+        num = np.tensordot(d**a, num, 1)  # contracts axis j, the leading one left
+        scale *= (d**2 @ marg) ** (a / 2)
+    return float(num / scale)
+
+
+def correlation(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
+    """Correlation of the two-dimensional single-frequency u=(1,1) model."""
+    return _standardized_moment((1, 1), theta, model, rule)
 
 
 def beta122(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
@@ -126,40 +139,12 @@ def beta122(theta: float, model: str = "sgm", rule: QuadratureRule | None = None
 
     E[(X1 - 1/2)(X2 - 1/2)^2] / (V[X1]^{1/2} V[X2]).
     """
-    bound = 0.25 if model == "sgm" else 0.2
-    if abs(theta) > bound + 1e-12:
-        raise DomainError(f"|theta| must be <= {bound} for model {model!r}")
-    rule = _rule(rule)
-    freqs = FrequencySet.from_vectors([[1, 2]])
-    p = _grid_density(freqs, [theta], model, rule)
-    w, x = rule.weights, rule.nodes
-    W = w[:, None] * w[None, :] * p
-    d = x - 0.5
-    num = d @ (W @ d**2)
-    v1 = d**2 @ W.sum(axis=1)
-    v2 = W.sum(axis=0) @ d**2
-    return float(num / (np.sqrt(v1) * v2))
+    return _standardized_moment((1, 2), theta, model, rule, center=0.5)
 
 
 def beta123(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
     """Standardized three-way interaction coefficient of the u=(1,1,1) model."""
-    bound = 1.0 if model == "sgm" else 1.0 / 3.0
-    if abs(theta) > bound + 1e-12:
-        raise DomainError(f"|theta| must be <= {bound} for model {model!r}")
-    rule = _rule(rule)
-    freqs = FrequencySet.from_vectors([[1, 1, 1]])
-    p = _grid_density(freqs, [theta], model, rule)
-    w, x = rule.weights, rule.nodes
-    marg = [
-        np.einsum("ijk,j,k->i", p, w, w) * w,
-        np.einsum("ijk,i,k->j", p, w, w) * w,
-        np.einsum("ijk,i,j->k", p, w, w) * w,
-    ]
-    means = [x @ m for m in marg]
-    variances = [(x - mu) ** 2 @ m for mu, m in zip(means, marg)]
-    d = [w * (x - mu) for mu in means]
-    num = np.einsum("ijk,i,j,k->", p, d[0], d[1], d[2])
-    return float(num / np.sqrt(np.prod(variances)))
+    return _standardized_moment((1, 1, 1), theta, model, rule)
 
 
 def cond_mutual_info(
@@ -284,15 +269,14 @@ def density_grid(
         cond = {int(a): float(v) for a, v in conditioning.items()}
         if sorted(cond) != comp:
             raise DomainError("conditioning must fix exactly the complement axes")
+        cond_point = np.array([cond[a] for a in comp])  # checked here before any density
+        norm = marginal_density(freqs, theta, comp, cond_point, model=model, rule=rule)
         pts = np.empty((len(pairs), freqs.dim))
         pts[:, i] = pairs[:, 0]
         pts[:, j] = pairs[:, 1]
         for a, v in cond.items():
             pts[:, a] = v
-        joint = _density_fn(freqs, theta, model)(pts)
-        cond_point = np.array([cond[a] for a in comp])
-        norm = marginal_density(freqs, theta, comp, cond_point, model=model, rule=rule)
-        values = joint / norm
+        values = _density_fn(freqs, theta, model)(pts) / norm
     else:
         values = marginal_density(freqs, theta, [i, j], pairs, model=model, rule=rule)
     return DensityGrid(
@@ -305,21 +289,11 @@ def table1(nodes: int = DEFAULT_NODES) -> dict:
     and the conditional-mutual-information leading coefficients."""
     rule = QuadratureRule.gauss_legendre(nodes)
     eps = 0.05
+    models = ("sgm", "mixm")
+    extremal = lambda f, u, sign: {m: f(sign * _region_bound(u, m), m, rule) for m in models}
     return {
-        "correlation": {
-            "sgm": correlation(1.0, "sgm", rule),
-            "mixm": correlation(0.5, "mixm", rule),
-        },
-        "beta122": {
-            "sgm": beta122(-0.25, "sgm", rule),
-            "mixm": beta122(-0.2, "mixm", rule),
-        },
-        "beta123": {
-            "sgm": beta123(-1.0, "sgm", rule),
-            "mixm": beta123(-1.0 / 3.0, "mixm", rule),
-        },
-        "cmi_coefficient": {
-            "sgm": cond_mutual_info(eps, eps, "sgm", rule) / eps**4,
-            "mixm": cond_mutual_info(eps, eps, "mixm", rule) / eps**4,
-        },
+        "correlation": extremal(correlation, (1, 1), 1.0),
+        "beta122": extremal(beta122, (1, 2), -1.0),
+        "beta123": extremal(beta123, (1, 1, 1), -1.0),
+        "cmi_coefficient": {m: cond_mutual_info(eps, eps, m, rule) / eps**4 for m in models},
     }

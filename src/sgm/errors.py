@@ -37,6 +37,6 @@ class InfeasibleStartError(NumericalError):
     """The zero vector is not strictly feasible for the posed problem."""
 
 
-class LineSearchError(NumericalError):
+class SolverError(NumericalError):
     """The MAXDET Newton system could not be factorized even with the escalating
     ridge, or an iterate left the domain (a factor stack failed Cholesky)."""

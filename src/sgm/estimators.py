@@ -103,7 +103,7 @@ def _check_unit_data(data, m) -> np.ndarray:
         raise DataError("data must be a nonempty (n, m) array")
     if data.shape[1] != m:
         raise DataError(f"data has {data.shape[1]} columns, model expects {m}")
-    if (data < 0).any() or (data > 1).any():
+    if not ((data >= 0) & (data <= 1)).all():  # NaN fails too
         raise DataError("data entries must lie in [0, 1]; run preprocessing first")
     return data
 

@@ -2,15 +2,15 @@
 
 Solves problems of the form
 
-    maximize   f(theta) = sum_t w_t log det F_t(z) + c' theta,  z = E theta
+    maximize   f(theta) = sum_t log det F_t(z) + c' theta,  z = E theta
     subject to G_j(theta) positive definite for every j,
                A theta < b,
 
 where F = objective and G = psd_constraint are svec stacks (AffineMatrix) and
 E is a fixed objective map (the identity unless given; [I, -I] for a lasso
 split theta = theta+ - theta-).  Cholesky factors give the log-dets and, by
-``model._inverse_svec``, X_t = G_t^-1: the gradient is sum_t w_t B_t' svec(X_t)
-and the curvature -sum_t w_t B_t' K(X_t, X_t) B_t, K the svec symmetric
+``model._inverse_svec``, X_t = G_t^-1: the gradient is sum_t B_t' svec(X_t)
+and the curvature -sum_t B_t' K(X_t, X_t) B_t, K the svec symmetric
 Kronecker product.  The iterate carries the multipliers Z_j and lambda and the
 slacks s, so b - A theta - s enters the system instead of a slack recomputed
 by cancellation (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 19(2),
@@ -37,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleStartError, LineSearchError
+from .errors import DomainError, InfeasibleStartError, SolverError
 from .model import _inverse_svec, _least_eigs, _svec_tables
 
 logger = logging.getLogger("sgm.maxdet")
@@ -70,13 +70,12 @@ class AffineMatrix:
     The coefficients come in svec form: B is (T, s', p), or (s', p) for one
     map, with row i of B_t holding entry (j_i, l_i) of A_t1 .. A_tp, where
     (j, l) = ``np.triu_indices(s)`` and s' = s(s+1)/2.  The base is a dense
-    symmetric (s, s) or (T, s, s) array and the weight a scalar or (T,).  Kept
-    are ``base`` in svec form (T, s'), the contiguous (T, s', p) stack ``B``
-    (the caller's array itself, not a copy, when it is already a contiguous
-    float stack) and ``weight`` (T,).
+    symmetric (s, s) or (T, s, s) array.  Kept are ``base`` in svec form
+    (T, s') and the contiguous (T, s', p) stack ``B`` (the caller's array
+    itself, not a copy, when it is already a contiguous float stack).
     """
 
-    def __init__(self, base, B, weight: float | np.ndarray = 1.0):
+    def __init__(self, base, B):
         base = _symmetrize(np.asarray(base, dtype=float), "base matrix")
         B = np.asarray(B, dtype=float)
         B = B[None] if B.ndim == 2 else B
@@ -84,13 +83,9 @@ class AffineMatrix:
         j, k = np.triu_indices(s)
         if B.ndim != 3 or B.shape[1] != len(j) or base.shape not in ((s, s), (T, s, s)):
             raise DomainError("coefficient stack must be (s', p) or (T, s', p) matching base")
-        weight = np.asarray(weight, dtype=float)
-        if weight.shape not in ((), (T,)):
-            raise DomainError("weight must be a scalar or one value per map")
         self.size = s
         self.base = np.broadcast_to(base[..., j, k], (T, len(j)))
         self.B = np.ascontiguousarray(B)
-        self.weight = np.broadcast_to(weight, (T,)).copy()
 
     @property
     def count(self) -> int:
@@ -115,7 +110,7 @@ class MaxDetProblem:
     None.  The objective stack sees z = objective_map @ theta, a fixed
     (k, nvars) matrix (identity if None); the PSD stack, the linear rows
     A theta < b, with A (L, nvars) and b (L,), and the linear cost act on
-    theta.  The barrier weighs every PSD map alike, so their weights must be 1.
+    theta.
     """
 
     def __init__(self, nvars: int, objective: AffineMatrix | None = None,
@@ -127,8 +122,6 @@ class MaxDetProblem:
         slices = [(objective, E.shape[0]), (psd_constraint, nvars)]
         if any(t is not None and t.B.shape[2] != p for t, p in slices):
             raise DomainError("coefficient stack does not match the objective map or nvars")
-        if psd_constraint is not None and (psd_constraint.weight != 1.0).any():
-            raise DomainError("PSD constraint maps must have weight 1")
         A = np.zeros((0, nvars)) if A is None else np.asarray(A, dtype=float)
         b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
         if A.ndim != 2 or A.shape[1] != nvars or b.shape != (len(A),):
@@ -178,14 +171,14 @@ class SolveReport:
 
 
 def _adjoint(stack, V):
-    """sum_t w_t B_t' (g o V_t) = sum_t w_t (tr(V_t A_tk))_k for svec columns V (s', T)."""
+    """sum_t B_t' (g o V_t) = sum_t (tr(V_t A_tk))_k for svec columns V (s', T)."""
     T, sv, p = stack.B.shape
-    wg = np.outer(stack.weight, _svec_tables(stack.size)[1])
-    return np.multiply(V.T, wg, order="C").reshape(-1) @ stack.B.reshape(T * sv, p)
+    gV = np.multiply(V.T, _svec_tables(stack.size)[1], order="C")
+    return gV.reshape(-1) @ stack.B.reshape(T * sv, p)
 
 
 def _kron_curvature(stack, X, Z=None):
-    """sum_t w_t B_t' K(X_t, Z_t) B_t, (p, p), for svec columns X, Z (s', T), with
+    """sum_t B_t' K(X_t, Z_t) B_t, (p, p), for svec columns X, Z (s', T), with
     K(X, Z)[(j,k),(l,m)] = f_jk f_lm (X_jl Z_km + Z_jl X_km + X_jm Z_kl + Z_jm X_kl)
     and f = g / 2 gathered from the svec rows, so that B_k' K(X, Z) B_l =
     tr(A_k X A_l Z); Z = None means Z = X, the log-det curvature."""
@@ -197,16 +190,15 @@ def _kron_curvature(stack, X, Z=None):
     else:
         Q = Z[gather]
         K, scale = P[0] * Q[1] + Q[0] * P[1] + P[2] * Q[3] + Q[2] * P[3], 0.25
-    K *= stack.weight
     K *= scale * np.outer(g, g)[:, :, None]
     return stack.B.reshape(T * sv, p).T @ (K.transpose(2, 0, 1) @ stack.B).reshape(T * sv, p)
 
 
 def _logdet_sum(stack, theta, order):
-    """Weighted sum of the stack's log-dets with derivatives up to ``order``:
+    """Sum of the stack's log-dets with derivatives up to ``order``:
     (value, grad, hess, L), L the (T, s, s) Cholesky factors, the gradient
-    sum_t w_t B_t' (g o svec X_t) with X_t = G_t^{-1} and the curvature
-    -sum_t w_t B_t' K(X_t, X_t) B_t; derivatives not asked for are None, and a
+    sum_t B_t' (g o svec X_t) with X_t = G_t^{-1} and the curvature
+    -sum_t B_t' K(X_t, X_t) B_t; derivatives not asked for are None, and a
     None stack contributes zeros.  None if any map is not positive definite.
     """
     p = len(theta)
@@ -216,7 +208,7 @@ def _logdet_sum(stack, theta, order):
         L = np.linalg.cholesky(stack(theta))
     except np.linalg.LinAlgError:
         return None
-    value = float(stack.weight @ (2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)))
+    value = float((2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)).sum())
     X = _inverse_svec(L) if order >= 1 else None
     grad = _adjoint(stack, X) if order >= 1 else None
     hess = -_kron_curvature(stack, X) if order >= 2 else None
@@ -273,7 +265,7 @@ def _newton_solver(W):
         if info == 0:
             return lambda rhs: dpotrs(factor, rhs, lower=True)[0]
         ridge = max(20.0 * ridge, 1e-11 * scale)
-    raise LineSearchError("Newton system could not be factorized")
+    raise SolverError("Newton system could not be factorized")
 
 
 def _inverse_factor(L):
@@ -304,7 +296,7 @@ def _linearize(problem, theta, s, lam, Z):
     the factors, the residuals, the certificate and the factored Newton system."""
     parts = _objective(problem, theta, 2)
     if parts is None:
-        raise LineSearchError("iterate left the domain")
+        raise SolverError("iterate left the domain")
     value, grad, hess, LF = parts
     A, con = problem.A, problem.psd_constraint
     pt = SimpleNamespace(theta=theta, s=s, lam=lam, Z=Z, value=value, grad=grad, d=lam / s,
@@ -318,7 +310,7 @@ def _linearize(problem, theta, s, lam, Z):
             LG = np.linalg.cholesky(_smat(pt.G, con.size))
             LZ = np.linalg.cholesky(_smat(Z, con.size))
         except np.linalg.LinAlgError:
-            raise LineSearchError("iterate left the domain") from None
+            raise SolverError("iterate left the domain") from None
         pt.X, pt.RG, pt.RZ = _inverse_svec(LG), _inverse_factor(LG), _inverse_factor(LZ)
         pt.adjX = _adjoint(con, pt.X)  # the PSD barrier gradient at unit mu
         r_d += _adjoint(con, Z)
@@ -426,7 +418,7 @@ def solve(problem: MaxDetProblem) -> SolveReport:
     100, when two iterations after the first certified one fail to halve the
     best, or after _MAX_NEWTON iterations; the best certified iterate (else
     the last) is returned with ``kkt_residual`` recomputed from its theta.
-    A LineSearchError propagates only when the first iteration fails.
+    A SolverError propagates only when the first iteration fails.
     """
     theta = np.zeros(problem.nvars)
     start = _objective(problem, theta, 1)
@@ -455,7 +447,7 @@ def solve(problem: MaxDetProblem) -> SolveReport:
             if best is not None and (best.kkt <= 0.01 * target or stall >= 2):
                 break
             theta, s, lam, Z = _step(problem, pt)
-        except LineSearchError as exc:
+        except SolverError as exc:
             if last is None:
                 raise
             message = str(exc)

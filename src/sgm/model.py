@@ -142,7 +142,7 @@ def _points(x, dim) -> np.ndarray:
         x = x[None, :]
     elif x.ndim != 2 or x.shape[1] != dim:
         raise DomainError(f"points must be (N, {dim})")
-    if (x < -1e-12).any() or (x > 1 + 1e-12).any():
+    if not ((x >= -1e-12) & (x <= 1 + 1e-12)).all():  # NaN fails too
         raise DomainError("coordinates must lie in [0, 1]")
     return x
 

@@ -58,7 +58,7 @@ def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.nda
     and sum_{l != j} |G_jl| by R_j, all rounded outward.  A cell with every d_j >= R_j
     has G >= 0 (Gershgorin), so det G <= prod_j g_j (Hadamard); the other cells get
     ``bound``, so each of their proposals is evaluated.  A g_j < 0 puts G_jj < 0 on a
-    whole cell: DomainError.  One cell's ceiling is the bound, so r = 1 squeezes nothing."""
+    whole cell: DomainError.  One cell's ceiling is at least the bound: r = 1 squeezes nothing."""
     theta = freqs.check_theta(theta)
     (k, m), U = freqs.freqs.shape, freqs.freqs
     r = max(1, int(min(_CELLS, _WORK / (m * k)) ** (1 / m) + 1e-9))
@@ -91,11 +91,11 @@ def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.nda
     return r, np.where(ok, np.prod(g, axis=0) + 1e-12 * bound, bound)
 
 
-def _rejection(freqs, n, seed, density_fn, bound, ceiling=None):
-    """Rejection under the global ``bound``, squeezed by ``ceiling(X)`` >= the density:
-    a proposal with U bound above its ceiling is rejected unevaluated, which keeps
-    every draw since ``density_fn`` gives each point the same bits in any batch.
-    With no ``ceiling``, every proposal is evaluated."""
+def _rejection(freqs, n, seed, density_fn, bound, ceiling):
+    """Rejection under the global ``bound``, squeezed by ``ceiling``, the density's
+    ceiling at each proposal (a scalar or (N,) from (N, m) points): a proposal with
+    U bound above its ceiling is rejected unevaluated, which keeps every draw since
+    ``density_fn`` gives each point the same bits in any batch."""
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -105,14 +105,10 @@ def _rejection(freqs, n, seed, density_fn, bound, ceiling=None):
     while filled < n:
         X = rng.random((_BATCH, freqs.dim))
         U = rng.random(_BATCH)
-        top = bound if ceiling is None else ceiling(X)
-        top = np.broadcast_to(top * (1.0 + 1e-12), U.shape)
+        top = np.broadcast_to(ceiling(X) * (1.0 + 1e-12), U.shape)
         live = U * bound <= top
-        if live.all():
-            p = density_fn(X)
-        else:
-            p = np.zeros(_BATCH)
-            p[live] = density_fn(X[live])
+        p = np.zeros(_BATCH)
+        p[live] = density_fn(X[live])
         proposed += _BATCH
         if p.min() < -1e-12 * bound:
             raise DomainError(
@@ -148,7 +144,7 @@ def sample_sgm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool 
     r, ceil = _cell_ceiling(freqs, theta, bound)
     out, info = _rejection(
         freqs, n, seed, lambda X: density_batch(freqs, theta, X), bound,
-        None if r == 1 else lambda X: ceil[tuple(np.minimum((X * r).astype(np.intp), r - 1).T)],
+        lambda X: ceil[tuple(np.minimum((X * r).astype(np.intp), r - 1).T)],
     )
     return (out, info) if return_info else out
 
@@ -157,7 +153,7 @@ def sample_mixm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool
     """n i.i.d. draws from the mixture-model density by rejection."""
     bound = rejection_bound(freqs, theta, "mixm")
     out, info = _rejection(
-        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound
+        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound, lambda X: bound
     )
     return (out, info) if return_info else out
 

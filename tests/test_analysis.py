@@ -3,7 +3,7 @@ import pytest
 
 import sgm
 from sgm import DomainError, FrequencySet, QuadratureRule, ResourceLimitError
-from sgm.analysis import tensor_grid
+from sgm.analysis import _region_bound, tensor_grid
 from sgm.model import density_batch
 
 from conftest import random_lit_interior
@@ -89,6 +89,31 @@ class TestBeta:
         assert sgm.beta123(-1.0 / 3.0, "mixm", RULE) == pytest.approx(0.3459, abs=5e-4)
 
 
+class TestRegionBound:
+    """One bound function serves the worked moments' domain checks and table1's
+    extremal theta: 1 / max_j u_j^2 for sgm, 1 / ||u||^2 for mixm."""
+
+    CASES = [
+        (sgm.correlation, (1, 1), {"sgm": 1.0, "mixm": 0.5}),
+        (sgm.beta122, (1, 2), {"sgm": 0.25, "mixm": 0.2}),
+        (sgm.beta123, (1, 1, 1), {"sgm": 1.0, "mixm": 1.0 / 3.0}),
+    ]
+
+    @pytest.mark.parametrize("measure,u,bounds", CASES)
+    @pytest.mark.parametrize("model", ["sgm", "mixm"])
+    def test_bound_values(self, measure, u, bounds, model):
+        assert _region_bound(u, model) == bounds[model]
+
+    @pytest.mark.parametrize("measure,u,bounds", CASES)
+    @pytest.mark.parametrize("model", ["sgm", "mixm"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_just_past_the_bound_raises(self, measure, u, bounds, model, sign):
+        rule = QuadratureRule.gauss_legendre(8)
+        assert np.isfinite(measure(sign * bounds[model], model, rule))
+        with pytest.raises(DomainError, match=f"<= {bounds[model]} for model '{model}'"):
+            measure(sign * (bounds[model] + 1e-9), model, rule)
+
+
 class TestCMI:
     def test_exact_zero_when_factorized(self):
         assert sgm.cond_mutual_info(0.0, 0.25, "sgm", RULE) == pytest.approx(0.0, abs=1e-13)
@@ -167,6 +192,8 @@ class TestMarginals:
         fs = sgm.standard_freq_set(3)
         with pytest.raises(DomainError):
             sgm.marginal_density(fs, np.zeros(fs.size), [0], [1.5], rule=RULE)
+        with pytest.raises(DomainError):
+            sgm.marginal_density(fs, np.zeros(fs.size), [0], [[np.nan]], rule=RULE)
         with pytest.raises(DomainError):
             sgm.density_grid(fs, np.zeros(fs.size), (0, 1), 5, conditioning={2: 1.7}, rule=RULE)
 

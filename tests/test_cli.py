@@ -439,6 +439,11 @@ class TestExitCodes:
                     "--condition", "2=1.7", "--resolution", "5", "--quad-nodes", "8",
                     "--output", str(tmp_path / "g.tsv")], capsys) == 4
 
+    def test_nan_condition_exits_4(self, tmp_path, params7, capsys):
+        assert run(["analyze", "--what", "grid", "--input", params7, "--axes", "0,1",
+                    "--condition", "2=nan", "--resolution", "5", "--quad-nodes", "8",
+                    "--output", str(tmp_path / "g.tsv")], capsys) == 4
+
     @pytest.mark.parametrize("what", ["marginal", "fisher"])
     def test_condition_outside_grid_exits_2(self, tmp_path, params7, what, capsys):
         out = tmp_path / "m.tsv"

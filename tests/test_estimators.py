@@ -126,6 +126,16 @@ class TestFitSgm:
         with pytest.raises(DataError):
             sgm.fit_sgm(np.array([[0.5, 1.7]]), fs, LitRegion(1.0))
 
+    @pytest.mark.parametrize("fit,region", [(sgm.fit_sgm, LitRegion(1.0)),
+                                            (sgm.fit_mixm, LitRegion(1.0)),
+                                            (sgm.fit_sgm, LatticeRegion(3))])
+    def test_rejects_nan_data(self, fit, region):
+        fs = sgm.standard_freq_set(2)
+        data = np.random.default_rng(0).random((20, 2))
+        data[7, 1] = np.nan
+        with pytest.raises(DataError):
+            fit(data, fs, region)
+
     def test_rejects_empty_data(self):
         fs = sgm.standard_freq_set(2)
         with pytest.raises(DataError):

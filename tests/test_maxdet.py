@@ -71,28 +71,14 @@ class TestProblemValidation:
 
     def test_single_map_accepted(self, rng):
         B = rng.normal(size=(3, 4))
-        one = AffineMatrix(np.eye(2), B, weight=0.5)
+        one = AffineMatrix(np.eye(2), B)
         assert one.count == 1 and one.B.shape == (1, 3, 4)
-        np.testing.assert_array_equal(one.weight, [0.5])
         theta = rng.normal(size=4)
         np.testing.assert_array_equal(one(theta), AffineMatrix(np.eye(2), B[None])(theta))
-
-    def test_stacked_weight_of_wrong_length_rejected(self):
-        with pytest.raises(DomainError):
-            AffineMatrix(np.eye(2), np.zeros((3, 3, 1)), weight=np.ones(2))
 
     def test_stacked_base_count_mismatch_rejected(self):
         with pytest.raises(DomainError):
             AffineMatrix(np.stack([np.eye(2)] * 2), np.zeros((3, 3, 1)))
-
-    def test_weighted_psd_constraint_rejected(self):
-        # the barrier weighs every PSD map alike
-        with pytest.raises(DomainError):
-            MaxDetProblem(
-                nvars=1,
-                objective=AffineMatrix(np.eye(1), np.ones((1, 1))),
-                psd_constraint=AffineMatrix(np.eye(1), np.ones((2, 1, 1)), weight=[1.0, 2.0]),
-            )
 
     @pytest.mark.parametrize("A,b", [(np.ones(1), [1.0]), (np.ones((1, 2)), [1.0]),
                                      (np.ones((2, 1)), [1.0])])
@@ -114,18 +100,17 @@ class TestStackedMaps:
         T, p, s = int(rng.integers(2, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
-        weights = rng.uniform(0.5, 2.0, size=T)
         con = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(2)])
         stacked = MaxDetProblem(
             nvars=p,
-            objective=AffineMatrix(bases, svec_stack(coeffs), weights),
+            objective=AffineMatrix(bases, svec_stack(coeffs)),
             psd_constraint=AffineMatrix(1.5 * np.eye(s), svec_stack(con)),
             A=np.kron(np.eye(p), [[1.0], [-1.0]]),
             b=np.ones(2 * p),
         )
         singles = [
             MaxDetProblem(
-                nvars=p, objective=AffineMatrix(bases[t], svec_stack(coeffs[t]), weights[t])
+                nvars=p, objective=AffineMatrix(bases[t], svec_stack(coeffs[t]))
             )
             for t in range(T)
         ]
@@ -157,7 +142,7 @@ class TestKernels:
         """The stack, with its dense (T, s, s) bases and (T, p, s, s) coefficients."""
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(p)] for _ in range(T)])
-        term = AffineMatrix(bases, svec_stack(coeffs), rng.uniform(0.5, 2.0, size=T))
+        term = AffineMatrix(bases, svec_stack(coeffs))
         return term, bases, coeffs
 
     def test_svec_stack_and_block_gradients(self, rng):
@@ -171,19 +156,19 @@ class TestKernels:
             np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
             dense = bases + np.einsum("p,tpij->tij", theta, coeffs)
             np.testing.assert_allclose(P, dense, rtol=0, atol=1e-15)
-            # the stationarity term of a multiplier stack: sum_t w_t tr(V_t A_tk)
+            # the stationarity term of a multiplier stack: sum_t tr(V_t A_tk)
             V = np.stack([rand_sym(rng, s) for _ in range(T)])
-            ref = np.einsum("t,tij,tkji->k", term.weight, V, coeffs)
+            ref = np.einsum("tij,tkji->k", V, coeffs)
             np.testing.assert_allclose(_adjoint(term, svec(V).T), ref, rtol=0, atol=1e-12)
 
     def test_hkm_kernel_matches_dense_trace(self, rng):
-        # B_k' K(X, Z) B_l = sum_t w_t tr(A_tk X_t A_tl Z_t), symmetric in (k, l)
+        # B_k' K(X, Z) B_l = sum_t tr(A_tk X_t A_tl Z_t), symmetric in (k, l)
         from sgm.maxdet import _kron_curvature
 
         for T, p, s in self.SHAPES:
             term, _, coeffs = self.stack(rng, T, p, s)
             X, Z = (np.stack([rand_sym(rng, s) for _ in range(T)]) for _ in range(2))
-            ref = np.einsum("t,tkab,tbc,tlcd,tda->kl", term.weight, coeffs, X, coeffs, Z)
+            ref = np.einsum("tkab,tbc,tlcd,tda->kl", coeffs, X, coeffs, Z)
             got = _kron_curvature(term, svec(X).T, svec(Z).T)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got, got.T, rtol=0, atol=1e-12)
@@ -224,10 +209,9 @@ class TestKernels:
             theta = 0.05 * rng.normal(size=p)
             P = term(theta)
             Pinv_A = np.linalg.solve(P[:, None], coeffs)  # P_t^-1 A_tk
-            w = term.weight
-            grad = np.einsum("t,tkii->k", w, Pinv_A)
-            hess = -np.einsum("t,tkij,tlji->kl", w, Pinv_A, Pinv_A)
-            value = float(w @ np.linalg.slogdet(P)[1])
+            grad = np.einsum("tkii->k", Pinv_A)
+            hess = -np.einsum("tkij,tlji->kl", Pinv_A, Pinv_A)
+            value = float(np.linalg.slogdet(P)[1].sum())
             prob = MaxDetProblem(nvars=p, objective=term)
             val, g, H = objective_eval(prob, theta)
             assert val == pytest.approx(value, rel=0, abs=1e-12)
@@ -243,20 +227,17 @@ class TestObjectiveMap:
         T, k, s = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         bases = np.eye(s) + np.stack([rand_sym(rng, s, 0.1) for _ in range(T)])
         coeffs = np.stack([[rand_sym(rng, s) for _ in range(k)] for _ in range(T)])
-        weights = rng.uniform(0.5, 2.0, size=T)
         # theta+/- >= -0.1 and a budget on their sum
         A = np.vstack([-np.eye(2 * k), np.ones((1, 2 * k))])
         b = np.r_[np.full(2 * k, 0.1), 0.5]
         common = dict(nvars=2 * k, A=A, b=b, linear_cost=0.1 * rng.normal(size=2 * k))
         mapped = MaxDetProblem(
-            objective=AffineMatrix(bases, svec_stack(coeffs), weights),
+            objective=AffineMatrix(bases, svec_stack(coeffs)),
             objective_map=np.hstack([np.eye(k), -np.eye(k)]),
             **common,
         )
         split = MaxDetProblem(
-            objective=AffineMatrix(
-                bases, svec_stack(np.concatenate([coeffs, -coeffs], axis=1)), weights
-            ),
+            objective=AffineMatrix(bases, svec_stack(np.concatenate([coeffs, -coeffs], axis=1))),
             **common,
         )
         return mapped, split
