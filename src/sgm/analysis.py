@@ -207,7 +207,9 @@ def fisher_numeric(
     """Fisher information matrix by quadrature of p * score_u * score_v.
 
     Valid for interior-feasible theta; limited to m <= 3.  Per mesh block, J
-    gains (S w)' S, with S and the densities in w from ``model._gram_scores``.
+    gains Y'Y, Y = S sqrt(w), with the scores S and the densities in the weights
+    w >= 0 from ``model._gram_scores``: one symmetric rank-k update (SYRK), so
+    J is exactly symmetric.
     """
     if freqs.dim > 3:
         raise ResourceLimitError("numeric Fisher information limited to m <= 3")
@@ -218,9 +220,9 @@ def fisher_numeric(
     lo = 0
     for mesh in _mesh_blocks([rule.nodes] * freqs.dim, _CHUNK):
         p, scores = _gram_scores(freqs, theta, mesh)
-        w = weights[lo : lo + len(p)] * p
+        scores *= np.sqrt(weights[lo : lo + len(p)] * p)[:, None]
         lo += len(p)
-        J += (scores * w[:, None]).T @ scores
+        J += scores.T @ scores
     return J
 
 

@@ -60,8 +60,9 @@ def _smat(V, s):
 
 def _svec(M):
     """The svec columns (s', T) of the symmetric parts of M (T, s, s)."""
-    j, k = np.triu_indices(M.shape[-1])
-    return (M[:, j, k] + M[:, k, j]).T / 2
+    up, lo = _svec_tables(M.shape[-1])[5]
+    F = M.reshape(len(M), -1)
+    return (F[:, up] + F[:, lo]).T / 2
 
 
 class AffineMatrix:
@@ -183,7 +184,7 @@ def _kron_curvature(stack, X, Z=None):
     and f = g / 2 gathered from the svec rows, so that B_k' K(X, Z) B_l =
     tr(A_k X A_l Z); Z = None means Z = X, the log-det curvature."""
     T, sv, p = stack.B.shape
-    _, g, gather, _, _ = _svec_tables(stack.size)
+    _, g, gather, _, _, _ = _svec_tables(stack.size)
     P = X[gather]  # (4, s', s', T)
     if Z is None:
         K, scale = P[0] * P[1] + P[2] * P[3], 0.5

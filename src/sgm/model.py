@@ -188,25 +188,6 @@ def _cos_product(freqs: FrequencySet, X) -> np.ndarray:
     return reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos)[0]).reshape(-1, freqs.size)
 
 
-def _hessian_entries(freqs: FrequencySet, cols):
-    """Yield (j, l, c, F) with H_u(x)[j, l] = c_u F[:, u] for j <= l.
-
-    F is flattened to (N, k) from products that broadcast over a mesh.
-    Off-diagonal entries whose coefficients all vanish are skipped.
-    """
-    U = freqs.freqs.astype(float)
-    C, S = _axis_columns(freqs, cols, np.cos, np.sin)
-    P = reduce(np.multiply, C).reshape(-1, freqs.size)
-    for j in range(freqs.dim):
-        yield j, j, U[:, j] ** 2, P
-    for j in range(freqs.dim):
-        for l in range(j + 1, freqs.dim):
-            c = -U[:, j] * U[:, l]
-            if c.any():
-                rest = [C[i] for i in range(freqs.dim) if i not in (j, l)] or [1.0]
-                yield j, l, c, (S[j] * S[l] * reduce(np.multiply, rest)).reshape(-1, len(c))
-
-
 def _gram(freqs: FrequencySet, theta: np.ndarray, cols) -> np.ndarray:
     """The (N, m, m) Hessians of ``gram_batch`` at the columns ``cols``, a view of
     an (m, m, N) stack so that each entry is one contiguous write; no BLAS
@@ -245,12 +226,19 @@ def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
     """Per-frequency Hessian basis matrices H_u(x) in svec form, shape
     (N, m(m+1)/2, k): row r holds H_u(x)[j_r, l_r] over u, with
-    (j, l) = np.triu_indices(m), the stack layout of maxdet.AffineMatrix."""
+    (j, l) = np.triu_indices(m), the stack layout of maxdet.AffineMatrix.
+    Off-diagonal rows whose coefficients -u_j u_l all vanish stay 0."""
     cols, n = _columns(X)
-    m = freqs.dim
-    H = np.zeros((n, m * (m + 1) // 2, freqs.size))
-    for j, l, c, F in _hessian_entries(freqs, cols):
-        H[:, j * (2 * m - j - 1) // 2 + l] = c * F
+    (k, m), U = freqs.freqs.shape, freqs.freqs.astype(float)
+    C, S = _axis_columns(freqs, cols, np.cos, np.sin)
+    P = reduce(np.multiply, C).reshape(-1, k)
+    H = np.zeros((n, m * (m + 1) // 2, k))
+    for r, (j, l) in enumerate(zip(*np.triu_indices(m))):
+        if j == l:
+            H[:, r] = U[:, j] ** 2 * P
+        elif (U[:, j] * U[:, l]).any():
+            rest = [C[i] for i in range(m) if i not in (j, l)] or [1.0]
+            H[:, r] = -U[:, j] * U[:, l] * (S[j] * S[l] * reduce(np.multiply, rest)).reshape(-1, k)
     return H
 
 
@@ -336,14 +324,15 @@ def _svec_tables(s: int):
     positions of X_jl, X_km, X_jm, X_kl over rows (j, k) and columns (l, m) of
     the symmetric Kronecker product, those of the diagonal, and the steps
     i = s-2 .. 0 of the inverse recurrence: i, the svec position of X_ii (row
-    i of the upper triangle follows it) and those of the block X[i+1:, i+1:]."""
+    i of the upper triangle follows it) and those of the block X[i+1:, i+1:],
+    and the flat positions of the upper and lower entries (j, k), (k, j) in svec order."""
     j, k = np.triu_indices(s)
     pos = np.empty((s, s), dtype=np.intp)
     pos[j, k] = pos[k, j] = np.arange(len(j))
     J, K = j[:, None], k[:, None]
     gather = np.stack([pos[J, j], pos[K, k], pos[J, k], pos[K, j]])
     steps = tuple((i, int(pos[i, i]), pos[i + 1:, i + 1:]) for i in range(s - 2, -1, -1))
-    return pos.ravel(), np.where(j == k, 1.0, 2.0), gather, np.diagonal(pos), steps
+    return pos.ravel(), np.where(j == k, 1.0, 2.0), gather, np.diagonal(pos), steps, (j * s + k, k * s + j)
 
 
 def _inverse_svec(L):
@@ -356,7 +345,7 @@ def _inverse_svec(L):
     each step writes one slice.
     """
     T, s, _ = L.shape
-    _, _, _, diag, steps = _svec_tables(s)
+    _, _, _, diag, steps, _ = _svec_tables(s)
     d = 1.0 / np.diagonal(L, axis1=1, axis2=2).T
     nl = np.multiply(L.transpose(1, 2, 0), -d, order="C")  # -d_i L_ki at [k, i]
     X = np.empty((s * (s + 1) // 2, T))
@@ -372,22 +361,30 @@ def _inverse_svec(L):
 
 
 def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]:
-    """Densities p (N,) and scores tr(G^{-1} H_u) (N, k), summed over entries
-    j <= l as g_jl (G^{-1})_jl c_u F[:, u], g = 1 on the diagonal and 2 off it.
-    ``_psd_det`` gives p, raising as the density does, and the Cholesky factors
-    that ``_inverse_svec`` turns into svec(G^{-1}); SingularHessianError is
-    raised if any point has a pivot that is not positive or density 0."""
+    """Densities p (N,) and scores tr(G^{-1} H_u) (N, k): the diagonal terms
+    sum_j (G^{-1})_jj u_j^2 times the cosine product, then per pair j < l with
+    some u_j u_l != 0 the factor -2 u_j u_l S_j S_l prod_{i != j, l} C_i, formed on
+    the mesh and scaled in place by (G^{-1})_jl.  ``_psd_det`` gives p, raising as
+    the density does, and the Cholesky factors that ``_inverse_svec`` turns into
+    svec(G^{-1}); SingularHessianError is raised if any point has a pivot that is
+    not positive or density 0."""
     theta = freqs.check_theta(theta)
-    cols, n = _columns(X)
-    p, C = _psd_det(_gram(freqs, theta, cols))
-    if not ((np.diagonal(C) > 0).all() and p.all()):
+    cols = _columns(X)[0]
+    p, L = _psd_det(_gram(freqs, theta, cols))
+    if not ((np.diagonal(L) > 0).all() and p.all()):
         raise SingularHessianError("model Hessian is singular at a sample point")
-    Ginv = _inverse_svec(np.moveaxis(C, -1, 0))
-    pos, g = _svec_tables(freqs.dim)[:2]
-    scores = np.zeros((n, freqs.size))
-    for j, l, c, F in _hessian_entries(freqs, cols):
-        r = pos[j * freqs.dim + l]
-        scores += np.multiply.outer(g[r] * Ginv[r], c) * F
+    Ginv = _inverse_svec(np.moveaxis(L, -1, 0))
+    (k, m), U = freqs.freqs.shape, freqs.freqs.astype(float)
+    pos, _, _, diag, _, _ = _svec_tables(m)
+    C, S = _axis_columns(freqs, cols, np.cos, np.sin)
+    scores = Ginv[diag].T @ U.T**2
+    scores *= reduce(np.multiply, C).reshape(-1, k)
+    for j, l in itertools.combinations(range(m), 2):
+        if (U[:, j] * U[:, l]).any():
+            rest = [C[i] for i in range(m) if i not in (j, l)]
+            F = reduce(np.multiply, rest, -2 * U[:, j] * U[:, l] * S[j] * S[l]).reshape(-1, k)
+            F *= Ginv[pos[j * m + l], :, None]
+            scores += F
     return p, scores
 
 

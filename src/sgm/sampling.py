@@ -4,10 +4,10 @@ Rejection sampling for the gradient and mixture models with analytic
 envelope constants, and the five-dimensional sequential benchmark
 generator.  Streams are fully determined by a 64-bit seed via the PCG64
 generator; proposals and acceptance uniforms are drawn in a fixed order.
-The gradient-model sampler evaluates its density only where a per-cell
-ceiling cannot reject the proposal or the cell is not proven semidefinite,
-which leaves each stream as it was and raises for an infeasible theta no
-later than plain rejection.
+The gradient-model sampler evaluates its density only where neither a
+per-cell ceiling rejects the proposal nor a per-cell floor accepts it, or the
+cell is not proven semidefinite, which leaves each stream as it was and raises
+for an infeasible theta no later than plain rejection.
 """
 
 from __future__ import annotations
@@ -51,14 +51,16 @@ def rejection_bound(freqs: FrequencySet, theta, model: str = "sgm") -> float:
     raise DomainError(f"unknown model {model!r}")
 
 
-def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.ndarray]:
-    """Density ceilings on the r^m equal cells of the cube, shape (r,) * m, r >= 1 the
-    largest with r^m <= _CELLS and m k r^m <= _WORK.  The exact ranges of cos(pi u_j x_j)
-    and |sin| on each cell's sides, multiplied over the axes, bound G_jj by [d_j, g_j]
-    and sum_{l != j} |G_jl| by R_j, all rounded outward.  A cell with every d_j >= R_j
-    has G >= 0 (Gershgorin), so det G <= prod_j g_j (Hadamard); the other cells get
-    ``bound``, so each of their proposals is evaluated.  A g_j < 0 puts G_jj < 0 on a
-    whole cell: DomainError.  One cell's ceiling is at least the bound: r = 1 squeezes nothing."""
+def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Density ceilings and floors on the r^m equal cells of the cube, each of shape
+    (r,) * m, r >= 1 the largest with r^m <= _CELLS and m k r^m <= _WORK.  The exact
+    ranges of cos(pi u_j x_j) and |sin| on each cell's sides, multiplied over the axes,
+    bound G_jj by [d_j, g_j] and sum_{l != j} |G_jl| by R_j, all rounded outward.  A
+    cell with every d_j >= R_j has G >= 0 (Gershgorin), so prod_j (d_j - R_j) <= det G
+    (Ostrowski, Proc. AMS 3, 1952) <= prod_j g_j (Hadamard); the other cells get the
+    ceiling ``bound`` and the floor -inf, so each of their proposals is evaluated.  A
+    g_j < 0 puts G_jj < 0 on a whole cell: DomainError.  One cell's ceiling is at least
+    the bound: r = 1 squeezes nothing."""
     theta = freqs.check_theta(theta)
     (k, m), U = freqs.freqs.shape, freqs.freqs
     r = max(1, int(min(_CELLS, _WORK / (m * k)) ** (1 / m) + 1e-9))
@@ -79,23 +81,27 @@ def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.nda
     w = np.abs(theta)
     slack = (k + 2 + m * (10 * freqs.u_max + 4)) * np.finfo(float).eps
     slack = slack * (1.0 + w @ (U * U.sum(axis=1, keepdims=True)))  # each row's weight
-    g, ok = [], True
+    g, f = [], []  # g_j and d_j - R_j, rounded
     for j, cj in enumerate(theta * U.T**2):
         g.append(1.0 + np.maximum(cj * L, cj * H).sum(axis=-1) + slack[j])
         P, D = 1.0, 0.0  # the dual product of |cos_i| + e |u_i sin_i| over i != j
         for i in set(range(m)) - {j}:
             P, D = P * ax(C, i), D * ax(C, i) + P * ax(S, i)
-        ok &= 1.0 + np.minimum(cj * L, cj * H).sum(axis=-1) - (ax(S, j) * D) @ w >= slack[j]
-    if (np.array(g) < 0).any():
+        f.append(1.0 + np.minimum(cj * L, cj * H).sum(axis=-1) - (ax(S, j) * D) @ w - slack[j])
+    g, f = np.array(g), np.array(f)
+    if (g < 0).any():
         raise DomainError("a Hessian diagonal is negative on a whole cell: theta is infeasible")
-    return r, np.where(ok, np.prod(g, axis=0) + 1e-12 * bound, bound)
+    ok = (f >= 0).all(axis=0)
+    return (r, np.where(ok, g.prod(axis=0) + 1e-12 * bound, bound),
+            np.where(ok, f.prod(axis=0) - 1e-12 * bound, -np.inf))
 
 
-def _rejection(freqs, n, seed, density_fn, bound, ceiling):
-    """Rejection under the global ``bound``, squeezed by ``ceiling``, the density's
-    ceiling at each proposal (a scalar or (N,) from (N, m) points): a proposal with
-    U bound above its ceiling is rejected unevaluated, which keeps every draw since
-    ``density_fn`` gives each point the same bits in any batch."""
+def _rejection(freqs, n, seed, density_fn, bound, squeeze):
+    """Rejection under the global ``bound``, squeezed by ``squeeze``, the density's
+    ceiling and floor at each proposal (scalars or (N,) each from (N, m) points): a
+    proposal with U bound above its ceiling is rejected and one with U bound at most
+    its floor accepted, both unevaluated, which keeps every draw since ``density_fn``
+    gives each point the same bits in any batch."""
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -104,9 +110,11 @@ def _rejection(freqs, n, seed, density_fn, bound, ceiling):
     proposed = 0
     while filled < n:
         X = rng.random((_BATCH, freqs.dim))
-        U = rng.random(_BATCH)
-        top = np.broadcast_to(ceiling(X) * (1.0 + 1e-12), U.shape)
-        live = U * bound <= top
+        u = rng.random(_BATCH) * bound  # U bound
+        ceil, floor = squeeze(X)
+        top = np.broadcast_to(ceil * (1.0 + 1e-12), u.shape)
+        sure = u <= floor
+        live = (u <= top) & ~sure
         p = np.zeros(_BATCH)
         p[live] = density_fn(X[live])
         proposed += _BATCH
@@ -119,7 +127,7 @@ def _rejection(freqs, n, seed, density_fn, bound, ceiling):
             raise SgmError(
                 f"rejection ceiling violated: density {p[i]:.17g} > ceiling {top[i]:.17g}"
             )
-        hit = U * bound <= p
+        hit = sure | (u <= p)
         acc = X[hit]
         take = min(len(acc), n - filled)
         out[filled : filled + take] = acc[:take]
@@ -136,15 +144,19 @@ def sample_sgm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool 
 
     Exact in distribution; the expected number of proposals per sample is
     the envelope constant.  The density is evaluated only at proposals that
-    ``_cell_ceiling``'s squeeze cannot reject: the draws are plain rejection's, bit for bit.
-    Cells not proven semidefinite are not squeezed, so an indefinite Hessian raises
-    no later than under plain rejection.
+    ``_cell_ceiling``'s two-sided squeeze can neither reject nor accept: the draws
+    are plain rejection's, bit for bit.  Cells not proven semidefinite are not
+    squeezed, so an indefinite Hessian raises no later than under plain rejection.
     """
     bound = rejection_bound(freqs, theta, "sgm")
-    r, ceil = _cell_ceiling(freqs, theta, bound)
+    r, ceil, floor = _cell_ceiling(freqs, theta, bound)
+
+    def squeeze(X):
+        cell = tuple(np.minimum((X * r).astype(np.intp), r - 1).T)
+        return ceil[cell], floor[cell]
+
     out, info = _rejection(
-        freqs, n, seed, lambda X: density_batch(freqs, theta, X), bound,
-        lambda X: ceil[tuple(np.minimum((X * r).astype(np.intp), r - 1).T)],
+        freqs, n, seed, lambda X: density_batch(freqs, theta, X), bound, squeeze
     )
     return (out, info) if return_info else out
 
@@ -153,7 +165,8 @@ def sample_mixm(freqs: FrequencySet, theta, n: int, seed: int, return_info: bool
     """n i.i.d. draws from the mixture-model density by rejection."""
     bound = rejection_bound(freqs, theta, "mixm")
     out, info = _rejection(
-        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound, lambda X: bound
+        freqs, n, seed, lambda X: mixm_density_batch(freqs, theta, X), bound,
+        lambda X: (bound, -np.inf),
     )
     return (out, info) if return_info else out
 

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import sgm
 from sgm import DomainError, FrequencySet, QuadratureRule, ResourceLimitError
 from sgm.analysis import _region_bound, tensor_grid
-from sgm.model import density_batch
+from sgm.model import density_batch, gram_batch, hessian_basis_batch
 
-from conftest import random_lit_interior
+from conftest import random_lit_interior, smat
 
 RULE = QuadratureRule.gauss_legendre(48)
 U11 = FrequencySet.from_vectors([[1, 1]])
@@ -252,6 +254,28 @@ class TestFisherNumeric:
         fs = FrequencySet.from_vectors([[2]])
         J = sgm.fisher_numeric(fs, [0.1], RULE)
         assert J[0, 0] == pytest.approx(sgm.fisher_closed_1d(2, 0.1), abs=1e-6)
+
+    @pytest.mark.parametrize("vectors", [
+        [[1], [2]],
+        [[1, 1], [2, 0], [1, 2]],
+        [[1, 0], [0, 2]],  # u_0 u_1 = 0 for every u: no off-diagonal term
+        [[1, 0, 0], [0, 1, 1], [2, 0, 0], [0, 0, 1]],  # only the pair (1, 2) has one
+        [[1, 1, 1], [2, 0, 0], [0, 1, 2], [1, 0, 1]],
+    ])
+    def test_equals_per_point_sum(self, vectors):
+        fs = FrequencySet.from_vectors(vectors)
+        theta = random_lit_interior(fs, np.random.default_rng(len(vectors)), margin=0.1)
+        rule = QuadratureRule.gauss_legendre(7)
+        J = sgm.fisher_numeric(fs, theta, rule)
+        ref = np.zeros((fs.size, fs.size))
+        for idx in itertools.product(range(len(rule.nodes)), repeat=fs.dim):
+            x = rule.nodes[list(idx)][None]
+            G = gram_batch(fs, theta, x)[0]
+            H = smat(hessian_basis_batch(fs, x)[0].T)  # (k, m, m)
+            s = np.array([np.trace(np.linalg.solve(G, h)) for h in H])
+            ref += np.prod(rule.weights[list(idx)]) * np.linalg.det(G) * np.outer(s, s)
+        assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert (J == J.T).all()
 
     def test_dimension_cap(self):
         fs = sgm.standard_freq_set(4)

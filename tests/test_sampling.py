@@ -102,7 +102,7 @@ def assert_ceiling_dominates(fs, theta, rng):
     """On every cell, the density at the cell's points is within the sampler's
     tolerance of the cell's ceiling."""
     bound = sgm.rejection_bound(fs, theta)
-    r, ceil = _cell_ceiling(fs, theta, bound)
+    r, ceil, _ = _cell_ceiling(fs, theta, bound)
     m = fs.dim
     assert ceil.shape == (r,) * m and r ** m <= 4096 and m * fs.size * r ** m <= 2**20
     cells, X = cell_points(r, m, rng)
@@ -137,7 +137,7 @@ class TestCellCeiling:
 
     def test_widens_to_the_interior_extremum(self):
         fs = FrequencySet.from_vectors([[2, 0, 0, 0, 0]])
-        r, ceil = _cell_ceiling(fs, [-0.2], 1.8)
+        r, ceil, _ = _cell_ceiling(fs, [-0.2], 1.8)
         assert r == 5
         # G_00 = 1 + 0.8 on the cell around x_0 = 1/2, where cos(2 pi x_0) = -1
         assert ceil[2, 0, 0, 0, 0] >= 1.8
@@ -154,7 +154,7 @@ class TestCellCeiling:
         theta = scale * boundary_theta(fs, rng)
         bound = sgm.rejection_bound(fs, theta)
         try:
-            r, ceil = _cell_ceiling(fs, theta, bound)
+            r, ceil, _ = _cell_ceiling(fs, theta, bound)
         except DomainError:
             return
         cells, X = cell_points(r, fs.dim, rng)
@@ -178,6 +178,41 @@ class TestCellCeiling:
         for seed in range(20):
             with pytest.raises(DomainError, match="theta is infeasible"):
                 sgm.sample_sgm(U11, [1.05], 100, seed=seed)
+
+
+def assert_floor_below_density(fs, theta, rng):
+    """On every cell, the floor is at most the density at the cell's points and
+    at most the ceiling; a cell left at the global ceiling has no floor."""
+    bound = sgm.rejection_bound(fs, theta)
+    r, ceil, floor = _cell_ceiling(fs, theta, bound)
+    assert floor.shape == ceil.shape
+    cells, X = cell_points(r, fs.dim, rng)
+    p = density_batch(fs, theta, X.reshape(-1, fs.dim)).reshape(len(cells), -1)
+    assert (p >= floor[tuple(cells.T)][:, None]).all()
+    assert (floor <= ceil).all()
+    assert np.isneginf(floor[ceil == bound]).all()
+
+
+class TestCellFloor:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_below_density_on_every_cell(self, m, on_boundary, seed):
+        fs, rng = sgm.standard_freq_set(m), np.random.default_rng(seed)
+        if on_boundary:
+            theta = boundary_theta(fs, rng)
+        else:
+            theta = random_lit_interior(fs, rng, margin=0.05)
+        assert_floor_below_density(fs, theta, rng)
+
+    def test_accepts_more_draws_than_are_evaluated(self, monkeypatch):
+        seen = []
+
+        def counting(fs, theta, X):
+            seen.append(len(X))
+            return density_batch(fs, theta, X)
+        monkeypatch.setattr(sampling, "density_batch", counting)
+        sgm.sample_sgm(U7, theta7(), 20000, seed=5)
+        assert 0 < sum(seen) < 20000
 
 
 def plain_rejection(density, bound, dim, n, seed):
