@@ -86,13 +86,13 @@ def read_csv(path: str) -> np.ndarray:
 
 
 def write_csv(path: str, arr: np.ndarray) -> None:
+    """Header ``x1,...,xc``, then rows as '%.17g' writes them, by ``analysis._format_rows``."""
     arr = np.atleast_2d(arr)
     header = ",".join(f"x{i + 1}" for i in range(arr.shape[1]))
-    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for block in np.split(arr, range(_CSV_ROWS, len(arr), _CSV_ROWS)):
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(analysis._format_rows(block, ","))
 
 
 def _read_json(path: str):
@@ -364,9 +364,8 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         vals = analysis.marginal_density(
             freqs, theta, axes, grid[:, None], model=args.model, rule=rule
         )
-        lines = [f"x_{axes[0] + 1}\tdensity"]
-        lines += [f"{x:.17g}\t{v:.17g}" for x, v in zip(grid, vals)]
-        return "\n".join(lines) + "\n"
+        rows = analysis._format_rows(np.column_stack([grid, vals]), "\t")
+        return f"x_{axes[0] + 1}\tdensity\n" + rows.decode()
 
     if what == "grid":
         axes = _parse_list(args.axes or "0,1", int)

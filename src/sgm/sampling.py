@@ -125,7 +125,7 @@ def _rejection(freqs, n, seed, density_fn, bound, squeeze):
         if (p > top).any():
             i = int(np.argmax(p - top))
             raise SgmError(
-                f"rejection ceiling violated: density {p[i]:.17g} > ceiling {top[i]:.17g}"
+                f"rejection ceiling violated: density {p[i]} > ceiling {top[i]}"
             )
         hit = sure | (u <= p)
         acc = X[hit]

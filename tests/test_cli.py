@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sgm import cli, estimators
+from sgm import analysis, cli, estimators
 from sgm.cli import main, read_csv, write_csv
 from sgm.estimators import simulate
 from sgm.errors import NumericalError
@@ -48,6 +48,41 @@ class TestCsv:
         assert path.read_bytes() == expect.encode()
         back = read_csv(str(path))
         assert back.shape == shape and back.tobytes() == arr.tobytes()
+
+    def test_empty_array_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_csv(str(path), np.empty((0, 3)))
+        assert path.read_bytes() == b"x1,x2,x3\n"
+
+    def test_one_dimensional_array_is_one_row(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_csv(str(path), np.array([0.5, 1.0, 2.25]))
+        assert path.read_bytes() == b"x1,x2,x3\n0.5,1,2.25\n"
+
+    def test_int_array_writes_plain_integers(self, tmp_path):
+        path = tmp_path / "i.csv"
+        write_csv(str(path), np.array([[1, -2], [30, 0]]))
+        assert path.read_bytes() == b"x1,x2\n1,-2\n30,0\n"
+
+    @pytest.mark.parametrize("rows_per_write", [1, 2])
+    def test_blocks_join_to_one_block(self, tmp_path, monkeypatch, rng, rows_per_write):
+        arr = rng.random((5, 3))
+        one = tmp_path / "one.csv"
+        write_csv(str(one), arr)
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows_per_write)
+        blocks = tmp_path / "blocks.csv"
+        write_csv(str(blocks), arr)
+        assert blocks.read_bytes() == one.read_bytes()
+
+    def test_read_csv_round_trips_every_row_bit_for_bit(self, tmp_path, rng):
+        arr = np.concatenate([rng.random((40, 3)), rng.normal(size=(40, 3)),
+                              10 ** rng.uniform(-8, 18, (40, 3)) * rng.choice([-1, 1], (40, 3)),
+                              [[-0.0, 5e-324, 1e-300], [1e300, 1e-4, 10.0]]])
+        path = str(tmp_path / "b.csv")
+        write_csv(path, arr)
+        back = read_csv(path)
+        assert back.shape == arr.shape
+        assert [r.tobytes() for r in back] == [r.tobytes() for r in arr]
 
     def test_header_detection(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -481,6 +516,16 @@ class TestExitCodes:
         assert run(["analyze", "--what", what, "--input", params7, "--axes", axes,
                     "--resolution", "5", "--quad-nodes", "8",
                     "--output", str(tmp_path / "g.tsv")], capsys) == 2
+
+    def test_marginal_tsv_is_per_value_formatting(self, params7, capsys):
+        assert run(["analyze", "--what", "marginal", "--input", params7, "--axes", "1",
+                    "--resolution", "7", "--quad-nodes", "8"]) == 0
+        freqs, theta = cli.load_params(params7)
+        grid = np.linspace(0.0, 1.0, 7)
+        vals = analysis.marginal_density(freqs, theta, [1], grid[:, None],
+                                         rule=analysis.QuadratureRule.gauss_legendre(8))
+        lines = ["x_2\tdensity"] + [f"{x:.17g}\t{v:.17g}" for x, v in zip(grid, vals)]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
     def test_marginal_resolution_below_2_exits_2(self, tmp_path, params7, resolution, capsys):

@@ -1,4 +1,5 @@
-"""Structure: one least-eigenvalue routine, and no matrix inverse in the model.
+"""Structure: one least-eigenvalue routine, no matrix inverse in the model, and
+one '%.17g' text writer.
 
 Every module of the package is parsed with ``ast``.  The smallest eigenvalue
 of a symmetric stack is asked for by the feasibility scans, the solver's step
@@ -7,7 +8,9 @@ through ``model._least_eigs``, the only caller of ``eigvalsh``, so a second
 Gershgorin prefilter cannot creep in unnoticed.  ``model.py`` decides
 "singular" and "indefinite" by the pivots of ``_psd_det``'s own elementwise
 Cholesky, whose factor the scores invert, without a LAPACK ``cholesky`` or an
-``inv``.
+``inv``.  Sample CSVs and density TSVs get their numbers from
+``analysis._format_rows``, the only code with a ``.17g`` format, so a per-value
+writer cannot creep back in beside it.
 """
 
 import ast
@@ -18,12 +21,11 @@ import sgm
 PACKAGE = pathlib.Path(sgm.__file__).parent
 
 
-class _Calls(ast.NodeVisitor):
-    """The enclosing definitions of every call to a function of a given name,
-    as ``np.linalg.name(...)``, ``scipy.linalg.name(...)`` or ``name(...)``."""
+class _Scoped(ast.NodeVisitor):
+    """Collects the dotted name of the definition enclosing each hit in ``found``."""
 
-    def __init__(self, name):
-        self.name, self.scope, self.found = name, [], []
+    def __init__(self):
+        self.scope, self.found = [], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -31,6 +33,15 @@ class _Calls(ast.NodeVisitor):
         self.scope.pop()
 
     visit_ClassDef = visit_FunctionDef
+
+
+class _Calls(_Scoped):
+    """The enclosing definitions of every call to a function of a given name,
+    as ``np.linalg.name(...)``, ``scipy.linalg.name(...)`` or ``name(...)``."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
 
     def visit_Call(self, node):
         f = node.func
@@ -49,6 +60,34 @@ def calls(name):
     return found
 
 
+class _Formats(_Scoped):
+    """The enclosing definitions of every string constant that holds a ``.17g``
+    format, as ``"%.17g"`` or an f-string's ``:.17g``; docstrings are not code."""
+
+    def __init__(self, tree):
+        super().__init__()
+        self.docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and ".17g" in node.value and id(node) not in self.docstrings:
+            self.found.append(".".join(self.scope) or "<module>")
+
+
+def formats():
+    """(module file, enclosing definition) of every ``.17g`` format in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        visitor = _Formats(tree)
+        visitor.visit(tree)
+        found += [(path.name, scope) for scope in visitor.found]
+    return found
+
+
 def test_eigvalsh_is_called_only_in_least_eigs():
     assert calls("eigvalsh") == [("model.py", "_least_eigs")]
 
@@ -59,3 +98,7 @@ def test_model_calls_no_inverse():
 
 def test_model_calls_no_cholesky():
     assert [c for c in calls("cholesky") if c[0] == "model.py"] == []
+
+
+def test_17g_is_formatted_only_in_format_rows():
+    assert formats() == [("analysis.py", "_format_rows")]
