@@ -14,8 +14,12 @@ drift of the machine's speed over a session falls on both sides alike.  Each run
 ``bench/BENCH_<label>.json``: a summary (per metric, the quartiles of each side
 and in how many pairs this tree was lower; the same for the raw median operation
 wall time and the calibration speed factor of untraced runs; failed over
-attempted operations)
-and every run's full result file.  Sets already in the file are kept, so one
+attempted operations; the source digest of each side)
+and every run's full result file.  Every run of a side must have run the same
+``src/sgm`` sources, by the ``env.src_sha256`` digest of its result: a digest
+that differs from the side's first run stops the set before anything is
+written, so an edit made while a set runs cannot mix two versions in one
+summary.  Sets already in the file are kept, so one
 file collects the sets of several invocations; a set of the same workload and
 trace as one already in the file is refused before any run starts.
 """
@@ -43,6 +47,16 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) 
                         "result.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def check_source(digests: dict, pair: int, side: str, result: dict) -> None:
+    """Record a side's source digest at its first run in ``digests``; refuse a
+    later run of that side whose digest differs."""
+    digest = result["env"]["src_sha256"]
+    first = digests.setdefault(side, digest)
+    if digest != first:
+        raise SystemExit(f"pair {pair} {side}: src/sgm digest {digest} differs from "
+                         f"{first} of the side's first run; the sources changed during the set")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -117,7 +131,7 @@ def main(argv=None) -> int:
         if name in doc["sets"]:
             raise SystemExit(f"{out} already holds the set {name!r}; use another --label")
 
-    runs = []
+    runs, digests = [], {}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -125,11 +139,13 @@ def main(argv=None) -> int:
         for side in order:
             checkout = parent if side == "parent" else ROOT
             run[side] = run_once(checkout, args.workload, seed, seconds, args.trace)
+            check_source(digests, i, side, run[side])
             print(f"pair {i} {side}: {run[side]['metrics']}", flush=True)
         runs.append(run)
 
+    summary = summarize(runs) | {"src_sha256": digests}
     doc["sets"][name] = {"workload": args.workload, "trace": args.trace,
-                         "summary": summarize(runs), "runs": runs}
+                         "summary": summary, "runs": runs}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     print(json.dumps({name: doc["sets"][name]["summary"]}, indent=1))

@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 
 from .analysis import (
     DensityGrid,
-    QuadratureRule,
     beta122,
     beta123,
     cond_mutual_info,
@@ -46,9 +45,6 @@ from .feasibility import (
     scale_km,
 )
 from .estimators import (
-    CVResult,
-    FitResult,
-    Scaler,
     cross_validate,
     fit_gauss_lasso,
     fit_mixm,
@@ -57,7 +53,6 @@ from .estimators import (
     predictive_loglik,
     preprocess,
 )
-from .maxdet import AffineMatrix, MaxDetProblem, SolveReport
 from .model import (
     FrequencySet,
     fisher_closed_1d,
@@ -66,7 +61,6 @@ from .model import (
     standard_freq_set,
 )
 from .sampling import (
-    RejectionInfo,
     rejection_bound,
     sample_benchmark5,
     sample_mixm,

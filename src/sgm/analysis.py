@@ -1,15 +1,16 @@
 """Tensor-product quadrature and moment functionals.
 
-Gauss-Legendre rules on [0,1], correlations and third-order interaction
-coefficients for the small worked models, conditional mutual information,
-marginal densities, numeric Fisher information, and grid tabulation for
-external plotting.
+Correlations and third-order interaction coefficients for the small worked
+models, conditional mutual information, marginal densities, numeric Fisher
+information, and grid tabulation for external plotting.  Each takes a node
+count n and integrates with the one cached, read-only n-point Gauss-Legendre
+rule on [0, 1] that ``gauss_legendre`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,58 +33,41 @@ _CHUNK = 16384
 _LOG_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Per-axis nodes and positive weights on [0, 1]; weights sum to one."""
+@lru_cache(maxsize=16)
+def gauss_legendre(n: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and positive weights of the n-point Gauss-Legendre rule on [0, 1].
 
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise DomainError("nodes and weights must be 1-d arrays of equal length")
-        if (weights <= 0).any():
-            raise DomainError("weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def gauss_legendre(cls, n: int = DEFAULT_NODES) -> "QuadratureRule":
-        """n-point Gauss-Legendre rule mapped to [0, 1]; exact to degree 2n-1."""
-        if n < 1:
-            raise DomainError("node count must be >= 1")
-        x, w = np.polynomial.legendre.leggauss(n)
-        return cls(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+    Exact to degree 2n-1; the weights sum to one.  Every analysis shares one
+    cached pair per n, so the arrays are read-only.
+    """
+    if n < 1:
+        raise DomainError("node count must be >= 1")
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _rule(rule: QuadratureRule | None) -> QuadratureRule:
-    return rule if rule is not None else QuadratureRule.gauss_legendre()
-
-
-def tensor_grid(rule: QuadratureRule, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product points (N, dim) and weights (N,) for the given rule."""
+def tensor_grid(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product points (N, dim) and weights (N,) of ``gauss_legendre(nodes)``."""
     if dim > _MAX_TENSOR_DIM:
         raise ResourceLimitError(f"tensor quadrature limited to dimension {_MAX_TENSOR_DIM}")
-    return _tensor_points([rule.nodes] * dim), _tensor_weights(rule, dim)
+    x, w = gauss_legendre(nodes)
+    return _tensor_points([x] * dim), _tensor_weights(w, dim)
 
 
-def _tensor_weights(rule: QuadratureRule, dim: int) -> np.ndarray:
+def _tensor_weights(weights: np.ndarray, dim: int) -> np.ndarray:
     """Tensor-product weights in the order of ``tensor_grid``; [1.0] for dim 0."""
-    return np.ravel(reduce(np.multiply.outer, [rule.weights] * dim, 1.0))
+    return np.ravel(reduce(np.multiply.outer, [weights] * dim, 1.0))
 
 
-def integrate(f, dim: int, rule: QuadratureRule | None = None) -> float:
+def integrate(f, dim: int, nodes: int = DEFAULT_NODES) -> float:
     """Tensor-product quadrature of a vectorized function on [0, 1]^dim.
 
-    ``f`` receives an (N, dim) array of points and returns N values.
+    ``f`` receives an (N, dim) array of points and returns N values; each axis
+    takes the ``nodes``-point rule of ``gauss_legendre``.
     """
-    rule = _rule(rule)
-    points, weights = tensor_grid(rule, dim)
+    points, weights = tensor_grid(nodes, dim)
     return float(weights @ np.asarray(f(points), dtype=float))
 
 
@@ -95,11 +79,11 @@ def _density_fn(freqs: FrequencySet, theta, which: str):
     raise DomainError(f"unknown model {which!r}")
 
 
-def _grid_density(freqs, theta, model, rule):
-    """Density values on the tensor grid, reshaped to (n, ..., n)."""
+def _grid_density(freqs, theta, model, x):
+    """Density values on the tensor grid of the nodes x, reshaped to (n, ..., n)."""
     dens = _density_fn(freqs, theta, model)
-    blocks = _mesh_blocks([rule.nodes] * freqs.dim, _CHUNK)
-    return np.concatenate([dens(mesh) for mesh in blocks]).reshape((len(rule),) * freqs.dim)
+    blocks = _mesh_blocks([x] * freqs.dim, _CHUNK)
+    return np.concatenate([dens(mesh) for mesh in blocks]).reshape((len(x),) * freqs.dim)
 
 
 def _region_bound(u, model: str) -> float:
@@ -109,57 +93,56 @@ def _region_bound(u, model: str) -> float:
     return 1.0 / (sq.max() if model == "sgm" else sq.sum())
 
 
-def _standardized_moment(u, theta, model, rule, center=None) -> float:
+def _standardized_moment(u, theta, model, nodes, center=None) -> float:
     """E[prod_j (X_j - c_j)^a_j] / prod_j E[(X_j - c_j)^2]^(a_j / 2) under the
     one-frequency model u at theta, with the frequency's own exponents a = u and
     c_j the mean of X_j, or ``center`` for every j."""
     bound = _region_bound(u, model)
     if abs(theta) > bound + 1e-12:
         raise DomainError(f"|theta| must be <= {bound} for model {model!r}")
-    rule = _rule(rule)
+    x, w = gauss_legendre(nodes)
     m = len(u)
-    p = _grid_density(FrequencySet.from_vectors([u]), [theta], model, rule)
-    W = p * _tensor_weights(rule, m).reshape(p.shape)  # the quadrature masses
+    p = _grid_density(FrequencySet.from_vectors([u]), [theta], model, x)
+    W = p * _tensor_weights(w, m).reshape(p.shape)  # the quadrature masses
     num, scale = W, 1.0
     for j, a in enumerate(u):
         marg = W.sum(axis=tuple(i for i in range(m) if i != j))
-        d = rule.nodes - (rule.nodes @ marg if center is None else center)
+        d = x - (x @ marg if center is None else center)
         num = np.tensordot(d**a, num, 1)  # contracts axis j, the leading one left
         scale *= (d**2 @ marg) ** (a / 2)
     return float(num / scale)
 
 
-def correlation(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
+def correlation(theta: float, model: str = "sgm", nodes: int = DEFAULT_NODES) -> float:
     """Correlation of the two-dimensional single-frequency u=(1,1) model."""
-    return _standardized_moment((1, 1), theta, model, rule)
+    return _standardized_moment((1, 1), theta, model, nodes)
 
 
-def beta122(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
+def beta122(theta: float, model: str = "sgm", nodes: int = DEFAULT_NODES) -> float:
     """Heteroscedasticity coefficient of the u=(1,2) model.
 
     E[(X1 - 1/2)(X2 - 1/2)^2] / (V[X1]^{1/2} V[X2]).
     """
-    return _standardized_moment((1, 2), theta, model, rule, center=0.5)
+    return _standardized_moment((1, 2), theta, model, nodes, center=0.5)
 
 
-def beta123(theta: float, model: str = "sgm", rule: QuadratureRule | None = None) -> float:
+def beta123(theta: float, model: str = "sgm", nodes: int = DEFAULT_NODES) -> float:
     """Standardized three-way interaction coefficient of the u=(1,1,1) model."""
-    return _standardized_moment((1, 1, 1), theta, model, rule)
+    return _standardized_moment((1, 1, 1), theta, model, nodes)
 
 
 def cond_mutual_info(
-    theta: float, phi: float, model: str = "sgm", rule: QuadratureRule | None = None
+    theta: float, phi: float, model: str = "sgm", nodes: int = DEFAULT_NODES
 ) -> float:
     """Conditional mutual information I(X1; X2 | X3) of the {(1,0,1),(0,1,1)} model."""
-    rule = _rule(rule)
+    x, w = gauss_legendre(nodes)
     freqs = FrequencySet.from_vectors([[1, 0, 1], [0, 1, 1]])
     vec = np.zeros(2)
     vec[freqs.index((1, 0, 1))] = theta
     vec[freqs.index((0, 1, 1))] = phi
-    p = _grid_density(freqs, vec, model, rule)
+    p = _grid_density(freqs, vec, model, x)
     if p.min() <= 0:
         raise DomainError("nonpositive density encountered: parameters are infeasible")
-    w = rule.weights
     p3 = np.einsum("ijk,i,j->k", p, w, w)
     p13 = np.einsum("ijk,j->ik", p, w)
     p23 = np.einsum("ijk,i->jk", p, w)
@@ -174,7 +157,7 @@ def marginal_density(
     axes,
     x_sub,
     model: str = "sgm",
-    rule: QuadratureRule | None = None,
+    nodes: int = DEFAULT_NODES,
 ):
     """Marginal density over the listed axes, integrating out the complement.
 
@@ -182,7 +165,7 @@ def marginal_density(
     point or an (N, len(axes)) batch; its rows run along dimension 0 of a mesh
     crossed with the complement axes, whose dimension is capped at 3.
     """
-    rule = _rule(rule)
+    x, w = gauss_legendre(nodes)
     axes = [int(a) for a in np.atleast_1d(axes)]
     if len(set(axes)) != len(axes) or not all(0 <= a < freqs.dim for a in axes):
         raise DomainError(f"axes must be distinct axis indices in [0, {freqs.dim})")
@@ -192,18 +175,16 @@ def marginal_density(
     single = np.ndim(x_sub) == 1
     pts = _points(x_sub, len(axes))
     dens = _density_fn(freqs, theta, model)
-    weights = _tensor_weights(rule, len(comp))
+    weights = _tensor_weights(w, len(comp))
     out = np.empty(len(pts))
-    for rows, *grid in _mesh_blocks([np.arange(len(pts))] + [rule.nodes] * len(comp), _CHUNK):
+    for rows, *grid in _mesh_blocks([np.arange(len(pts))] + [x] * len(comp), _CHUNK):
         cols = dict(zip(comp, grid)) | {a: pts[rows, d] for d, a in enumerate(axes)}
         vals = dens(tuple(cols[a] for a in range(freqs.dim)))
         out[rows.ravel()] = vals.reshape(rows.size, -1) @ weights
     return float(out[0]) if single else out
 
 
-def fisher_numeric(
-    freqs: FrequencySet, theta, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def fisher_numeric(freqs: FrequencySet, theta, nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Fisher information matrix by quadrature of p * score_u * score_v.
 
     Valid for interior-feasible theta; limited to m <= 3.  Per mesh block, J
@@ -214,11 +195,11 @@ def fisher_numeric(
     if freqs.dim > 3:
         raise ResourceLimitError("numeric Fisher information limited to m <= 3")
     theta = freqs.check_theta(theta)
-    rule = _rule(rule)
-    weights = _tensor_weights(rule, freqs.dim)
+    x, w = gauss_legendre(nodes)
+    weights = _tensor_weights(w, freqs.dim)
     J = np.zeros((freqs.size, freqs.size))
     lo = 0
-    for mesh in _mesh_blocks([rule.nodes] * freqs.dim, _CHUNK):
+    for mesh in _mesh_blocks([x] * freqs.dim, _CHUNK):
         p, scores = _gram_scores(freqs, theta, mesh)
         scores *= np.sqrt(weights[lo : lo + len(p)] * p)[:, None]
         lo += len(p)
@@ -300,7 +281,7 @@ def density_grid(
     resolution: int,
     conditioning: dict[int, float] | None = None,
     model: str = "sgm",
-    rule: QuadratureRule | None = None,
+    nodes: int = DEFAULT_NODES,
 ) -> DensityGrid:
     """Marginal or conditional density of an axis pair on a regular grid.
 
@@ -323,7 +304,7 @@ def density_grid(
         if sorted(cond) != comp:
             raise DomainError("conditioning must fix exactly the complement axes")
         cond_point = np.array([cond[a] for a in comp])  # checked here before any density
-        norm = marginal_density(freqs, theta, comp, cond_point, model=model, rule=rule)
+        norm = marginal_density(freqs, theta, comp, cond_point, model=model, nodes=nodes)
         pts = np.empty((len(pairs), freqs.dim))
         pts[:, i] = pairs[:, 0]
         pts[:, j] = pairs[:, 1]
@@ -331,7 +312,7 @@ def density_grid(
             pts[:, a] = v
         values = _density_fn(freqs, theta, model)(pts) / norm
     else:
-        values = marginal_density(freqs, theta, [i, j], pairs, model=model, rule=rule)
+        values = marginal_density(freqs, theta, [i, j], pairs, model=model, nodes=nodes)
     return DensityGrid(
         axes=(i, j), xi=grid, xj=grid, values=values.reshape(resolution, resolution)
     )
@@ -340,13 +321,12 @@ def density_grid(
 def table1(nodes: int = DEFAULT_NODES) -> dict:
     """The worked-example summary: extremal correlation, beta122, beta123,
     and the conditional-mutual-information leading coefficients."""
-    rule = QuadratureRule.gauss_legendre(nodes)
     eps = 0.05
     models = ("sgm", "mixm")
-    extremal = lambda f, u, sign: {m: f(sign * _region_bound(u, m), m, rule) for m in models}
+    extremal = lambda f, u, sign: {m: f(sign * _region_bound(u, m), m, nodes) for m in models}
     return {
         "correlation": extremal(correlation, (1, 1), 1.0),
         "beta122": extremal(beta122, (1, 2), -1.0),
         "beta123": extremal(beta123, (1, 1, 1), -1.0),
-        "cmi_coefficient": {m: cond_mutual_info(eps, eps, m, rule) / eps**4 for m in models},
+        "cmi_coefficient": {m: cond_mutual_info(eps, eps, m, nodes) / eps**4 for m in models},
     }

@@ -326,7 +326,6 @@ def _parse_condition(text: str) -> dict[int, float]:
 
 
 def run_analyze(args) -> tuple[dict, dict] | str:
-    rule = analysis.QuadratureRule.gauss_legendre(args.quad_nodes)
     what = args.what
     config = {"what": what, "model": args.model, "quad_nodes": args.quad_nodes}
     if args.condition and what != "grid":
@@ -336,16 +335,16 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         return config, {"table1": analysis.table1(args.quad_nodes)}
 
     if what in ("correlation", "beta122", "beta123"):
-        theta = _require_theta(args, count=1)[0]
+        theta = _require_theta(args)
         config["theta"] = theta
-        return config, {what: getattr(analysis, what)(theta, args.model, rule)}
+        return config, {what: getattr(analysis, what)(theta, args.model, args.quad_nodes)}
 
     if what == "cmi":
-        theta = _require_theta(args, count=1)[0]
+        theta = _require_theta(args)
         if args.phi is None:
             raise UsageError("--what cmi requires --phi")
         config.update({"theta": theta, "phi": args.phi})
-        return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, args.model, rule)}
+        return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, args.model, args.quad_nodes)}
 
     if args.input is None:
         raise UsageError(f"--what {what} requires --input params JSON")
@@ -354,7 +353,7 @@ def run_analyze(args) -> tuple[dict, dict] | str:
 
     if what == "fisher":
         return config, {"frequencies": freqs.freqs,
-                        "fisher": analysis.fisher_numeric(freqs, theta, rule)}
+                        "fisher": analysis.fisher_numeric(freqs, theta, args.quad_nodes)}
 
     if what == "marginal":
         axes = _parse_list(args.axes or "0", int)
@@ -362,7 +361,7 @@ def run_analyze(args) -> tuple[dict, dict] | str:
             raise UsageError(f"--what marginal takes one --axes index in [0, {freqs.dim})")
         grid = np.linspace(0.0, 1.0, args.resolution)
         vals = analysis.marginal_density(
-            freqs, theta, axes, grid[:, None], model=args.model, rule=rule
+            freqs, theta, axes, grid[:, None], model=args.model, nodes=args.quad_nodes
         )
         rows = analysis._format_rows(np.column_stack([grid, vals]), "\t")
         return f"x_{axes[0] + 1}\tdensity\n" + rows.decode()
@@ -376,20 +375,20 @@ def run_analyze(args) -> tuple[dict, dict] | str:
             raise UsageError("--condition must fix exactly the axes not in --axes")
         grid = analysis.density_grid(
             freqs, theta, (axes[0], axes[1]), args.resolution,
-            conditioning=conditioning, model=args.model, rule=rule,
+            conditioning=conditioning, model=args.model, nodes=args.quad_nodes,
         )
         return grid.to_tsv()
 
     raise UsageError(f"unknown analysis {what!r}")
 
 
-def _require_theta(args, count: int) -> list[float]:
+def _require_theta(args) -> float:
     if args.theta is None:
         raise UsageError(f"--what {args.what} requires --theta")
     vals = _parse_list(args.theta)
-    if len(vals) != count:
-        raise UsageError(f"--theta must have {count} value(s)")
-    return vals
+    if len(vals) != 1:
+        raise UsageError("--theta must have 1 value(s)")
+    return vals[0]
 
 
 def run_simulate(args) -> tuple[dict, dict]:

@@ -432,15 +432,14 @@ def _simulate_replicate(payload):
     scaler = Scaler.fit(raw)
     unit, std = scaler.to_unit(raw), scaler.standardize(raw)
     unit_t, std_t = scaler.to_unit(test_raw), scaler.standardize(test_raw)
-    sqrt_j = np.sqrt(fisher_origin(fs))
     fit_s = fit_sgm(unit, fs, LitRegion(tau))
     fit_m = fit_mixm(unit, fs, LitRegion(tau))
     C = fit_gauss_lasso(std, tau)
     C_pred = C if tau_gauss == tau else fit_gauss_lasso(std, tau_gauss)
     return {
         "index": index,
-        "sgm_scaled": (sqrt_j * fit_s.theta).tolist(),
-        "mixm_scaled": (sqrt_j * fit_m.theta).tolist(),
+        "sgm_scaled": fit_s.scaled.tolist(),
+        "mixm_scaled": fit_m.scaled.tolist(),
         "partial_corr": partial_correlations(C).tolist(),
         "pred": {
             "sgm": predictive_loglik("sgm", (fs, fit_s.theta), unit_t),

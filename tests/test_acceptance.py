@@ -8,8 +8,8 @@ import numpy as np
 from scipy.stats import chi2
 
 import sgm
-from sgm import FrequencySet, QuadratureRule
-from sgm.analysis import tensor_grid
+from sgm import FrequencySet
+from sgm.analysis import gauss_legendre, tensor_grid
 from sgm.estimators import simulate
 from sgm.feasibility import LatticeRegion, LitRegion
 from sgm.maxdet import objective_eval, solve
@@ -58,15 +58,14 @@ def test_criterion_1_table1_reproduction():
     finish(lines)
 
 
-def _cmi_entropy_route(model, eps, rule):
+def _cmi_entropy_route(model, eps, n):
     """I(X1; X2 | X3) of the {(1,0,1),(0,1,1)} model at theta = phi = eps,
     as H13 + H23 - H3 - H123 from the density on the tensor grid."""
     freqs = FrequencySet.from_vectors([[1, 0, 1], [0, 1, 1]])
     theta = np.full(freqs.size, eps)
-    points, _ = tensor_grid(rule, 3)
+    points, _ = tensor_grid(n, 3)
     dens = density_batch if model == "sgm" else mixm_density_batch
-    n = len(rule)
-    w = rule.weights
+    _, w = gauss_legendre(n)
     p123 = dens(freqs, theta, points).reshape(n, n, n)
     p13 = np.einsum("ijk,j->ik", p123, w)
     p23 = np.einsum("ijk,i->jk", p123, w)
@@ -99,15 +98,14 @@ def test_criterion_2_cmi_coefficients():
     a second route, the entropy identity H13 + H23 - H3 - H123 on the same
     48-node grid.
     """
-    rule = QuadratureRule.gauss_legendre(48)
     lines = []
     for model, target in (("sgm", 3.0 / 64.0), ("mixm", 3.0 / 4.0)):
         errors = []
         ratios = []
         route_gap = 0.0
         for eps in (0.2, 0.1, 0.05):
-            info = sgm.cond_mutual_info(eps, eps, model, rule)
-            route_gap = max(route_gap, abs(info - _cmi_entropy_route(model, eps, rule)))
+            info = sgm.cond_mutual_info(eps, eps, model, 48)
+            route_gap = max(route_gap, abs(info - _cmi_entropy_route(model, eps, 48)))
             ratio = info / eps**4
             ratios.append(ratio)
             errors.append(abs(ratio - target))
@@ -124,14 +122,12 @@ def test_criterion_2_cmi_coefficients():
 
 def test_criterion_3_fisher_closed_forms():
     lines = []
-    rule96 = QuadratureRule.gauss_legendre(96)
-    rule48 = QuadratureRule.gauss_legendre(48)
     for u in (1, 2):
         fs = FrequencySet.from_vectors([[u]])
         limit = 0.9 / u**2  # 90 percent of the domain |theta| u^2 < 1
         worst = 0.0
         for th in np.linspace(-limit, limit, 11):
-            J = sgm.fisher_numeric(fs, [th], rule96)[0, 0]
+            J = sgm.fisher_numeric(fs, [th], 96)[0, 0]
             worst = max(worst, abs(J - sgm.fisher_closed_1d(u, th)))
         check(lines, f"one-dim closed form u={u}", worst <= 1e-6,
               f"max |closed - quadrature| = {worst:.2e}")
@@ -140,7 +136,7 @@ def test_criterion_3_fisher_closed_forms():
               f"limit gap {origin_gap:.2e} vs u^4/2")
     worst = 0.0
     for th in np.linspace(-0.9, 0.9, 11):
-        J = sgm.fisher_numeric(U11, [th], rule48)[0, 0]
+        J = sgm.fisher_numeric(U11, [th], 48)[0, 0]
         worst = max(worst, abs(J - sgm.fisher_closed_corr(th)))
     check(lines, "correlation closed form", worst <= 1e-6,
           f"max |closed - quadrature| = {worst:.2e}")
@@ -405,9 +401,9 @@ def test_criterion_8_benchmark_experiment():
 
 def _cell_probabilities(freqs, theta, bins, nodes_per_cell=6):
     """Exact cell probabilities by per-cell Gauss-Legendre quadrature."""
-    base = QuadratureRule.gauss_legendre(nodes_per_cell)
-    nodes = ((np.arange(bins)[:, None] + base.nodes[None, :]) / bins).ravel()
-    weights = np.tile(base.weights / bins, bins)
+    base_nodes, base_weights = gauss_legendre(nodes_per_cell)
+    nodes = ((np.arange(bins)[:, None] + base_nodes[None, :]) / bins).ravel()
+    weights = np.tile(base_weights / bins, bins)
     m = freqs.dim
     mesh = np.meshgrid(*([nodes] * m), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -479,14 +475,13 @@ def test_criterion_9_sampler_exactness():
 
 
 def test_criterion_10_closed_form_cross_checks():
-    rule = QuadratureRule.gauss_legendre(48)
-    w, x = rule.weights, rule.nodes
+    x, w = gauss_legendre(48)
     lines = []
 
     # correlation-model marginal, mean, and variance
     worst_marg = worst_mean = worst_var = 0.0
     for th in np.linspace(-1.0, 1.0, 9):
-        marg = sgm.marginal_density(U11, [th], [0], x[:, None], rule=rule)
+        marg = sgm.marginal_density(U11, [th], [0], x[:, None], nodes=48)
         expect = 1 + th**2 / 2 * np.cos(2 * np.pi * x)
         worst_marg = max(worst_marg, np.abs(marg - expect).max())
         mean = (w * marg) @ x
@@ -502,7 +497,7 @@ def test_criterion_10_closed_form_cross_checks():
     pts = np.stack([np.repeat(x[::6], 8), np.tile(x[::6], 8)], axis=-1)
     worst = 0.0
     for th in (-1.0, -0.4, 0.5, 1.0):
-        marg = sgm.marginal_density(fs111, [th], [0, 1], pts, rule=rule)
+        marg = sgm.marginal_density(fs111, [th], [0, 1], pts, nodes=48)
         c = np.cos(np.pi * pts)
         expect = 1 + th**2 * (4 * c[:, 0] ** 2 * c[:, 1] ** 2 - 1) / 2
         worst = max(worst, np.abs(marg - expect).max())
@@ -514,7 +509,7 @@ def test_criterion_10_closed_form_cross_checks():
     for th in (-0.25, -0.1, 0.12, 0.25):
         for x1 in (0.05, 0.3, 0.62, 0.9):
             ptsc = np.column_stack([np.full(len(x), x1), x])
-            joint = sgm.marginal_density(fs12, [th], [0, 1], ptsc, rule=rule)
+            joint = sgm.marginal_density(fs12, [th], [0, 1], ptsc, nodes=48)
             mean = (w * joint) @ x / (w @ joint)
             worst = max(worst, abs(mean - 0.5))
     check(lines, "heteroscedastic conditional mean", worst <= 1e-8, f"{worst:.2e}")

@@ -237,6 +237,14 @@ class TestFitRegionFlags:
         assert config["freqs"] == "standard"
         assert config["region"] == {"kind": "lit", "tau": 1.0}
 
+    def test_lattice_fit_records_its_region(self, tmp_path, csv, capsys):
+        out = tmp_path / "f.json"
+        assert run(["fit", "--input", csv, "--region", "lattice", "--M", "3",
+                    "--no-preprocess", "--output", str(out)], capsys) == 0
+        obj = json.loads(out.read_text())
+        assert obj["solver"]["converged"] is True
+        assert obj["config"]["region"] == {"kind": "lattice", "M": 3}
+
     @pytest.mark.parametrize("model", ["sgm", "gauss"])
     def test_tau_defaults_to_one(self, tmp_path, csv, model, capsys):
         outs = []
@@ -367,6 +375,28 @@ class TestAnalyze:
         table = np.array([[float(c) for c in ln.split("\t")] for ln in lines[1:]])
         assert table.shape == (13 * 13, 3)
         assert (table[:, 2] >= 0).all()
+
+    def test_cmi_value(self, capsys):
+        assert main(["analyze", "--what", "cmi", "--theta", "0.2", "--phi", "0.1",
+                     "--quad-nodes", "8"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["cmi"] == analysis.cond_mutual_info(0.2, 0.1, "sgm", 8)
+        assert obj["config"] == {"what": "cmi", "model": "sgm", "quad_nodes": 8,
+                                 "theta": 0.2, "phi": 0.1}
+
+    @pytest.mark.parametrize("theta,message", [
+        (["--theta", "0.2"], "--what cmi requires --phi"),
+        ([], "--what cmi requires --theta"),
+        (["--theta", "0.2,0.1", "--phi", "0.1"], "--theta must have 1 value(s)"),
+    ])
+    def test_cmi_without_phi_or_one_theta_exits_2(self, theta, message, capsys):
+        assert main(["analyze", "--what", "cmi", *theta, "--quad-nodes", "8"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_table1_value(self, capsys):
+        assert main(["analyze", "--what", "table1", "--quad-nodes", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["table1"] == analysis.table1(8)
 
     def test_fisher_matrix(self, tmp_path, params7):
         out = str(tmp_path / "J.json")
@@ -522,8 +552,7 @@ class TestExitCodes:
                     "--resolution", "7", "--quad-nodes", "8"]) == 0
         freqs, theta = cli.load_params(params7)
         grid = np.linspace(0.0, 1.0, 7)
-        vals = analysis.marginal_density(freqs, theta, [1], grid[:, None],
-                                         rule=analysis.QuadratureRule.gauss_legendre(8))
+        vals = analysis.marginal_density(freqs, theta, [1], grid[:, None], nodes=8)
         lines = ["x_2\tdensity"] + [f"{x:.17g}\t{v:.17g}" for x, v in zip(grid, vals)]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 

@@ -545,6 +545,22 @@ class TestSolve:
         monkeypatch.setattr(maxdet, "_MAX_NEWTON", rep.newton_iterations - 1)
         assert solve(one_var_problem(0.3)).kkt_residual > 2e-11
 
+    def test_solver_error_after_the_first_iteration_returns_the_last_iterate(self, monkeypatch):
+        real_step, steps = maxdet._step, []
+
+        def step(problem, pt):
+            if steps:
+                raise sgm.SolverError("Newton system singular")
+            steps.append(real_step(problem, pt))
+            return steps[-1]
+
+        monkeypatch.setattr(maxdet, "_step", step)
+        rep = solve(one_var_problem(0.3))
+        assert rep.newton_iterations == 2
+        assert np.array_equal(rep.theta, steps[0][0])  # the iterate the one step reached
+        assert not rep.converged
+        assert rep.message == "Newton system singular"
+
     def test_mle_recovery_correlation_model(self):
         # n = 400 samples at theta = 0.5; estimate within 3 / sqrt(n J)
         fs = sgm.FrequencySet.from_vectors([[1, 1]])

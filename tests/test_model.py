@@ -159,12 +159,11 @@ class TestDensity:
             assert density_batch(U11, [th], x[None])[0] == pytest.approx(expect, abs=1e-12)
 
     def test_normalization_random_feasible(self, rng):
-        rule = sgm.QuadratureRule.gauss_legendre(48)
         for m in (1, 2, 3):
             fs = sgm.standard_freq_set(m)
             for _ in range(4):
                 theta = random_lit_interior(fs, rng)
-                val = sgm.integrate(lambda X: density_batch(fs, theta, X), m, rule)
+                val = sgm.integrate(lambda X: density_batch(fs, theta, X), m, 48)
                 assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_indefinite_raises(self):
@@ -202,7 +201,7 @@ class TestDensity:
         # at theta = 1 the smallest eigenvalue 1 + cos(pi (x1 + x2)) vanishes
         # on the antidiagonal, where rounding leaves it on either side of 0
         n = 48
-        X, _ = tensor_grid(sgm.QuadratureRule.gauss_legendre(n), 2)
+        X, _ = tensor_grid(n, 2)
         p = density_batch(U11, [1.0], X)
         lam = np.linalg.eigvalsh(gram_batch(U11, [1.0], X))[:, 0]
         assert (p >= 0).all()
@@ -439,9 +438,8 @@ class TestMixmDensity:
 
     def test_integrates_to_one_for_any_theta(self, rng):
         fs = sgm.standard_freq_set(2)
-        rule = sgm.QuadratureRule.gauss_legendre(32)
         theta = rng.normal(size=fs.size)  # normalization needs no feasibility
-        val = sgm.integrate(lambda X: mixm_density_batch(fs, theta, X), 2, rule)
+        val = sgm.integrate(lambda X: mixm_density_batch(fs, theta, X), 2, 32)
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -464,7 +462,7 @@ class TestFisher:
     def test_closed_1d_matches_quadrature(self):
         fs = FrequencySet.from_vectors([[2]])
         # 64 nodes over-resolve the near-pole integrand at theta u^2 = 0.8
-        J = sgm.fisher_numeric(fs, [0.2], sgm.QuadratureRule.gauss_legendre(64))
+        J = sgm.fisher_numeric(fs, [0.2], 64)
         assert sgm.fisher_closed_1d(2, 0.2) == pytest.approx(J[0, 0], abs=1e-8)
 
     def test_closed_1d_domain_error(self):
@@ -662,8 +660,7 @@ class TestProperties:
     @given(lit_theta(max_dim=3))
     def test_lit_densities_integrate_to_one(self, case):
         fs, theta = case
-        rule = sgm.QuadratureRule.gauss_legendre(48)
-        val = sgm.integrate(lambda X: density_batch(fs, theta, X), fs.dim, rule)
+        val = sgm.integrate(lambda X: density_batch(fs, theta, X), fs.dim, 48)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     @settings(max_examples=30, deadline=None)

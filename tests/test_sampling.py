@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgm
-from sgm import DomainError, FrequencySet, QuadratureRule, sampling
+from sgm import DomainError, FrequencySet, sampling
 from sgm.model import density_batch, gram_batch, mixm_density_batch
 from sgm.sampling import _cell_ceiling
 
@@ -279,10 +279,9 @@ class TestSampleMixm:
     def test_cosine_moment(self):
         # E[cos(pi X)] under 1 + theta cos(pi x) is theta / 2
         fs = FrequencySet.from_vectors([[1]])
-        rule = QuadratureRule.gauss_legendre(32)
         th = 0.5
         quad = sgm.integrate(
-            lambda X: np.cos(np.pi * X[:, 0]) * mixm_density_batch(fs, [th], X), 1, rule
+            lambda X: np.cos(np.pi * X[:, 0]) * mixm_density_batch(fs, [th], X), 1, 32
         )
         n = 40000
         out = sgm.sample_mixm(fs, [th], n, seed=9)
