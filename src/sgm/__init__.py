@@ -10,7 +10,6 @@ rejection sampling, and quadrature reproduction of closed-form moments.
 from types import ModuleType as _ModuleType
 
 from .analysis import (
-    DensityGrid,
     beta122,
     beta123,
     cond_mutual_info,

@@ -2,14 +2,14 @@
 
 Correlations and third-order interaction coefficients for the small worked
 models, conditional mutual information, marginal densities, numeric Fisher
-information, and grid tabulation for external plotting.  Each takes a node
-count n and integrates with the one cached, read-only n-point Gauss-Legendre
-rule on [0, 1] that ``gauss_legendre`` returns.
+information, and density grids for external plotting, as numbers and arrays;
+``cli`` turns them into text.  Each takes a node count n and integrates with
+the one cached, read-only n-point Gauss-Legendre rule on [0, 1] that
+``gauss_legendre`` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -207,73 +207,6 @@ def fisher_numeric(freqs: FrequencySet, theta, nodes: int = DEFAULT_NODES) -> np
     return J
 
 
-# _format_rows' tables.  _WORDS[w + 10^4 z]: four digits of w < 10^4, trailing zeros NUL if z.
-# _PREFIX[(((e + 4) * 2 + s) * 10 + d) * 2 + z]: sign s, digit d, point; z: no digit follows.
-_SCALE = np.array([1e20, 1e19, 1e18, 1e17, 1e16])  # 10^(16 - e), e = -4..0: exact
-_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).reshape(-1, 4)
-_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
-_WORDS = np.concatenate([_DIGITS, _DIGITS * ~_TRAILING]).view(np.uint32).ravel()
-_PREFIX = np.frombuffer(b"".join(
-    ("-" * s + (f"{d}" + "." * (1 - z) if e == 0 else f"0.{'0' * (-1 - e)}{d}")).encode().ljust(8, b"\0")
-    for e in range(-4, 1) for s in (0, 1) for d in range(10) for z in (0, 1)), np.uint64)
-
-
-def _split(a):
-    c = a * 134217729.0  # 2^27 + 1: Veltkamp's split a = hi + lo into 26-bit halves
-    return c - (c - a), a - (c - (c - a))
-
-
-def _format_rows(arr, sep: str) -> bytes:
-    """Each row of an (N, c) array as ``sep.join('%.17g' % v) + '\\n'``, for a 1-byte sep.
-
-    Where 1e-4 <= |x| < 10 (unit-cube draws, densities, grid coordinates) numpy
-    forms the text over the block: the exponent e in [-4, 0] by comparison with the
-    doubles 1e-3, 1e-2, 0.1 and 1 (none below its power of ten), the 17 digits as
-    p + rint(err), (p, err) Dekker's exact product of |x| and 10^(16-e) (Numer.
-    Math. 18, 1971); p >= 2^53 is even, so rint's ties to even round as '%.17g'
-    does.  Each value fills 32 NUL-padded bytes: prefix, 4 digit words, separator;
-    the NULs are deleted.  '%.17g' itself formats any other value.
-    """
-    n, c = np.shape(arr)
-    x = np.asarray(arr, dtype=float).ravel()
-    a = np.abs(x)
-    slow = np.flatnonzero(~((a >= 1e-4) & (a < 10.0)))
-    a[slow] = 1.0
-    i = sum(a >= power for power in (1e-3, 1e-2, 1e-1, 1.0))
-    b = _SCALE.take(i)
-    p = a * b
-    (ah, al), (bh, bl) = _split(a), _split(b)
-    d = p.astype(np.int64) + np.rint(((ah * bh - p) + ah * bl + al * bh) + al * bl).astype(np.int64)
-    del a, b, p, ah, al, bh, bl  # the float temporaries, before the text is built
-    out = np.empty((n * c, 4), np.uint64)  # prefix, four digit words, separator
-    zero = np.ones(len(x), bool)  # every digit right of the current word is 0
-    for k in (5, 4, 3, 2):
-        d, w = d // 10**4, d - d // 10**4 * 10**4
-        out.view(np.uint32)[:, k] = _WORDS.take(w + 10**4 * zero)
-        zero &= w == 0
-    out[:, 0] = _PREFIX.take(((i * 2 + np.signbit(x)) * 10 + d) * 2 + zero)
-    out.reshape(n, c, 4)[:, :, 3] = [ord(sep)] * (c - 1) + [ord("\n")]  # 1 byte and 7 NULs
-    text = b"".join(("%.17g" % v).encode().ljust(24, b"\0") for v in x[slow].tolist())
-    out.view(np.uint8)[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
-    return out.tobytes().translate(None, b"\0")
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Tabulated two-dimensional density values for external plotting."""
-
-    axes: tuple[int, int]
-    xi: np.ndarray
-    xj: np.ndarray
-    values: np.ndarray  # (len(xi), len(xj)), row-major over xi
-
-    def to_tsv(self) -> str:
-        """A header, then ``x_i x_j density`` per point, tab-separated, by ``_format_rows``."""
-        header = f"x_{self.axes[0] + 1}\tx_{self.axes[1] + 1}\tdensity\n"
-        rows = np.stack([*np.meshgrid(self.xi, self.xj, indexing="ij"), self.values], axis=-1)
-        return header + _format_rows(rows.reshape(-1, 3), "\t").decode()
-
-
 def density_grid(
     freqs: FrequencySet,
     theta,
@@ -282,8 +215,10 @@ def density_grid(
     conditioning: dict[int, float] | None = None,
     model: str = "sgm",
     nodes: int = DEFAULT_NODES,
-) -> DensityGrid:
-    """Marginal or conditional density of an axis pair on a regular grid.
+) -> np.ndarray:
+    """Marginal or conditional density of an axis pair on a regular grid: the
+    (resolution, resolution) values on ``np.linspace(0, 1, resolution)`` in
+    each axis, rows along ``axes[0]``.
 
     Without conditioning, the complement axes are integrated out.  With
     conditioning, every complement axis must be fixed and the joint value is
@@ -295,9 +230,7 @@ def density_grid(
     if i == j or not (0 <= i < freqs.dim and 0 <= j < freqs.dim):
         raise DomainError("axes must be two distinct axis indices")
     grid = np.linspace(0.0, 1.0, resolution)
-    pairs = np.stack(
-        [np.repeat(grid, resolution), np.tile(grid, resolution)], axis=-1
-    )
+    pairs = np.stack([np.repeat(grid, resolution), np.tile(grid, resolution)], axis=-1)
     comp = [a for a in range(freqs.dim) if a not in (i, j)]
     if conditioning:
         cond = {int(a): float(v) for a, v in conditioning.items()}
@@ -313,9 +246,7 @@ def density_grid(
         values = _density_fn(freqs, theta, model)(pts) / norm
     else:
         values = marginal_density(freqs, theta, [i, j], pairs, model=model, nodes=nodes)
-    return DensityGrid(
-        axes=(i, j), xi=grid, xj=grid, values=values.reshape(resolution, resolution)
-    )
+    return values.reshape(resolution, resolution)
 
 
 def table1(nodes: int = DEFAULT_NODES) -> dict:

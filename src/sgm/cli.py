@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: fit, cv, sample, feasible, analyze, simulate.  The module
-parses options, reads inputs and writes results; the work is done by the
-library.  Each runner returns its resolved configuration and result body, or
-the TSV text of a table, and ``main`` alone writes it: JSON with a schema
-version, the command, the configuration and the timing.  Reruns are
-byte-identical apart from the timing field.  Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numerical error.
+parses options, reads inputs and writes results; the library does the work and
+returns numbers and arrays, and every text format is this module's.  Each
+runner returns its resolved configuration and result body, or the TSV text of
+a table, and ``main`` alone writes it: JSON with a schema version, the
+command, the configuration and the timing.  Reruns are byte-identical apart
+from the timing field.  Exit codes: 0 success, 2 usage error, 3 data error,
+4 numerical error.
 """
 
 from __future__ import annotations
@@ -85,14 +86,70 @@ def read_csv(path: str) -> np.ndarray:
     return arr
 
 
+# _format_rows' tables.  _WORDS[w + 10^4 z]: four digits of w < 10^4, trailing zeros NUL if z.
+# _PREFIX[(((e + 4) * 2 + s) * 10 + d) * 2 + z]: sign s, digit d, point; z: no digit follows.
+_SCALE = np.array([1e20, 1e19, 1e18, 1e17, 1e16])  # 10^(16 - e), e = -4..0: exact
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).reshape(-1, 4)
+_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
+_WORDS = np.concatenate([_DIGITS, _DIGITS * ~_TRAILING]).view(np.uint32).ravel()
+_PREFIX = np.frombuffer(b"".join(
+    ("-" * s + (f"{d}" + "." * (1 - z) if e == 0 else f"0.{'0' * (-1 - e)}{d}")).encode().ljust(8, b"\0")
+    for e in range(-4, 1) for s in (0, 1) for d in range(10) for z in (0, 1)), np.uint64)
+
+
+def _split(a):
+    c = a * 134217729.0  # 2^27 + 1: Veltkamp's split a = hi + lo into 26-bit halves
+    return c - (c - a), a - (c - (c - a))
+
+
+def _format_rows(arr, sep: str) -> bytes:
+    """Each row of an (N, c) array as ``sep.join('%.17g' % v) + '\\n'``, for a 1-byte sep.
+
+    Where 1e-4 <= |x| < 10 (unit-cube draws, densities, grid coordinates) numpy
+    forms the text over the block: the exponent e in [-4, 0] by comparison with the
+    doubles 1e-3, 1e-2, 0.1 and 1 (none below its power of ten), the 17 digits as
+    p + rint(err), (p, err) Dekker's exact product of |x| and 10^(16-e) (Numer.
+    Math. 18, 1971); p >= 2^53 is even, so rint's ties to even round as '%.17g'
+    does.  Each value fills 32 NUL-padded bytes: prefix, 4 digit words, separator;
+    the NULs are deleted.  '%.17g' itself formats any other value.
+    """
+    n, c = np.shape(arr)
+    x = np.asarray(arr, dtype=float).ravel()
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 10.0)))
+    a[slow] = 1.0
+    i = sum(a >= power for power in (1e-3, 1e-2, 1e-1, 1.0))
+    b = _SCALE.take(i)
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    d = p.astype(np.int64) + np.rint(((ah * bh - p) + ah * bl + al * bh) + al * bl).astype(np.int64)
+    del a, b, p, ah, al, bh, bl  # the float temporaries, before the text is built
+    out = np.empty((n * c, 4), np.uint64)  # prefix, four digit words, separator
+    zero = np.ones(len(x), bool)  # every digit right of the current word is 0
+    for k in (5, 4, 3, 2):
+        d, w = d // 10**4, d - d // 10**4 * 10**4
+        out.view(np.uint32)[:, k] = _WORDS.take(w + 10**4 * zero)
+        zero &= w == 0
+    out[:, 0] = _PREFIX.take(((i * 2 + np.signbit(x)) * 10 + d) * 2 + zero)
+    out.reshape(n, c, 4)[:, :, 3] = [ord(sep)] * (c - 1) + [ord("\n")]  # 1 byte and 7 NULs
+    text = b"".join(("%.17g" % v).encode().ljust(24, b"\0") for v in x[slow].tolist())
+    out.view(np.uint8)[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    return out.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str, arr: np.ndarray) -> None:
-    """Header ``x1,...,xc``, then rows as '%.17g' writes them, by ``analysis._format_rows``."""
+    """Header ``x1,...,xc``, then rows as '%.17g' writes them, by ``_format_rows``."""
     arr = np.atleast_2d(arr)
     header = ",".join(f"x{i + 1}" for i in range(arr.shape[1]))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for block in np.split(arr, range(_CSV_ROWS, len(arr), _CSV_ROWS)):
-            fh.write(analysis._format_rows(block, ","))
+            fh.write(_format_rows(block, ","))
+
+
+def _tsv(header_cells, columns) -> str:
+    """The tab-joined header, then one row per entry of the equal-length columns."""
+    return "\t".join(header_cells) + "\n" + _format_rows(np.column_stack(columns), "\t").decode()
 
 
 def _read_json(path: str):
@@ -363,8 +420,7 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         vals = analysis.marginal_density(
             freqs, theta, axes, grid[:, None], model=args.model, nodes=args.quad_nodes
         )
-        rows = analysis._format_rows(np.column_stack([grid, vals]), "\t")
-        return f"x_{axes[0] + 1}\tdensity\n" + rows.decode()
+        return _tsv([f"x_{axes[0] + 1}", "density"], [grid, vals])
 
     if what == "grid":
         axes = _parse_list(args.axes or "0,1", int)
@@ -373,11 +429,13 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         conditioning = _parse_condition(args.condition) if args.condition else None
         if conditioning and sorted(conditioning) != [a for a in range(freqs.dim) if a not in axes]:
             raise UsageError("--condition must fix exactly the axes not in --axes")
-        grid = analysis.density_grid(
+        values = analysis.density_grid(
             freqs, theta, (axes[0], axes[1]), args.resolution,
             conditioning=conditioning, model=args.model, nodes=args.quad_nodes,
         )
-        return grid.to_tsv()
+        grid = np.linspace(0.0, 1.0, args.resolution)
+        return _tsv([f"x_{axes[0] + 1}", f"x_{axes[1] + 1}", "density"],
+                    [np.repeat(grid, len(grid)), np.tile(grid, len(grid)), values.ravel()])
 
     raise UsageError(f"unknown analysis {what!r}")
 

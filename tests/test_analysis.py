@@ -1,14 +1,13 @@
 import itertools
-from fractions import Fraction
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sgm
 from sgm import DomainError, FrequencySet, ResourceLimitError
-from sgm.analysis import _format_rows, _region_bound, gauss_legendre, tensor_grid
+from sgm.analysis import _region_bound, gauss_legendre, tensor_grid
+from sgm.cli import main
 from sgm.model import density_batch, gram_batch, hessian_basis_batch
 
 from conftest import random_lit_interior, smat
@@ -298,11 +297,20 @@ class TestFisherNumeric:
             sgm.fisher_numeric(fs, np.zeros(fs.size), NODES)
 
 
+def grid_tsv(tmp_path, capsys, freqs, theta, *flags):
+    """What ``sgm analyze --what grid`` prints for the parameters (freqs, theta)."""
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"frequencies": freqs.freqs.tolist(), "theta": list(theta)}))
+    assert main(["analyze", "--what", "grid", "--input", str(params), *flags]) == 0
+    return capsys.readouterr().out
+
+
 class TestDensityGrid:
     def test_uniform_grid(self):
         fs = sgm.standard_freq_set(2)
-        grid = sgm.density_grid(fs, np.zeros(fs.size), (0, 1), 11, nodes=NODES)
-        np.testing.assert_allclose(grid.values, 1.0, atol=1e-12)
+        values = sgm.density_grid(fs, np.zeros(fs.size), (0, 1), 11, nodes=NODES)
+        assert values.shape == (11, 11)
+        np.testing.assert_allclose(values, 1.0, atol=1e-12)
 
     def test_conditional_grids_integrate_to_one(self):
         fs = FrequencySet.from_vectors([[1, 2, 0], [0, 1, 1], [1, 1, 1]])
@@ -310,19 +318,19 @@ class TestDensityGrid:
         theta[fs.index((1, 2, 0))] = 0.1
         theta[fs.index((0, 1, 1))] = 0.3
         theta[fs.index((1, 1, 1))] = 0.2
+        x = np.linspace(0, 1, 41)
         for x2 in (0.25, 0.75):
-            grid = sgm.density_grid(
+            values = sgm.density_grid(
                 fs, theta, (0, 2), 41, conditioning={1: x2}, nodes=NODES
             )
-            assert (grid.values >= 0).all()
-            total = np.trapezoid(
-                np.trapezoid(grid.values, grid.xj, axis=1), grid.xi
-            )
+            assert (values >= 0).all()
+            total = np.trapezoid(np.trapezoid(values, x, axis=1), x)
             assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_unimodal_bimodal_transition(self):
         fs = FrequencySet.from_vectors([[1, 2]])
-        grid = sgm.density_grid(fs, [0.2], (0, 1), 201, nodes=NODES)
+        values = sgm.density_grid(fs, [0.2], (0, 1), 201, nodes=NODES)
+        x = np.linspace(0, 1, 201)
 
         def count_local_maxima(row):
             count = 0
@@ -333,136 +341,65 @@ class TestDensityGrid:
                     count += 1
             return count
 
-        i_lo = int(np.argmin(np.abs(grid.xi - 0.05)))
-        i_hi = int(np.argmin(np.abs(grid.xi - 0.95)))
-        assert count_local_maxima(grid.values[i_lo]) == 2
-        assert count_local_maxima(grid.values[i_hi]) == 1
+        i_lo = int(np.argmin(np.abs(x - 0.05)))
+        i_hi = int(np.argmin(np.abs(x - 0.95)))
+        assert count_local_maxima(values[i_lo]) == 2
+        assert count_local_maxima(values[i_hi]) == 1
 
-    def test_tsv_format(self):
+    def test_tsv_format(self, tmp_path, capsys):
         fs = sgm.standard_freq_set(2)
-        grid = sgm.density_grid(fs, np.zeros(fs.size), (0, 1), 3, nodes=NODES)
-        lines = grid.to_tsv().strip().split("\n")
+        text = grid_tsv(tmp_path, capsys, fs, np.zeros(fs.size), "--resolution", "3",
+                        "--quad-nodes", str(NODES))
+        lines = text.strip().split("\n")
         assert lines[0] == "x_1\tx_2\tdensity"
         assert len(lines) == 1 + 9
         cells = lines[1].split("\t")
         assert len(cells) == 3
         assert float(cells[2]) == pytest.approx(1.0)
 
-    def test_tsv_matches_per_value_formatting(self):
-        xi = np.array([0.0, 0.1, 1 / 3, 1.0])
-        xj = np.array([1.0, 1 / 3, 0.0])
-        grid = sgm.DensityGrid(axes=(0, 2), xi=xi, xj=xj, values=np.outer(xi, xj) + 0.1)
-        lines = ["x_1\tx_3\tdensity"]
-        for i, a in enumerate(xi):
-            for j, b in enumerate(xj):
-                lines.append(f"{a:.17g}\t{b:.17g}\t{grid.values[i, j]:.17g}")
-        assert grid.to_tsv() == "\n".join(lines) + "\n"
+    def test_tsv_matches_per_value_formatting(self, tmp_path, capsys):
+        fs = FrequencySet.from_vectors([[1, 2, 0], [0, 1, 1], [1, 1, 1]])
+        theta = [0.1, 0.3, 0.2]
+        x = np.linspace(0.0, 1.0, 5)
+        for axes, header in (((0, 2), "x_1\tx_3\tdensity"), ((2, 0), "x_3\tx_1\tdensity")):
+            values = sgm.density_grid(fs, theta, axes, 5, nodes=8)
+            assert not np.array_equal(values, values.T)  # the row order shows
+            lines = [header]
+            for i, a in enumerate(x):
+                for j, b in enumerate(x):
+                    lines.append(f"{a:.17g}\t{b:.17g}\t{values[i, j]:.17g}")
+            assert grid_tsv(tmp_path, capsys, fs, theta, "--axes", f"{axes[0]},{axes[1]}",
+                            "--resolution", "5", "--quad-nodes", "8") == "\n".join(lines) + "\n"
 
     def test_empty_complement_is_the_joint_density(self, rng):
         fs = sgm.standard_freq_set(2)
         theta = random_lit_interior(fs, rng)
-        grid = sgm.density_grid(fs, theta, (0, 1), 11, nodes=NODES)
+        values = sgm.density_grid(fs, theta, (0, 1), 11, nodes=NODES)
         x = np.linspace(0.0, 1.0, 11)
         points = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-        np.testing.assert_array_equal(grid.values, density_batch(fs, theta, points).reshape(11, 11))
+        np.testing.assert_array_equal(values, density_batch(fs, theta, points).reshape(11, 11))
 
     def test_conditional_is_joint_over_marginal(self, rng):
         fs = sgm.standard_freq_set(3)
         theta = random_lit_interior(fs, rng)
-        grid = sgm.density_grid(fs, theta, (2, 0), 7, conditioning={1: 0.4}, nodes=NODES)
+        values = sgm.density_grid(fs, theta, (2, 0), 7, conditioning={1: 0.4}, nodes=NODES)
         x = np.linspace(0.0, 1.0, 7)
         points = np.array([[b, 0.4, a] for a in x for b in x])
         joint = density_batch(fs, theta, points).reshape(7, 7)
         norm = sgm.marginal_density(fs, theta, [1], [0.4], nodes=NODES)
-        np.testing.assert_array_equal(grid.values, joint / norm)
+        np.testing.assert_array_equal(values, joint / norm)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_swapped_axes_transpose(self, m, rng):
         fs = sgm.standard_freq_set(m)
         theta = random_lit_interior(fs, rng)
-        grid = sgm.density_grid(fs, theta, (0, 1), 9, nodes=NODES)
+        values = sgm.density_grid(fs, theta, (0, 1), 9, nodes=NODES)
         swapped = sgm.density_grid(fs, theta, (1, 0), 9, nodes=NODES)
-        np.testing.assert_array_equal(swapped.values, grid.values.T)
+        np.testing.assert_array_equal(swapped, values.T)
 
     def test_resolution_validation(self):
         with pytest.raises(DomainError):
             sgm.density_grid(U11, [0.1], (0, 1), 1, nodes=NODES)
-
-
-def per_value_rows(arr, sep):
-    """The reference text: each value through '%.17g' on its own."""
-    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in arr.tolist()).encode()
-
-
-def half_way_ties(rng, e, size):
-    """k / 2^(17 - e), k odd, in [10^e, 10^(e+1)): exactly half-way between two
-    17-digit decimals of exponent e."""
-    s = 17 - e
-    lo, hi = int(np.ceil(2.0**s * 10.0**e)), int(2.0**s * 10.0 ** (e + 1))
-    return (2 * rng.integers(lo // 2, hi // 2, size) + 1) / 2.0**s
-
-
-def nextafter_steps(x, steps):
-    """x and its ``steps`` nearest doubles on either side."""
-    out = [x]
-    for direction in (-np.inf, np.inf):
-        y = x
-        for _ in range(steps):
-            y = np.nextafter(y, direction)
-            out.append(y)
-    return out
-
-
-def dyadic_ties(rng, shape):
-    """k / 2^s below 16 with k odd and s = 10..40; '%.17g' has exact half-way ties
-    among them (s = 17..21 for 1e-4 <= x < 10)."""
-    s = rng.integers(10, 41, shape)
-    return (2 * rng.integers(0, 2 ** (s + 3)) + 1) / 2.0**s
-
-
-# 10^e and its neighbours, e = -5..18; 10^-4 and 10 are the edges of the fast path
-POWER_NEIGHBOURS = np.array([y for e in range(-5, 19) for y in nextafter_steps(float(f"1e{e}"), 3)])
-SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
-                     np.inf, -np.inf, np.nan, -2.2250738585072014e-308])
-FAMILIES = {
-    "uniform": lambda rng, shape: rng.random(shape),
-    "normal": lambda rng, shape: rng.normal(size=shape),
-    "log-uniform": lambda rng, shape: 10 ** rng.uniform(-8, 18, shape) * rng.choice([-1, 1], shape),
-    "ties": dyadic_ties,
-    "powers of ten": lambda rng, shape: rng.choice(POWER_NEIGHBOURS, shape) * rng.choice([-1, 1], shape),
-    "specials": lambda rng, shape: np.where(rng.random(shape) < 0.5, rng.choice(SPECIALS, shape),
-                                            rng.random(shape)),
-}
-
-
-class TestFormatRows:
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 60), st.integers(1, 7),
-           st.sampled_from([",", "\t"]), st.integers(0, 2**32 - 1))
-    def test_equals_per_value_formatting(self, family, rows, cols, sep, seed):
-        arr = FAMILIES[family](np.random.default_rng(seed), (rows, cols))
-        assert _format_rows(arr, sep) == per_value_rows(arr, sep)
-
-    @pytest.mark.parametrize("e", range(-4, 1))
-    def test_half_way_ties_round_to_even(self, e):
-        x = half_way_ties(np.random.default_rng(e + 10), e, 4000)
-        twice = [Fraction(v) * 10 ** (16 - e) * 2 for v in x.tolist()]
-        assert all(t.denominator == 1 and t.numerator % 2 for t in twice)  # every one a tie
-        last = np.array([int(t) // 2 % 2 for t in twice])  # parity of the digits below the tie
-        assert 0 < last.sum() < len(x)  # both directions of rounding are taken
-        arr = x.reshape(-1, 4)
-        assert _format_rows(arr, ",") == per_value_rows(arr, ",")
-
-    def test_powers_of_ten_and_their_neighbours(self):
-        arr = np.concatenate([POWER_NEIGHBOURS, -POWER_NEIGHBOURS]).reshape(-1, 2)
-        assert _format_rows(arr, "\t") == per_value_rows(arr, "\t")
-
-    def test_special_values(self):
-        assert _format_rows(SPECIALS.reshape(2, -1), ",") == per_value_rows(SPECIALS.reshape(2, -1), ",")
-        assert _format_rows(np.array([[3.0, 0.5, -1e-4]]), ",") == b"3,0.5,-0.0001\n"
-        ties = np.array([[1.00000762939453125, 1.00002288818359375]])  # down, then up, to even
-        assert _format_rows(ties, ",") == b"1.0000076293945312,1.0000228881835938\n"
-        assert _format_rows(np.empty((0, 3)), ",") == b""
 
 
 class TestTable1:

@@ -1,11 +1,14 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgm import analysis, cli, estimators
-from sgm.cli import main, read_csv, write_csv
+from sgm.cli import _format_rows, main, read_csv, write_csv
 from sgm.estimators import simulate
 from sgm.errors import NumericalError
 
@@ -118,6 +121,82 @@ class TestCsv:
         path.write_text(f"x1,x2\n0.1,0.2\n\n0.3,{cell}\n")  # blank lines keep their number
         with pytest.raises(DataError, match=re.escape(f"{path}:4: non-finite")):
             read_csv(str(path))
+
+
+def per_value_rows(arr, sep):
+    """The reference text: each value through '%.17g' on its own."""
+    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in arr.tolist()).encode()
+
+
+def half_way_ties(rng, e, size):
+    """k / 2^(17 - e), k odd, in [10^e, 10^(e+1)): exactly half-way between two
+    17-digit decimals of exponent e."""
+    s = 17 - e
+    lo, hi = int(np.ceil(2.0**s * 10.0**e)), int(2.0**s * 10.0 ** (e + 1))
+    return (2 * rng.integers(lo // 2, hi // 2, size) + 1) / 2.0**s
+
+
+def nextafter_steps(x, steps):
+    """x and its ``steps`` nearest doubles on either side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def dyadic_ties(rng, shape):
+    """k / 2^s below 16 with k odd and s = 10..40; '%.17g' has exact half-way ties
+    among them (s = 17..21 for 1e-4 <= x < 10)."""
+    s = rng.integers(10, 41, shape)
+    return (2 * rng.integers(0, 2 ** (s + 3)) + 1) / 2.0**s
+
+
+# 10^e and its neighbours, e = -5..18; 10^-4 and 10 are the edges of the fast path
+POWER_NEIGHBOURS = np.array([y for e in range(-5, 19) for y in nextafter_steps(float(f"1e{e}"), 3)])
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                     np.inf, -np.inf, np.nan, -2.2250738585072014e-308])
+FAMILIES = {
+    "uniform": lambda rng, shape: rng.random(shape),
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "log-uniform": lambda rng, shape: 10 ** rng.uniform(-8, 18, shape) * rng.choice([-1, 1], shape),
+    "ties": dyadic_ties,
+    "powers of ten": lambda rng, shape: rng.choice(POWER_NEIGHBOURS, shape) * rng.choice([-1, 1], shape),
+    "specials": lambda rng, shape: np.where(rng.random(shape) < 0.5, rng.choice(SPECIALS, shape),
+                                            rng.random(shape)),
+}
+
+
+class TestFormatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 60), st.integers(1, 7),
+           st.sampled_from([",", "\t"]), st.integers(0, 2**32 - 1))
+    def test_equals_per_value_formatting(self, family, rows, cols, sep, seed):
+        arr = FAMILIES[family](np.random.default_rng(seed), (rows, cols))
+        assert _format_rows(arr, sep) == per_value_rows(arr, sep)
+
+    @pytest.mark.parametrize("e", range(-4, 1))
+    def test_half_way_ties_round_to_even(self, e):
+        x = half_way_ties(np.random.default_rng(e + 10), e, 4000)
+        twice = [Fraction(v) * 10 ** (16 - e) * 2 for v in x.tolist()]
+        assert all(t.denominator == 1 and t.numerator % 2 for t in twice)  # every one a tie
+        last = np.array([int(t) // 2 % 2 for t in twice])  # parity of the digits below the tie
+        assert 0 < last.sum() < len(x)  # both directions of rounding are taken
+        arr = x.reshape(-1, 4)
+        assert _format_rows(arr, ",") == per_value_rows(arr, ",")
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        arr = np.concatenate([POWER_NEIGHBOURS, -POWER_NEIGHBOURS]).reshape(-1, 2)
+        assert _format_rows(arr, "\t") == per_value_rows(arr, "\t")
+
+    def test_special_values(self):
+        assert _format_rows(SPECIALS.reshape(2, -1), ",") == per_value_rows(SPECIALS.reshape(2, -1), ",")
+        assert _format_rows(np.array([[3.0, 0.5, -1e-4]]), ",") == b"3,0.5,-0.0001\n"
+        ties = np.array([[1.00000762939453125, 1.00002288818359375]])  # down, then up, to even
+        assert _format_rows(ties, ",") == b"1.0000076293945312,1.0000228881835938\n"
+        assert _format_rows(np.empty((0, 3)), ",") == b""
 
 
 class TestSampleFitRoundTrip:
@@ -597,12 +676,29 @@ class TestExitCodes:
         ["analyze", "--what", "table1", "--seed", "1"],
         ["simulate", "--input", "P"],
         ["simulate", "--model", "sgm"],
+        # options missing, clashing or malformed; C is a data CSV
+        ["cv", "--input", "C", "--no-preprocess", "--global-preprocess"],
+        ["sample", "--model", "sgm", "--n", "5"],
+        ["feasible"],
+        ["analyze", "--what", "fisher"],
+        ["analyze", "--what", "grid", "--input", "P", "--axes", "0,1", "--condition", "2:0.5"],
+        ["fit", "--input", "C", "--freqs", "bogus"],
+        ["sample", "--model", "benchmark5", "--n", "abc"],
     ])
     def test_out_of_range_or_removed_flag_exits_2(self, tmp_path, params7, argv, capsys):
         out = tmp_path / "out"
-        argv = [params7 if a == "P" else a for a in argv] + ["--output", str(out)]
+        csv = str(tmp_path / "d.csv")
+        write_csv(csv, np.random.default_rng(0).random((10, 2)))
+        argv = [{"P": params7, "C": csv}.get(a, a) for a in argv] + ["--output", str(out)]
         assert run(argv, capsys) == 2
         assert not out.exists()
+
+    def test_sample_without_output_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--model", "benchmark5", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "sample requires --output" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["--what", "grid", "--axes", "0,5"],
@@ -622,20 +718,51 @@ class TestExitCodes:
                     "--quad-nodes", "8", "--output", str(out)], capsys) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("vectors", [{"a": 1}, [[1, "x"]], [[1.5, 0]]])
+    # the last two: ragged nesting; a frequency file of dimension 3 for 2-column data
+    @pytest.mark.parametrize("vectors", [{"a": 1}, [[1, "x"]], [[1.5, 0]], [[1, 1], [1]],
+                                         [[1, 1, 1]]])
     def test_bad_frequency_file_exits_3(self, tmp_path, vectors, capsys):
         csv = str(tmp_path / "d.csv")
         write_csv(csv, np.random.default_rng(0).random((10, 2)))
         path = tmp_path / "f.json"
         path.write_text(json.dumps(vectors))
+        out = tmp_path / "x.json"
         assert run(["fit", "--input", csv, "--freqs", f"file:{path}",
-                    "--output", str(tmp_path / "x.json")], capsys) == 3
+                    "--output", str(out)], capsys) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,content,message", [
+        ("fit", "", "is empty"),
+        ("fit", "x1,x2\n0.1,0.2\n0.3,abc\n", ":3: could not convert"),
+        ("fit", "0.1,0.2\n0.3\n", "ragged rows"),
+        ("feasible", None, "cannot read"),
+        ("feasible", "{", "invalid JSON"),
+        ("feasible", '{"frequencies": [[1, 1]]}', 'needs "frequencies" and "theta"'),
+        ("feasible", '{"frequencies": [[1, 1]], "theta": [0.1, 0.2]}', "shapes do not match"),
+    ])
+    def test_bad_input_file_exits_3(self, tmp_path, command, content, message, capsys):
+        path = tmp_path / "input"  # left missing where content is None
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "x.json"
+        assert main([command, "--input", str(path), "--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fractional_param_frequencies_exit_3(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"frequencies": [[1.5, 0]], "theta": [0.1]}))
         assert run(["feasible", "--input", str(path),
                     "--output", str(tmp_path / "f.json")], capsys) == 3
+
+    def test_infeasible_mixm_sample_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"  # the mixture region is |theta| <= 0.5
+        path.write_text(json.dumps({"frequencies": [[1, 1]], "theta": [0.9]}))
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--model", "mixm", "--input", str(path), "--n", "10",
+                     "--seed", "0", "--output", str(out)]) == 4
+        assert "negative density" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

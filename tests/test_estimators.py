@@ -293,6 +293,10 @@ class TestGaussLasso:
             C2 = sgm.fit_gauss_lasso(std2, tau)
             np.testing.assert_allclose(C1, C2, atol=1e-9)
 
+    def test_tau_above_one_raises(self, rng):
+        with pytest.raises(DomainError, match=r"tau must lie in \[0, 1\]"):
+            sgm.fit_gauss_lasso(rng.normal(size=(10, 2)), 1.5)
+
 
 class TestPartialCorrelations:
     def test_diagonal_gives_zero(self):
@@ -309,6 +313,10 @@ class TestPartialCorrelations:
             C = A @ A.T + 0.5 * np.eye(4)
             rho = sgm.partial_correlations(C)
             assert np.abs(rho).max() <= 1 + 1e-12
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(DomainError, match="must be positive definite"):
+            sgm.partial_correlations(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestPredictiveLoglik:
@@ -335,6 +343,12 @@ class TestPredictiveLoglik:
         # two negative Hessian eigenvalues: det > 0, but theta is infeasible here
         test = np.array([[0.9, 0.1]])
         assert sgm.predictive_loglik("sgm", (U11, np.array([1.8])), test) == -np.inf
+
+    def test_unknown_model_raises_and_a_negative_determinant_scores_minus_inf(self, rng):
+        test = rng.normal(size=(5, 2))
+        with pytest.raises(DomainError, match="unknown model 'bogus'"):
+            sgm.predictive_loglik("bogus", np.eye(2), test)
+        assert sgm.predictive_loglik("gauss", np.diag([1.0, -1.0]), test) == -np.inf
 
 
 class TestCrossValidate:
@@ -385,7 +399,8 @@ class TestCrossValidate:
         with pytest.raises(DataError):
             sgm.cross_validate(np.zeros((5, 2)), "sgm", folds=6)
 
-    @pytest.mark.parametrize("kwargs", [{"tau_grid": []}, {"jobs": 0}, {"jobs": -2}])
+    @pytest.mark.parametrize("kwargs", [{"tau_grid": []}, {"jobs": 0}, {"jobs": -2},
+                                        {"preprocess_mode": "bogus"}])
     def test_empty_grid_or_jobs_below_one_raise(self, rng, kwargs):
         with pytest.raises(DomainError):
             sgm.cross_validate(rng.normal(size=(10, 2)), "gauss", folds=2, **kwargs)

@@ -58,6 +58,10 @@ class TestLitMargin:
         m2 = sgm.lit_margin(fs, theta, 0.8)
         assert m2 - m1 == pytest.approx(0.5, abs=1e-12)
 
+    def test_tau_above_one_raises(self):
+        with pytest.raises(DomainError, match=r"tau must lie in \[0, 1\]"):
+            sgm.lit_margin(FrequencySet.from_vectors([[1, 1]]), [0.1], tau=2.0)
+
 
 class TestScaleKM:
     def test_large_m_converges(self, rng):
@@ -334,3 +338,7 @@ class TestFejer:
         for x in np.linspace(0, 1, 17):
             rec = sgm.fejer_reconstruct(fs, [0.15], 3, [x])
             np.testing.assert_allclose(rec, gram_batch(fs, [0.15], [[x]])[0], atol=1e-10)
+
+    def test_kernel_of_order_zero_raises(self):
+        with pytest.raises(DomainError, match="M must be a positive integer"):
+            sgm.fejer_kernel(0, 0.5)

@@ -90,6 +90,11 @@ class TestProblemValidation:
         prob = one_var_problem(0.0)  # slack 0 at theta = 0
         with pytest.raises(InfeasibleStartError):
             solve(prob)
+        # log det(diag(1, -1) + theta I) is not defined at theta = 0
+        prob = MaxDetProblem(nvars=1, objective=AffineMatrix(np.diag([1.0, -1.0]),
+                                                             svec(np.eye(2))[:, None]))
+        with pytest.raises(InfeasibleStartError, match="objective terms not positive definite"):
+            solve(prob)
 
 
 class TestStackedMaps:
@@ -445,6 +450,10 @@ class TestKKTResidual:
             kkt_residual(prob, [0.0], [-1.0])
         with pytest.raises(DomainError):
             kkt_residual(prob, [0.0], [1.0], np.diag([1.0, -1.0])[None])
+
+    def test_infeasible_theta_raises(self):
+        with pytest.raises(InfeasibleStartError, match="theta is not strictly feasible"):
+            kkt_residual(one_var_problem(0.7), [1.0])
 
 
 class TestSolve:

@@ -74,6 +74,30 @@ class TestFrequencySet:
         assert fs.supports.tolist() == [2, 2]
         assert fs.index((0, 1, 1)) == 1
 
+    @pytest.mark.parametrize("dim,shape,message", [
+        (2, (1, 3), r"frequency array must be \(k, 2\)"),
+        (0, (1, 0), "dimension must be >= 1"),
+        (2, (0, 2), "frequency set must be nonempty"),
+    ])
+    def test_rejects_bad_shapes(self, dim, shape, message):
+        with pytest.raises(DomainError, match=message):
+            FrequencySet(dim=dim, freqs=np.ones(shape, dtype=int))
+
+    def test_check_theta_rejects_wrong_length_and_non_finite(self):
+        fs = FrequencySet.from_vectors([[1, 1], [2, 0]])
+        with pytest.raises(DomainError, match="theta must have length 2"):
+            fs.check_theta([0.1])
+        with pytest.raises(DomainError, match="theta entries must be finite"):
+            fs.check_theta([0.1, np.inf])
+
+    def test_standard_set_of_dimension_zero_raises(self):
+        with pytest.raises(DomainError, match="m must be a positive integer"):
+            sgm.standard_freq_set(0)
+
+    def test_index_of_an_absent_vector_raises(self):
+        with pytest.raises(KeyError, match="not in frequency set"):
+            FrequencySet.from_vectors([[1, 1], [2, 0]]).index((1, 2))
+
 
 class TestHessianBasis:
     def test_u11_at_origin_is_identity(self):

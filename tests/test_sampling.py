@@ -49,6 +49,10 @@ class TestRejectionBound:
             bound = sgm.rejection_bound(fs, theta, "mixm")
             assert mixm_density_batch(fs, theta, pts).max() <= bound * (1 + 1e-12)
 
+    def test_unknown_model_raises(self):
+        with pytest.raises(DomainError, match="unknown model 'bogus'"):
+            sgm.rejection_bound(FrequencySet.from_vectors([[1, 1]]), [0.1], "bogus")
+
 
 class TestSampleSgm:
     def test_uniform_when_theta_zero(self):
@@ -296,6 +300,11 @@ class TestSampleMixm:
         assert info.bound == pytest.approx(1.5)
         assert abs(info.acceptance_rate - expect) <= 3 * se
 
+    def test_theta_outside_the_mixture_region_raises(self):
+        # the region is |theta| <= 1 / ||u||^2 = 0.5; at 0.9 the density goes negative
+        with pytest.raises(DomainError, match="negative density .* theta is infeasible"):
+            sgm.sample_mixm(FrequencySet.from_vectors([[1, 1]]), [0.9], 100, 0)
+
 
 class TestBenchmark5:
     def test_shape_and_determinism(self):
@@ -328,3 +337,7 @@ class TestBenchmark5:
         hi = out[out[:, 1] > 0.5, 2].var()
         lo = out[out[:, 1] < -0.5, 2].var()
         assert hi > lo * 1.5
+
+    def test_no_draws_raises(self):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            sgm.sample_benchmark5(0, 0)

@@ -1,5 +1,5 @@
 """Structure: one least-eigenvalue routine, no matrix inverse in the model, and
-one '%.17g' text writer.
+``cli`` alone writes text.
 
 Every module of the package is parsed with ``ast``.  The smallest eigenvalue
 of a symmetric stack is asked for by the feasibility scans, the solver's step
@@ -8,9 +8,11 @@ through ``model._least_eigs``, the only caller of ``eigvalsh``, so a second
 Gershgorin prefilter cannot creep in unnoticed.  ``model.py`` decides
 "singular" and "indefinite" by the pivots of ``_psd_det``'s own elementwise
 Cholesky, whose factor the scores invert, without a LAPACK ``cholesky`` or an
-``inv``.  Sample CSVs and density TSVs get their numbers from
-``analysis._format_rows``, the only code with a ``.17g`` format, so a per-value
-writer cannot creep back in beside it.
+``inv``.  The library returns numbers and arrays; ``cli.py`` alone opens files,
+prints and formats.  Sample CSVs and density TSVs get their numbers from
+``cli._format_rows``, the only code with a ``.17g`` format, so a per-value
+writer cannot creep back in beside it, and ``analysis.py`` neither builds text
+nor holds a result class.
 """
 
 import ast
@@ -101,4 +103,26 @@ def test_model_calls_no_cholesky():
 
 
 def test_17g_is_formatted_only_in_format_rows():
-    assert formats() == [("analysis.py", "_format_rows")]
+    assert formats() == [("cli.py", "_format_rows")]
+
+
+def test_only_cli_opens_files_and_prints():
+    assert {module for module, _ in calls("open") + calls("print")} == {"cli.py"}
+
+
+def test_analysis_builds_no_text():
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported
+    for name in ("dataclass", "encode", "decode", "join", "tobytes", "translate"):
+        assert [c for c in calls(name) if c[0] == "analysis.py"] == [], name
+
+
+def test_cli_reads_no_private_name_of_analysis():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "analysis" and node.attr.startswith("_")]
+    assert private == []
