@@ -9,8 +9,10 @@ Each side runs in its own subprocess with ``OPENBLAS_NUM_THREADS=1`` and that
 checkout's ``src`` first on ``PYTHONPATH``.  It runs every pool case of every
 workload (known defects included) through ``sgm.cli.main``, with the argv of
 this tree's ``perfbench/workloads.operation``, so both sides get the same
-inputs and calls.  Each call is recorded as its exit code, its stdout and its
-output file.  JSON is kept with ``timing_sec`` masked and the work directory
+inputs and calls.  It then runs the fixed ``EXTRA`` calls, on routes that no
+workload runs, each reading the case-0 input of a pool workload (or no
+input), and records them as ``extra/<name>``.  Each call is recorded as its
+exit code, its stdout and its output file.  JSON is kept with ``timing_sec`` masked and the work directory
 replaced by ``<work>``; TSV (a header line, then rows of tab-separated numbers,
 as ``analyze --what grid`` prints) is kept as its header and its rows of
 numbers; any other text, and every output file, is kept as its SHA-256.
@@ -19,8 +21,8 @@ differ (``code``, ``file`` or ``stdout.<json path>``) and the largest absolute
 and relative difference over its numeric values outside ``stdout.solver``; a
 fit call also prints max |d theta_raw|, |d objective|, the KKT residual of each
 side, and any change of the Newton and outer iteration counts, of
-``converged`` or of ``mu_final``.  The last lines give how many fit calls each
-side reports converged.  The script exits 1 if any call differs.
+``converged`` or of ``mu_final``.  The last lines give how many pool and extra
+fit calls each side reports converged.  The script exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads as wl  # noqa: E402
+
+# (name, pool workload whose case-0 input file goes after the command as
+# --input, or None, argv): calls on routes that no workload runs
+EXTRA = [
+    ("fit-tau0", "lit-m5", ["fit", "--tau", "0"]),
+    ("fit-gauss", "lit-m5", ["fit", "--model", "gauss", "--tau", "0.5"]),
+    ("cv-mixm", "lit-m5", ["cv", "--model", "mixm", "--folds", "3", "--tau-grid", "0.5,1"]),
+    ("cv-sgm", "lit-m5", ["cv", "--folds", "3", "--tau-grid", "0.5,1"]),
+    ("fit-mixm-lattice", "lattice-m3",
+     ["fit", "--model", "mixm", "--region", "lattice", "--M", "3", "--no-preprocess"]),
+    ("grid-conditioned", "density",
+     ["analyze", "--what", "grid", "--axes", "2,0", "--condition", "1=0.4", "--resolution", "21"]),
+    ("grid-conditioned-mixm", "density",
+     ["analyze", "--what", "grid", "--model", "mixm", "--axes", "0,1", "--condition", "2=0.7",
+      "--resolution", "21"]),
+    ("marginal", "density", ["analyze", "--what", "marginal", "--axes", "1", "--resolution", "21"]),
+    ("simulate", None, ["simulate", "--replicates", "2", "--n", "30"]),
+]
 
 
 def _mask(x, work: str):
@@ -66,19 +86,20 @@ def _stdout_record(text: str, work: str):
         return _sha256(text.encode())
 
 
-def _run_call(cli, call, work: str) -> dict:
+def _run_call(cli, argv, output_file, work: str) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(call.argv)
+        code = cli.main(argv)
     record = {"code": code, "stdout": _stdout_record(buf.getvalue(), work)}
-    if call.output_file is not None and os.path.exists(call.output_file):
-        with open(call.output_file, "rb") as fh:
+    if output_file is not None and os.path.exists(output_file):
+        with open(output_file, "rb") as fh:
             record["file"] = _sha256(fh.read())
     return record
 
 
 def collect(checkout: str) -> dict:
-    """{"<workload>/<case> <check>#<i>": record} for every call of every case."""
+    """{"<workload>/<case> <check>#<i>": record} for every call of every case,
+    then {"extra/<name>": record} for every ``EXTRA`` call."""
     from sgm import cli
 
     if not os.path.abspath(cli.__file__).startswith(os.path.join(checkout, "src")):
@@ -89,7 +110,14 @@ def collect(checkout: str) -> dict:
             with tempfile.TemporaryDirectory() as work:
                 inputs = wl.write_case(name, case, wl.make_case(name, case), work)
                 for i, call in enumerate(wl.operation(name, inputs, work)):
-                    records[f"{name}/{case} {call.check}#{i}"] = _run_call(cli, call, work)
+                    records[f"{name}/{case} {call.check}#{i}"] = _run_call(
+                        cli, call.argv, call.output_file, work)
+    for name, workload, argv in EXTRA:
+        with tempfile.TemporaryDirectory() as work:
+            if workload is not None:
+                path = wl.write_case(workload, 0, wl.make_case(workload, 0), work)["input"]
+                argv = [argv[0], "--input", path, *argv[1:]]
+            records[f"extra/{name}"] = _run_call(cli, argv, None, work)
     return records
 
 
@@ -180,9 +208,13 @@ def main(argv=None) -> int:
                 print(f"    {fit_drift(a, b)}")
     print(f"{differing} of {len(keys)} calls differ")
     for name, side in (("parent", parent), ("change", change)):
-        fits = [r["stdout"]["solver"] for r in side.values()
-                if isinstance(r["stdout"], dict) and "solver" in r["stdout"]]
-        print(f"{name}: {sum(f['converged'] is True for f in fits)} of {len(fits)} fits converged")
+        counts = []
+        for kind, extra in (("pool", False), ("extra", True)):
+            fits = [r["stdout"]["solver"] for key, r in side.items()
+                    if key.startswith("extra/") == extra
+                    and isinstance(r["stdout"], dict) and "solver" in r["stdout"]]
+            counts.append(f"{sum(f['converged'] is True for f in fits)} of {len(fits)} {kind}")
+        print(f"{name}: {', '.join(counts)} fits converged")
     return 1 if differing else 0
 
 

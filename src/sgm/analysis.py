@@ -221,7 +221,8 @@ def density_grid(
     each axis, rows along ``axes[0]``.
 
     Without conditioning, the complement axes are integrated out.  With
-    conditioning, every complement axis must be fixed and the joint value is
+    conditioning, every complement axis must be fixed: the joint density is
+    evaluated on a sparse ij mesh whose fixed axes have one point each, and
     divided by the marginal density of the conditioning coordinates.
     """
     if resolution < 2:
@@ -230,7 +231,6 @@ def density_grid(
     if i == j or not (0 <= i < freqs.dim and 0 <= j < freqs.dim):
         raise DomainError("axes must be two distinct axis indices")
     grid = np.linspace(0.0, 1.0, resolution)
-    pairs = np.stack([np.repeat(grid, resolution), np.tile(grid, resolution)], axis=-1)
     comp = [a for a in range(freqs.dim) if a not in (i, j)]
     if conditioning:
         cond = {int(a): float(v) for a, v in conditioning.items()}
@@ -238,13 +238,10 @@ def density_grid(
             raise DomainError("conditioning must fix exactly the complement axes")
         cond_point = np.array([cond[a] for a in comp])  # checked here before any density
         norm = marginal_density(freqs, theta, comp, cond_point, model=model, nodes=nodes)
-        pts = np.empty((len(pairs), freqs.dim))
-        pts[:, i] = pairs[:, 0]
-        pts[:, j] = pairs[:, 1]
-        for a, v in cond.items():
-            pts[:, a] = v
-        values = _density_fn(freqs, theta, model)(pts) / norm
+        mesh = {i: grid[:, None], j: grid[None, :]} | {a: np.full((1, 1), v) for a, v in cond.items()}
+        values = _density_fn(freqs, theta, model)(tuple(mesh[a] for a in range(freqs.dim))) / norm
     else:
+        pairs = np.stack([np.repeat(grid, resolution), np.tile(grid, resolution)], axis=-1)
         values = marginal_density(freqs, theta, [i, j], pairs, model=model, nodes=nodes)
     return values.reshape(resolution, resolution)
 

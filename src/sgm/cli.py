@@ -212,13 +212,11 @@ def dump_json(obj: dict, path: str | None) -> None:
 def _resolve_freqs(option: str, m: int) -> FrequencySet:
     if option == "standard":
         return standard_freq_set(m)
-    if option.startswith("file:"):
-        path = option[len("file:"):]
-        fs = FrequencySet.from_vectors(_frequency_array(_read_json(path), path))
-        if fs.dim != m:
-            raise DataError(f"frequency file dimension {fs.dim} does not match data ({m})")
-        return fs
-    raise UsageError(f"--freqs must be 'standard' or 'file:PATH', got {option!r}")
+    path = option[len("file:"):]
+    fs = FrequencySet.from_vectors(_frequency_array(_read_json(path), path))
+    if fs.dim != m:
+        raise DataError(f"frequency file dimension {fs.dim} does not match data ({m})")
+    return fs
 
 
 def _resolve_region(args) -> LitRegion | LatticeRegion:
@@ -250,6 +248,9 @@ def run_fit(args) -> tuple[dict, dict]:
                 raise UsageError(f"{flag} does not apply to --model gauss")
     else:
         region = _resolve_region(args)
+        freq_option = "standard" if args.freqs is None else args.freqs
+        if freq_option != "standard" and not freq_option.startswith("file:"):
+            raise UsageError(f"--freqs must be 'standard' or 'file:PATH', got {freq_option!r}")
     raw = read_csv(args.input)
     config = {
         "input": args.input,
@@ -266,7 +267,6 @@ def run_fit(args) -> tuple[dict, dict]:
             "loglik": estimators.predictive_loglik("gauss", C, data),
         }
 
-    freq_option = "standard" if args.freqs is None else args.freqs
     freqs = _resolve_freqs(freq_option, raw.shape[1])
     config.update({"freqs": freq_option, "region": _region_json(region)})
     data = raw if args.no_preprocess else Scaler.fit(raw).to_unit(raw)
@@ -286,9 +286,9 @@ def run_fit(args) -> tuple[dict, dict]:
 
 
 def run_cv(args) -> tuple[dict, dict]:
-    raw = read_csv(args.input)
     if args.no_preprocess and args.global_preprocess:
         raise UsageError("--no-preprocess and --global-preprocess are exclusive")
+    raw = read_csv(args.input)
     mode = "none" if args.no_preprocess else (
         "global" if args.global_preprocess else "fold"
     )
@@ -405,6 +405,9 @@ def run_analyze(args) -> tuple[dict, dict] | str:
 
     if args.input is None:
         raise UsageError(f"--what {what} requires --input params JSON")
+    if what in ("marginal", "grid"):
+        axes = _parse_list(args.axes or ("0" if what == "marginal" else "0,1"), int)
+    conditioning = _parse_condition(args.condition) if args.condition else None
     freqs, theta = load_params(args.input)
     config["input"] = args.input
 
@@ -413,7 +416,6 @@ def run_analyze(args) -> tuple[dict, dict] | str:
                         "fisher": analysis.fisher_numeric(freqs, theta, args.quad_nodes)}
 
     if what == "marginal":
-        axes = _parse_list(args.axes or "0", int)
         if len(axes) != 1 or not 0 <= axes[0] < freqs.dim:
             raise UsageError(f"--what marginal takes one --axes index in [0, {freqs.dim})")
         grid = np.linspace(0.0, 1.0, args.resolution)
@@ -423,10 +425,8 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         return _tsv([f"x_{axes[0] + 1}", "density"], [grid, vals])
 
     if what == "grid":
-        axes = _parse_list(args.axes or "0,1", int)
         if len(axes) != 2 or axes[0] == axes[1] or not all(0 <= a < freqs.dim for a in axes):
             raise UsageError(f"--what grid requires two distinct --axes I,J in [0, {freqs.dim})")
-        conditioning = _parse_condition(args.condition) if args.condition else None
         if conditioning and sorted(conditioning) != [a for a in range(freqs.dim) if a not in axes]:
             raise UsageError("--condition must fix exactly the axes not in --axes")
         values = analysis.density_grid(

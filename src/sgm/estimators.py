@@ -150,30 +150,8 @@ def _lasso_split(m, rows, budget):
     return E, A, b
 
 
-def _fit_lit(model, freqs, data, tau):
-    base, B = _term_values(model, freqs, data)
-    E, A, b = _lasso_split(0, _lit_rows(model, freqs), tau)
-    problem = maxdet.MaxDetProblem(
-        nvars=E.shape[1], objective=maxdet.AffineMatrix(base, B), A=A, b=b, objective_map=E
-    )
-    report = maxdet.solve(problem)
-    return E @ report.theta, report
-
-
-def _fit_lattice(model, freqs, data, M):
-    lattice = lattice_points(freqs.dim, M)
-    base, B = _term_values(model, freqs, data)
-    _, lat_B = _term_values(model, freqs, lattice)
-    problem = maxdet.MaxDetProblem(
-        nvars=freqs.size,
-        objective=maxdet.AffineMatrix(base, B),
-        psd_constraint=maxdet.AffineMatrix(base, lat_B / km_factors(freqs, M)),
-    )
-    report = maxdet.solve(problem)
-    return report.theta, report
-
-
 def _fit(model, data, freqs, region):
+    """Pose the region's MAXDET problem over the data and solve it."""
     data = _check_unit_data(data, freqs.dim)
     if isinstance(region, LitRegion):
         if region.tau == 0.0:  # the budget fixes theta = 0, where every log det is 0
@@ -184,11 +162,25 @@ def _fit(model, data, freqs, region):
                 message="tau = 0 fixes theta = 0",
             )
         else:
-            theta_raw, report = _fit_lit(model, freqs, data, region.tau)
+            base, B = _term_values(model, freqs, data)
+            E, A, b = _lasso_split(0, _lit_rows(model, freqs), region.tau)
+            report = maxdet.solve(maxdet.MaxDetProblem(
+                nvars=E.shape[1], objective=maxdet.AffineMatrix(base, B), A=A, b=b,
+                objective_map=E,
+            ))
+            theta_raw = E @ report.theta
         theta = np.where(np.abs(theta_raw) < ZERO_THRESHOLD, 0.0, theta_raw)
     elif isinstance(region, LatticeRegion):
+        lattice = lattice_points(freqs.dim, region.M)
+        base, B = _term_values(model, freqs, data)
+        _, lat_B = _term_values(model, freqs, lattice)
+        report = maxdet.solve(maxdet.MaxDetProblem(
+            nvars=freqs.size,
+            objective=maxdet.AffineMatrix(base, B),
+            psd_constraint=maxdet.AffineMatrix(base, lat_B / km_factors(freqs, region.M)),
+        ))
+        theta_raw = report.theta
         # no split variables: zeroing small entries could leave the region
-        theta_raw, report = _fit_lattice(model, freqs, data, region.M)
         theta = theta_raw.copy()
     else:
         raise DomainError(f"unknown region {region!r}")
@@ -425,35 +417,32 @@ def _cv_scores(payload) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _simulate_replicate(payload):
+    """One replicate's summaries, or its index and error if it fails (recorded, not fatal)."""
     (index, seed, n, n_test, tau, tau_gauss) = payload
     fs = standard_freq_set(5)
-    raw = sampling.sample_benchmark5(n, int(seed))
-    test_raw = sampling.sample_benchmark5(n_test, int(seed) + 2**31)
-    scaler = Scaler.fit(raw)
-    unit, std = scaler.to_unit(raw), scaler.standardize(raw)
-    unit_t, std_t = scaler.to_unit(test_raw), scaler.standardize(test_raw)
-    fit_s = fit_sgm(unit, fs, LitRegion(tau))
-    fit_m = fit_mixm(unit, fs, LitRegion(tau))
-    C = fit_gauss_lasso(std, tau)
-    C_pred = C if tau_gauss == tau else fit_gauss_lasso(std, tau_gauss)
-    return {
-        "index": index,
-        "sgm_scaled": fit_s.scaled.tolist(),
-        "mixm_scaled": fit_m.scaled.tolist(),
-        "partial_corr": partial_correlations(C).tolist(),
-        "pred": {
-            "sgm": predictive_loglik("sgm", (fs, fit_s.theta), unit_t),
-            "mixm": predictive_loglik("mixm", (fs, fit_m.theta), unit_t),
-            "gauss": predictive_loglik("gauss", C_pred, std_t),
-        },
-    }
-
-
-def _simulate_replicate_safe(payload):
     try:
-        return _simulate_replicate(payload)
-    except SgmError as exc:  # per-replicate failures recorded, not fatal
-        return {"index": payload[0], "error": str(exc)}
+        raw = sampling.sample_benchmark5(n, int(seed))
+        test_raw = sampling.sample_benchmark5(n_test, int(seed) + 2**31)
+        scaler = Scaler.fit(raw)
+        unit, std = scaler.to_unit(raw), scaler.standardize(raw)
+        unit_t, std_t = scaler.to_unit(test_raw), scaler.standardize(test_raw)
+        fit_s = fit_sgm(unit, fs, LitRegion(tau))
+        fit_m = fit_mixm(unit, fs, LitRegion(tau))
+        C = fit_gauss_lasso(std, tau)
+        C_pred = C if tau_gauss == tau else fit_gauss_lasso(std, tau_gauss)
+        return {
+            "index": index,
+            "sgm_scaled": fit_s.scaled.tolist(),
+            "mixm_scaled": fit_m.scaled.tolist(),
+            "partial_corr": partial_correlations(C).tolist(),
+            "pred": {
+                "sgm": predictive_loglik("sgm", (fs, fit_s.theta), unit_t),
+                "mixm": predictive_loglik("mixm", (fs, fit_m.theta), unit_t),
+                "gauss": predictive_loglik("gauss", C_pred, std_t),
+            },
+        }
+    except SgmError as exc:
+        return {"index": index, "error": str(exc)}
 
 
 def simulate(
@@ -473,7 +462,7 @@ def simulate(
         (i, int(rep_seeds[i]), n, n_test, tau, tau_gauss_predict)
         for i in range(replicates)
     ]
-    outs = _map(_simulate_replicate_safe, payloads, jobs)
+    outs = _map(_simulate_replicate, payloads, jobs)
     results = [out for out in outs if "error" not in out]
     failures = [out for out in outs if "error" in out]
     if not results:

@@ -92,7 +92,7 @@ class FrequencySet:
         u = np.asarray(u, dtype=int)
         hits = np.nonzero((self.freqs == u).all(axis=1))[0]
         if len(hits) == 0:
-            raise KeyError(f"{tuple(u)} not in frequency set")
+            raise KeyError(f"{tuple(u.tolist())} not in frequency set")
         return int(hits[0])
 
     def check_theta(self, theta) -> np.ndarray:
@@ -188,10 +188,22 @@ def _cos_product(freqs: FrequencySet, X) -> np.ndarray:
     return reduce(np.multiply, _axis_columns(freqs, _columns(X)[0], np.cos)[0]).reshape(-1, freqs.size)
 
 
-def _gram(freqs: FrequencySet, theta: np.ndarray, cols) -> np.ndarray:
-    """The (N, m, m) Hessians of ``gram_batch`` at the columns ``cols``, a view of
-    an (m, m, N) stack so that each entry is one contiguous write; no BLAS
-    product, since its rounding of a row depends on the row's place in the call."""
+def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
+    """Model Hessians D2 psi(x | theta) at the points or mesh X, shape (N, m, m),
+    sum-factorized over the last axis (Orszag, J. Comput. Phys. 37, 1980):
+    G_jl = (j == l) + sum_d Q_d t_d, t_d = cos or sin(pi v_d x_m) over the last
+    axis' distinct components v_d, Q_d = sum over the u with u_m = v_d of theta_u
+    c_u (u_j^2, or -u_j u_l off the diagonal) times the leading axes' factors,
+    on the leading grid of a mesh.  Leading factors cos(0) and zero terms are
+    skipped, and the sums run elementwise in frequency order with no BLAS
+    product, whose rounding of a row depends on the row's place in the call; so
+    a mesh and its expanded points give the same bits.  Exactly symmetric; a
+    view of an (m, m, N) stack, so that each entry is one contiguous write.  The
+    trigonometric formulas extend naturally outside [0, 1]^m; the domain is not
+    checked here.
+    """
+    theta = freqs.check_theta(theta)
+    cols = _columns(X)[0]
     m, U = freqs.dim, freqs.freqs
     uniq = [np.unique(u, return_inverse=True) for u in U.T]  # components v, each u's row in v
     angles = (np.multiply.outer(v, np.pi * x) for (v, _), x in zip(uniq, cols))
@@ -206,21 +218,6 @@ def _gram(freqs: FrequencySet, theta: np.ndarray, cols) -> np.ndarray:
         sums = (q * last[j < l == m - 1][d] for d, q in sorted(Q.items()))
         G[j, l] = G[l, j] = reduce(np.add, sums, float(j == l))
     return np.moveaxis(G.reshape(m, m, -1), -1, 0)
-
-
-def gram_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
-    """Model Hessians D2 psi(x | theta) at the points or mesh X, shape (N, m, m),
-    sum-factorized over the last axis (Orszag, J. Comput. Phys. 37, 1980):
-    G_jl = (j == l) + sum_d Q_d t_d, t_d = cos or sin(pi v_d x_m) over the last
-    axis' distinct components v_d, Q_d = sum over the u with u_m = v_d of theta_u
-    c_u (u_j^2, or -u_j u_l off the diagonal) times the leading axes' factors,
-    on the leading grid of a mesh.  Leading factors cos(0) and zero terms are
-    skipped, and the sums run elementwise in frequency order, so a mesh and its
-    expanded points give the same bits.  Exactly symmetric.  The trigonometric
-    formulas extend naturally outside [0, 1]^m; the domain is not checked here.
-    """
-    theta = freqs.check_theta(theta)
-    return _gram(freqs, theta, _columns(X)[0])
 
 
 def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
@@ -261,7 +258,8 @@ def _psd_det(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack-last Cholesky factors C (s, s, N) in their lower triangles.  The
     elimination runs elementwise, so each point is decided by its own pivots:
     if each exceeds _PIVOT_SCREEN times its diagonal entry, a margin far above
-    any Cholesky's rounding, the point keeps the LU determinant.  Other points
+    any Cholesky's rounding, and the smallest normal number, below which
+    rounding is no longer relative, the point keeps the LU determinant.  Other points
     go to ``_least_eigs``: an eigenvalue below -EPS_PD raises
     IndefiniteHessianError (theta is infeasible), and points whose smallest
     eigenvalue is <= 0 get 0.  C's diagonal is 0 or nan where a pivot is not
@@ -271,7 +269,7 @@ def _psd_det(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = np.ones(len(G), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(C)):
-            ok &= C[k, k] > _PIVOT_SCREEN * G[:, k, k]  # False on nan
+            ok &= C[k, k] > np.maximum(_PIVOT_SCREEN * G[:, k, k], np.finfo(float).tiny)  # False on nan
             C[k:, k] /= np.sqrt(C[k, k])
             C[k + 1 :, k + 1 :] -= C[k + 1 :, k, None] * C[None, k + 1 :, k]
     bad = np.flatnonzero(~ok)
@@ -368,15 +366,13 @@ def _gram_scores(freqs: FrequencySet, theta, X) -> tuple[np.ndarray, np.ndarray]
     the density does, and the Cholesky factors that ``_inverse_svec`` turns into
     svec(G^{-1}); SingularHessianError is raised if any point has a pivot that is
     not positive or density 0."""
-    theta = freqs.check_theta(theta)
-    cols = _columns(X)[0]
-    p, L = _psd_det(_gram(freqs, theta, cols))
+    p, L = _psd_det(gram_batch(freqs, theta, X))
     if not ((np.diagonal(L) > 0).all() and p.all()):
         raise SingularHessianError("model Hessian is singular at a sample point")
     Ginv = _inverse_svec(np.moveaxis(L, -1, 0))
     (k, m), U = freqs.freqs.shape, freqs.freqs.astype(float)
     pos, _, _, diag, _, _ = _svec_tables(m)
-    C, S = _axis_columns(freqs, cols, np.cos, np.sin)
+    C, S = _axis_columns(freqs, _columns(X)[0], np.cos, np.sin)
     scores = Ginv[diag].T @ U.T**2
     scores *= reduce(np.multiply, C).reshape(-1, k)
     for j, l in itertools.combinations(range(m), 2):

@@ -8,7 +8,7 @@ import sgm
 from sgm import DomainError, FrequencySet, ResourceLimitError
 from sgm.analysis import _region_bound, gauss_legendre, tensor_grid
 from sgm.cli import main
-from sgm.model import density_batch, gram_batch, hessian_basis_batch
+from sgm.model import density_batch, gram_batch, hessian_basis_batch, mixm_density_batch
 
 from conftest import random_lit_interior, smat
 
@@ -397,9 +397,32 @@ class TestDensityGrid:
         swapped = sgm.density_grid(fs, theta, (1, 0), 9, nodes=NODES)
         np.testing.assert_array_equal(swapped, values.T)
 
+    def test_conditional_mixture_is_joint_over_marginal(self):
+        fs = FrequencySet.from_vectors([[1, 2, 0], [0, 1, 1], [1, 1, 1]])
+        theta = [0.1, 0.2, -0.15]
+        values = sgm.density_grid(fs, theta, (0, 1), 7, conditioning={2: 0.7}, model="mixm",
+                                  nodes=NODES)
+        x = np.linspace(0.0, 1.0, 7)
+        points = np.array([[a, b, 0.7] for a in x for b in x])
+        joint = mixm_density_batch(fs, theta, points).reshape(7, 7)
+        norm = sgm.marginal_density(fs, theta, [2], [0.7], model="mixm", nodes=NODES)
+        np.testing.assert_array_equal(values, joint / norm)
+
     def test_resolution_validation(self):
         with pytest.raises(DomainError):
             sgm.density_grid(U11, [0.1], (0, 1), 1, nodes=NODES)
+
+    @pytest.mark.parametrize("axes,kwargs,message", [
+        ((0, 1), {"model": "gauss"}, "unknown model 'gauss'"),
+        ((0, 1), {"conditioning": {2: 0.5}, "model": "gauss"}, "unknown model 'gauss'"),
+        ((1, 1), {}, "two distinct axis indices"),
+        ((0, 1), {"conditioning": {0: 0.5}}, "fix exactly the complement axes"),
+        ((0, 1), {"conditioning": {1: 0.5, 2: 0.5}}, "fix exactly the complement axes"),
+    ])
+    def test_invalid_arguments_raise(self, axes, kwargs, message):
+        fs = sgm.standard_freq_set(3)
+        with pytest.raises(DomainError, match=message):
+            sgm.density_grid(fs, np.zeros(fs.size), axes, 5, nodes=8, **kwargs)
 
 
 class TestTable1:

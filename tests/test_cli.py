@@ -578,6 +578,20 @@ class TestExitCodes:
         assert run(["fit", "--input", str(tmp_path / "missing.csv"),
                     "--output", str(tmp_path / "x.json")], capsys) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--input", "missing.csv", "--no-preprocess", "--global-preprocess"],
+        ["fit", "--input", "missing.csv", "--freqs", "bogus"],
+        ["analyze", "--what", "grid", "--input", "missing.json", "--condition", "2:0.5"],
+        ["analyze", "--what", "grid", "--input", "missing.json", "--axes", "a,b"],
+        ["analyze", "--what", "marginal", "--input", "missing.json", "--axes", "x"],
+    ])
+    def test_usage_error_is_raised_before_the_input_is_read(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        argv = [str(tmp_path / a) if a.startswith("missing.") else a for a in argv]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_condition_outside_unit_interval_exits_4(self, tmp_path, params7, capsys):
         assert run(["analyze", "--what", "grid", "--input", params7, "--axes", "0,1",
                     "--condition", "2=1.7", "--resolution", "5", "--quad-nodes", "8",

@@ -141,6 +141,14 @@ class TestFitSgm:
         with pytest.raises(DataError):
             sgm.fit_sgm(np.zeros((0, 2)), fs, LitRegion(1.0))
 
+    def test_rejects_data_of_another_dimension(self):
+        with pytest.raises(DataError, match="data has 2 columns, model expects 3"):
+            sgm.fit_sgm(np.full((10, 2), 0.5), sgm.standard_freq_set(3), LitRegion(1.0))
+
+    def test_rejects_an_unknown_region(self):
+        with pytest.raises(DomainError, match="unknown region 'lit'"):
+            sgm.fit_sgm(np.full((10, 2), 0.5), sgm.standard_freq_set(2), "lit")
+
 
 class TestNewtonSteps:
     def test_lit_fits_at_m5_take_at_most_70_newton_steps(self):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -95,8 +95,9 @@ class TestFrequencySet:
             sgm.standard_freq_set(0)
 
     def test_index_of_an_absent_vector_raises(self):
-        with pytest.raises(KeyError, match="not in frequency set"):
-            FrequencySet.from_vectors([[1, 1], [2, 0]]).index((1, 2))
+        with pytest.raises(KeyError) as exc:
+            FrequencySet.from_vectors([[1, 1, 0], [2, 0, 1]]).index((1, 2, 2))
+        assert exc.value.args == ("(1, 2, 2) not in frequency set",)
 
 
 class TestHessianBasis:
@@ -314,6 +315,10 @@ def mixed_stacks(draw):
 class TestPsdDet:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(pd_stacks(), rank_deficient_stacks(), even_indefinite_stacks()))
+    # a subnormal diagonal entry, where 1e-6 times it underflows to a screen of 0
+    @example(np.array([[[1.0, 1.69129979e-162, 5.07389937e-162],
+                        [1.69129979e-162, 9.88131292e-324, 3.38259958e-162],
+                        [5.07389937e-162, 3.38259958e-162, 4.0]]]))
     def test_matches_eigenvalue_rule(self, G):
         assert outcome(psd_det, G) == outcome(psd_det_reference, G)
 
