@@ -49,6 +49,7 @@ EXTRA = [
     ("fit-gauss", "lit-m5", ["fit", "--model", "gauss", "--tau", "0.5"]),
     ("cv-mixm", "lit-m5", ["cv", "--model", "mixm", "--folds", "3", "--tau-grid", "0.5,1"]),
     ("cv-sgm", "lit-m5", ["cv", "--folds", "3", "--tau-grid", "0.5,1"]),
+    ("fit-lattice-m5", "lit-m5", ["fit", "--region", "lattice", "--M", "3"]),
     ("fit-mixm-lattice", "lattice-m3",
      ["fit", "--model", "mixm", "--region", "lattice", "--M", "3", "--no-preprocess"]),
     ("grid-conditioned", "density",

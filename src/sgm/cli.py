@@ -13,6 +13,7 @@ from the timing field.  Exit codes: 0 success, 2 usage error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -385,28 +386,31 @@ def _parse_condition(text: str) -> dict[int, float]:
 def run_analyze(args) -> tuple[dict, dict] | str:
     what = args.what
     config = {"what": what, "model": args.model, "quad_nodes": args.quad_nodes}
-    if args.condition and what != "grid":
-        raise UsageError("--condition applies only to --what grid")
+    # the options each analysis reads; of them, --input, --theta and --phi are required
+    reads = {"table1": "", "cmi": "theta phi", "fisher": "input", "marginal": "input axes resolution",
+             "grid": "input axes resolution condition"}.get(what, "theta").split()
+    for option in ("input", "theta", "phi", "axes", "resolution", "condition"):
+        if getattr(args, option) is not None and option not in reads:
+            raise UsageError(f"--{option} does not apply to --what {what}")
+        if getattr(args, option) is None and option in reads and option in ("input", "theta", "phi"):
+            raise UsageError(f"--what {what} requires --{option}")
 
     if what == "table1":
         return config, {"table1": analysis.table1(args.quad_nodes)}
 
-    if what in ("correlation", "beta122", "beta123"):
-        theta = _require_theta(args)
-        config["theta"] = theta
+    if "theta" in reads:
+        vals = _parse_list(args.theta)
+        if len(vals) != 1:
+            raise UsageError("--theta must have 1 value(s)")
+        config["theta"] = theta = vals[0]
+        if what == "cmi":
+            config["phi"] = args.phi
+            return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, args.model, args.quad_nodes)}
         return config, {what: getattr(analysis, what)(theta, args.model, args.quad_nodes)}
 
-    if what == "cmi":
-        theta = _require_theta(args)
-        if args.phi is None:
-            raise UsageError("--what cmi requires --phi")
-        config.update({"theta": theta, "phi": args.phi})
-        return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, args.model, args.quad_nodes)}
-
-    if args.input is None:
-        raise UsageError(f"--what {what} requires --input params JSON")
     if what in ("marginal", "grid"):
         axes = _parse_list(args.axes or ("0" if what == "marginal" else "0,1"), int)
+        grid = np.linspace(0.0, 1.0, args.resolution or 101)
     conditioning = _parse_condition(args.condition) if args.condition else None
     freqs, theta = load_params(args.input)
     config["input"] = args.input
@@ -418,7 +422,6 @@ def run_analyze(args) -> tuple[dict, dict] | str:
     if what == "marginal":
         if len(axes) != 1 or not 0 <= axes[0] < freqs.dim:
             raise UsageError(f"--what marginal takes one --axes index in [0, {freqs.dim})")
-        grid = np.linspace(0.0, 1.0, args.resolution)
         vals = analysis.marginal_density(
             freqs, theta, axes, grid[:, None], model=args.model, nodes=args.quad_nodes
         )
@@ -430,23 +433,11 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         if conditioning and sorted(conditioning) != [a for a in range(freqs.dim) if a not in axes]:
             raise UsageError("--condition must fix exactly the axes not in --axes")
         values = analysis.density_grid(
-            freqs, theta, (axes[0], axes[1]), args.resolution,
+            freqs, theta, (axes[0], axes[1]), len(grid),
             conditioning=conditioning, model=args.model, nodes=args.quad_nodes,
         )
-        grid = np.linspace(0.0, 1.0, args.resolution)
         return _tsv([f"x_{axes[0] + 1}", f"x_{axes[1] + 1}", "density"],
                     [np.repeat(grid, len(grid)), np.tile(grid, len(grid)), values.ravel()])
-
-    raise UsageError(f"unknown analysis {what!r}")
-
-
-def _require_theta(args) -> float:
-    if args.theta is None:
-        raise UsageError(f"--what {args.what} requires --theta")
-    vals = _parse_list(args.theta)
-    if len(vals) != 1:
-        raise UsageError("--theta must have 1 value(s)")
-    return vals[0]
 
 
 def run_simulate(args) -> tuple[dict, dict]:
@@ -490,6 +481,7 @@ def _tau_grid(text: str) -> list[float]:
     return taus
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgm",
@@ -546,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--phi", type=float, default=None)
     p_an.add_argument("--quad-nodes", type=_at_least(1), default=analysis.DEFAULT_NODES)
     p_an.add_argument("--axes", help="axis indices, e.g. 0,1")
-    p_an.add_argument("--resolution", type=_at_least(2), default=101)
+    p_an.add_argument("--resolution", type=_at_least(2), help="marginal and grid (default 101)")
     p_an.add_argument("--condition", help="fixed axes, e.g. 1=0.75")
 
     p_sim = sub.add_parser("simulate", help="benchmark replication experiment")

@@ -11,11 +11,12 @@ E is a fixed objective map (the identity unless given; [I, -I] for a lasso
 split theta = theta+ - theta-).  Cholesky factors give the log-dets and, by
 ``model._inverse_svec``, X_t = G_t^-1: the gradient is sum_t B_t' svec(X_t)
 and the curvature -sum_t B_t' K(X_t, X_t) B_t, K the svec symmetric
-Kronecker product.  The iterate carries the multipliers Z_j and lambda and the
-slacks s, so b - A theta - s enters the system instead of a slack recomputed
-by cancellation (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal. Appl. 19(2),
-1998).  Each iteration factors one Newton system with dpotrf, HKM on the PSD
-blocks (Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998),
+Kronecker product.  Same-sized F, G and Z stacks share each factor and step
+call (``_by_size``).  The iterate carries the multipliers Z_j and lambda and
+the slacks s, so b - A theta - s enters the system instead of a slack
+recomputed by cancellation (Vandenberghe, Boyd & Wu, SIAM J. Matrix Anal.
+Appl. 19(2), 1998).  Each iteration factors one Newton system with dpotrf,
+HKM on the PSD blocks (Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998),
 
     W = -hess f + sum_j B_j' K(X_j, Z_j) B_j + A' diag(lambda / s) A,
 
@@ -23,8 +24,8 @@ for a Mehrotra affine predictor and a second-order corrector centred at
 sigma gap / nu, gap = sum_j <G_j, Z_j> + s' lambda, nu the barrier degree and
 sigma = (gap_aff / gap)^3 (Mehrotra, SIAM J. Optim. 2(4), 1992).  The step is
 0.98 of the largest that keeps G_j, Z_j, the objective stack, s and lambda
-positive, at most 1, read off the factors by ``model._least_eigs``; there is
-no line search.  scipy's LAPACK wrappers load on the first solve, so
+positive, at most 1, read off the inverse factors by ``model._least_eigs``;
+there is no line search.  scipy's LAPACK wrappers load on the first solve, so
 importing this module loads numpy only.  Identical inputs give
 bitwise-identical iterate sequences.
 """
@@ -195,10 +196,36 @@ def _kron_curvature(stack, X, Z=None):
     return stack.B.reshape(T * sv, p).T @ (K.transpose(2, 0, 1) @ stack.B).reshape(T * sv, p)
 
 
-def _logdet_sum(stack, theta, order):
+def _by_size(stacks, axis=0):
+    """Per block size, the positions in ``stacks`` (None skipped) of the stacks of
+    that size and their concatenation along ``axis``, a lone stack as it is."""
+    groups = {}
+    for i, S in enumerate(stacks):
+        if S is not None:
+            groups.setdefault(S.shape[:axis] + S.shape[axis + 1:], []).append(i)
+    for pos in groups.values():
+        yield pos, stacks[pos[0]] if len(pos) == 1 else np.concatenate([stacks[i] for i in pos], axis)
+
+
+def _factors(stacks):
+    """Cholesky factors of the (T, s, s) stacks, one ``cholesky`` per ``_by_size``
+    group: (per stack, None for None; per group); SolverError if one is not PD."""
+    per, groups = [None] * len(stacks), []
+    for pos, S in _by_size(stacks):
+        try:
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            raise SolverError("iterate left the domain") from None
+        groups.append(L)
+        for i in pos:
+            per[i], L = L[:len(stacks[i])], L[len(stacks[i]):]
+    return per, groups
+
+
+def _logdet_sum(stack, theta, order, L=None):
     """Sum of the stack's log-dets with derivatives up to ``order``:
-    (value, grad, hess, L), L the (T, s, s) Cholesky factors, the gradient
-    sum_t B_t' (g o svec X_t) with X_t = G_t^{-1} and the curvature
+    (value, grad, hess, L), L the (T, s, s) Cholesky factors (made if None), the
+    gradient sum_t B_t' (g o svec X_t) with X_t = G_t^{-1} and the curvature
     -sum_t B_t' K(X_t, X_t) B_t; derivatives not asked for are None, and a
     None stack contributes zeros.  None if any map is not positive definite.
     """
@@ -206,8 +233,8 @@ def _logdet_sum(stack, theta, order):
     if stack is None:
         return 0.0, np.zeros(p) if order >= 1 else None, np.zeros((p, p)) if order >= 2 else None, None
     try:
-        L = np.linalg.cholesky(stack(theta))
-    except np.linalg.LinAlgError:
+        L = _factors([stack(theta)])[1][0] if L is None else L
+    except SolverError:
         return None
     value = float((2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)).sum())
     X = _inverse_svec(L) if order >= 1 else None
@@ -216,19 +243,19 @@ def _logdet_sum(stack, theta, order):
     return value, grad, hess, L
 
 
-def _objective(problem: MaxDetProblem, theta, order: int):
+def _objective(problem: MaxDetProblem, theta, order: int, L=None):
     """_logdet_sum of the objective through z = E theta plus its linear cost."""
     E = problem.objective_map
-    parts = _logdet_sum(problem.objective, E @ theta, order)
+    parts = _logdet_sum(problem.objective, E @ theta, order, L)
     if parts is None:
         return None
-    value, grad, hess, L = parts
+    value, grad, hess, _ = parts
     grad = E.T @ grad if order >= 1 else None
     hess = E.T @ hess @ E if order >= 2 else None
     if problem.linear_cost is not None:
         value = value + float(problem.linear_cost @ theta)
         grad = grad + problem.linear_cost if order >= 1 else None
-    return value, grad, hess, L
+    return value, grad, hess
 
 
 def objective_eval(problem: MaxDetProblem, theta, need_hess: bool = True):
@@ -241,7 +268,7 @@ def objective_eval(problem: MaxDetProblem, theta, need_hess: bool = True):
     parts = _objective(problem, theta, 2 if need_hess else 1)
     if parts is None:
         raise DomainError("objective term is not positive definite at theta")
-    return parts[:3]
+    return parts
 
 
 def _linear_curvature(problem, d):
@@ -294,29 +321,25 @@ def _max_step(R, dV, alpha):
 
 def _linearize(problem, theta, s, lam, Z):
     """What an iteration reads at the iterate (theta, s, lam, Z): the objective,
-    the factors, the residuals, the certificate and the factored Newton system."""
-    parts = _objective(problem, theta, 2)
-    if parts is None:
-        raise SolverError("iterate left the domain")
-    value, grad, hess, LF = parts
-    A, con = problem.A, problem.psd_constraint
-    pt = SimpleNamespace(theta=theta, s=s, lam=lam, Z=Z, value=value, grad=grad, d=lam / s,
-                         r_p=problem.b - A @ theta - s, RF=None if LF is None else _inverse_factor(LF))
+    the factors, the residuals, the certificate and the factored Newton system;
+    ``R`` holds L^-1 of each ``_by_size`` group of F(E theta), G(theta) and Z."""
+    A, con, F = problem.A, problem.psd_constraint, problem.objective
+    G = None if con is None else _values(con, theta)
+    (LF, LG, _), groups = _factors([
+        None if F is None else F(problem.objective_map @ theta),
+        *((None, None) if con is None else (_smat(G, con.size), _smat(Z, con.size)))])
+    value, grad, hess = _objective(problem, theta, 2, LF)
+    pt = SimpleNamespace(theta=theta, s=s, lam=lam, Z=Z, G=G, value=value, grad=grad, d=lam / s,
+                         r_p=problem.b - A @ theta - s, R=[_inverse_factor(L) for L in groups])
     r_d = grad - A.T @ lam
     W = _linear_curvature(problem, pt.d) - hess
     gz, pt.adjX = np.zeros(0), 0.0
     if con is not None:
-        pt.G = _values(con, theta)
-        try:
-            LG = np.linalg.cholesky(_smat(pt.G, con.size))
-            LZ = np.linalg.cholesky(_smat(Z, con.size))
-        except np.linalg.LinAlgError:
-            raise SolverError("iterate left the domain") from None
-        pt.X, pt.RG, pt.RZ = _inverse_svec(LG), _inverse_factor(LG), _inverse_factor(LZ)
+        pt.X = _inverse_svec(LG)
         pt.adjX = _adjoint(con, pt.X)  # the PSD barrier gradient at unit mu
         r_d += _adjoint(con, Z)
         W += _kron_curvature(con, pt.X, Z)
-        gz = _svec_tables(con.size)[1] @ (pt.G * Z)
+        gz = _svec_tables(con.size)[1] @ (G * Z)
     pt.gap = gz.sum() + s @ lam
     pt.kkt = float(np.linalg.norm(np.concatenate([r_d, gz, lam * s])))
     pt.solve = _newton_solver(W)
@@ -349,13 +372,12 @@ def _direction(problem, pt, smu, aff=None):
 
 def _step_length(problem, pt, dirn, alpha):
     """min(alpha, the largest step along ``dirn`` that keeps the objective
-    stack, G, Z, s and lambda positive)."""
-    if pt.RF is not None:
-        E = problem.objective_map
-        alpha = _max_step(pt.RF, _values(problem.objective, E @ dirn.dtheta, base=False), alpha)
-    if problem.psd_constraint is not None:
-        alpha = _max_step(pt.RG, dirn.dG, alpha)
-        alpha = _max_step(pt.RZ, dirn.dZ, alpha)
+    stack, G, Z, s and lambda positive), one ``_max_step`` per block size."""
+    F, con = problem.objective, problem.psd_constraint
+    dV = [None if F is None else _values(F, problem.objective_map @ dirn.dtheta, base=False),
+          *((None, None) if con is None else (dirn.dG, dirn.dZ))]
+    for R, (_, V) in zip(pt.R, _by_size(dV, axis=1)):
+        alpha = _max_step(R, V, alpha)
     for v, dv in ((pt.s, dirn.ds), (pt.lam, dirn.dlam)):  # ratio tests over dv < 0
         alpha = float(np.divide(v, -dv, out=np.full(len(v), alpha), where=dv < 0).min(initial=alpha))
     return alpha

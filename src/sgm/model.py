@@ -241,12 +241,13 @@ def hessian_basis_batch(freqs: FrequencySet, X) -> np.ndarray:
 
 def _least_eigs(G: np.ndarray, cap: float = np.inf) -> np.ndarray:
     """Smallest eigenvalue of each block of a symmetric stack G (N, s, s): by
-    eigvalsh where the Gershgorin bound min_r (G_rr - sum_{c != r} |G_rc|) is
+    eigvalsh where the Gershgorin bound min_r (G_rr - sum_{c != r} |G_rc|), taken
+    over the stack-last |G| (s, s, N) (each row summed in order for s < 8), is
     below cap, else that bound, which is >= cap.  The package's one eigvalsh."""
     r = np.arange(G.shape[-1])
-    A = np.abs(G)
-    A[:, r, r] = 0.0
-    out = (G.diagonal(axis1=1, axis2=2) - A.sum(axis=2)).min(axis=1)
+    A = np.abs(G.transpose(1, 2, 0), order="C")
+    A[r, r] = 0.0
+    out = (G.diagonal(axis1=1, axis2=2).T - A.sum(axis=1)).min(axis=0)
     need = out < cap
     if need.any():
         out[need] = np.linalg.eigvalsh(G[need])[:, 0]

@@ -605,11 +605,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("what", ["marginal", "fisher"])
     def test_condition_outside_grid_exits_2(self, tmp_path, params7, what, capsys):
         out = tmp_path / "m.tsv"
-        argv = ["analyze", "--what", what, "--input", params7, "--axes", "0",
-                "--resolution", "5", "--quad-nodes", "8", "--output", str(out)]
+        argv = ["analyze", "--what", what, "--input", params7,
+                *(["--axes", "0", "--resolution", "5"] if what == "marginal" else []),
+                "--quad-nodes", "8", "--output", str(out)]
         assert run(argv, capsys) == 0
         out.unlink()
         assert run(argv + ["--condition", "1=0.5"], capsys) == 2
+        assert not out.exists()
+
+    # M is an input file that does not exist
+    @pytest.mark.parametrize("argv", [
+        ["--what", "correlation", "--theta", "0.3", "--axes", "7", "--input", "M"],
+        ["--what", "correlation", "--theta", "0.3", "--input", "P"],
+        ["--what", "beta122", "--theta", "0.2", "--phi", "0.1"],
+        ["--what", "cmi", "--theta", "0.2", "--phi", "0.1", "--resolution", "5"],
+        ["--what", "table1", "--theta", "0.3"],
+        ["--what", "table1", "--input", "P"],
+        ["--what", "fisher", "--input", "P", "--axes", "7,9", "--resolution", "5"],
+        ["--what", "fisher", "--input", "P", "--theta", "0.3"],
+        ["--what", "marginal", "--input", "P", "--phi", "0.1"],
+        ["--what", "grid", "--input", "P", "--theta", "0.3"],
+    ])
+    def test_option_the_analysis_does_not_read_exits_2(self, tmp_path, params7, argv, capsys):
+        out = tmp_path / "out"
+        argv = [{"P": params7, "M": str(tmp_path / "missing.json")}.get(a, a) for a in argv]
+        assert main(["analyze", *argv, "--quad-nodes", "8", "--output", str(out)]) == 2
+        assert re.match(r"error: --[a-z]+ does not apply to --what [a-z0-9]+\n$",
+                        capsys.readouterr().err)
         assert not out.exists()
 
     def test_repeated_condition_axis_exits_2(self, tmp_path, params7, capsys):
@@ -783,3 +805,30 @@ class TestExitCodes:
         path.write_text(json.dumps({"frequencies": [[1, 1]], "theta": [1.7]}))
         assert run(["sample", "--model", "sgm", "--input", str(path), "--n", "10",
                     "--seed", "0", "--output", str(tmp_path / "x.csv")], capsys) == 4
+
+
+class TestParserReuse:
+    """``build_parser`` builds the parser once per process; ``main`` reuses it."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_identical_calls_print_identical_output(self, params7, capsys):
+        argv = ["analyze", "--what", "marginal", "--input", params7, "--axes", "1",
+                "--resolution", "7", "--quad-nodes", "8"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        bad = ["analyze", "--what", "table1", "--resolution", "1"]
+        cli.build_parser.cache_clear()
+        assert main(bad) == 2
+        first = capsys.readouterr()
+        assert main(["analyze", "--what", "table1", "--quad-nodes", "4"]) == 0
+        capsys.readouterr()
+        assert main(bad) == 2
+        assert capsys.readouterr() == first
+        assert "--resolution" in first.err and first.out == ""

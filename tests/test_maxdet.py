@@ -372,6 +372,43 @@ class TestBarrierStep:
         want = min(alpha, -1.0 / least) if least < 0 else alpha
         assert _max_step(R, dV, alpha) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.one_of(st.none(), st.integers(1, 4)), st.floats(0.01, 10.0),
+           st.integers(0, 2**32 - 1))
+    def test_step_length_equals_one_max_step_per_stack(self, sF, sG, alpha, seed):
+        from types import SimpleNamespace
+
+        from sgm.maxdet import _factors, _inverse_factor, _max_step, _step_length, _values
+
+        # _step_length runs one _max_step over the F, G and Z stacks of each
+        # block size (sG None: G and Z share F's size); its alpha is exactly that
+        # of one _max_step per stack in sequence, from factors made per stack
+        rng = np.random.default_rng(seed)
+        sG, (T, J), p = sF if sG is None else sG, rng.integers(1, 30, size=2), 3
+
+        def pd(n, s):
+            A = rng.normal(size=(n, s, s))
+            return A @ A.transpose(0, 2, 1) + 0.1 * np.eye(s)
+
+        def directions(n, s):
+            return svec(np.stack([rand_sym(rng, s, 10.0 ** rng.uniform(-4, 0)) for _ in range(n)])).T
+
+        F = AffineMatrix(np.eye(sF), rng.normal(size=(T, sF * (sF + 1) // 2, p)))
+        G = AffineMatrix(np.eye(sG), np.zeros((J, sG * (sG + 1) // 2, p)))
+        prob = MaxDetProblem(nvars=p, objective=F, psd_constraint=G)
+        mats = [pd(T, sF), pd(J, sG), pd(J, sG)]
+        pt = SimpleNamespace(R=[_inverse_factor(L) for L in _factors(mats)[1]],
+                             s=np.zeros(0), lam=np.zeros(0))
+        dirn = SimpleNamespace(dtheta=rng.normal(size=p) * 10.0 ** rng.uniform(-4, 0),
+                               dG=directions(J, sG), dZ=directions(J, sG),
+                               ds=np.zeros(0), dlam=np.zeros(0))
+        want = alpha
+        dF = _values(F, prob.objective_map @ dirn.dtheta, base=False)
+        for M, dV in zip(mats, (dF, dirn.dG, dirn.dZ)):
+            want = _max_step(_inverse_factor(np.linalg.cholesky(M)), dV, want)
+        assert len(pt.R) == (1 if sG == sF else 2)
+        assert _step_length(prob, pt, dirn, alpha) == want
+
 
 class TestPredictor:
     """The central path of log(1 + theta) + mu log(c - theta) is

@@ -368,6 +368,24 @@ class TestLeastEigs:
         assert (bound <= exact + 1e-12 * np.abs(G).max(axis=(1, 2))).all()  # Gershgorin
         assert np.array_equal(_least_eigs(G), exact)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 10), st.integers(0, 40), st.floats(-10.0, 10.0),
+           st.integers(0, 2**32 - 1))
+    def test_larger_blocks_are_exact_below_the_cap_and_bounded_above_it(self, s, n, cap, seed):
+        # diagonal shifts put blocks on both sides of the cap; from s = 8 on the
+        # bound may round differently from ``gershgorin``'s, so it is compared
+        # with a tolerance, and a block is exact wherever the bound is clearly low
+        rng = np.random.default_rng(seed)
+        A = rng.normal(scale=10.0 ** rng.uniform(-2, 1), size=(n, s, s))
+        G = A + A.transpose(0, 2, 1) + rng.uniform(-5.0, 40.0, size=(n, 1, 1)) * np.eye(s)
+        exact = np.linalg.eigvalsh(G)[:, 0]
+        got = _least_eigs(G, cap)
+        tol = 1e-12 * (1.0 + np.abs(G).sum(axis=(1, 2)))
+        kept = got != exact
+        assert (got[kept] >= cap).all() and (got[kept] <= exact[kept] + tol[kept]).all()
+        assert not kept[gershgorin(G) < cap - tol].any()
+        assert np.array_equal(_least_eigs(G), exact)
+
     def test_single_entry_blocks_are_exact_at_any_cap(self, rng):
         G = rng.normal(size=(20, 1, 1))
         for cap in (-np.inf, -0.5, 0.0, 0.5, np.inf):

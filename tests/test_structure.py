@@ -1,15 +1,17 @@
-"""Structure: one least-eigenvalue routine, no matrix inverse in the model, and
-``cli`` alone writes text.
+"""Structure: one least-eigenvalue routine, one solver factorization, no
+matrix inverse in the model, and ``cli`` alone writes text.
 
 Every module of the package is parsed with ``ast``.  The smallest eigenvalue
 of a symmetric stack is asked for by the feasibility scans, the solver's step
 lengths, its Z >= 0 check and the density's semidefinite rule; all of them go
 through ``model._least_eigs``, the only caller of ``eigvalsh``, so a second
-Gershgorin prefilter cannot creep in unnoticed.  ``model.py`` decides
-"singular" and "indefinite" by the pivots of ``_psd_det``'s own elementwise
-Cholesky, whose factor the scores invert, without a LAPACK ``cholesky`` or an
-``inv``.  The library returns numbers and arrays; ``cli.py`` alone opens files,
-prints and formats.  Sample CSVs and density TSVs get their numbers from
+Gershgorin prefilter cannot creep in unnoticed.  ``maxdet.py`` calls
+``cholesky`` in ``_factors`` alone, once per block size over the objective,
+PSD and multiplier stacks, so a per-stack factorization cannot creep back in.
+``model.py`` decides "singular" and "indefinite" by the pivots of
+``_psd_det``'s own elementwise Cholesky, whose factor the scores invert,
+without a LAPACK ``cholesky`` or an ``inv``.  The library returns numbers and
+arrays; ``cli.py`` alone opens files, prints and formats.  Sample CSVs and density TSVs get their numbers from
 ``cli._format_rows``, the only code with a ``.17g`` format, so a per-value
 writer cannot creep back in beside it, and ``analysis.py`` neither builds text
 nor holds a result class.
@@ -92,6 +94,10 @@ def formats():
 
 def test_eigvalsh_is_called_only_in_least_eigs():
     assert calls("eigvalsh") == [("model.py", "_least_eigs")]
+
+
+def test_maxdet_calls_cholesky_in_one_function_only():
+    assert [c for c in calls("cholesky") if c[0] == "maxdet.py"] == [("maxdet.py", "_factors")]
 
 
 def test_model_calls_no_inverse():
