@@ -58,6 +58,8 @@ EXTRA = [
      ["analyze", "--what", "grid", "--model", "mixm", "--axes", "0,1", "--condition", "2=0.7",
       "--resolution", "21"]),
     ("marginal", "density", ["analyze", "--what", "marginal", "--axes", "1", "--resolution", "21"]),
+    ("sample-mixm", "density",
+     ["sample", "--model", "mixm", "--n", "2000", "--seed", "3", "--output", "/dev/null"]),
     ("simulate", None, ["simulate", "--replicates", "2", "--n", "30"]),
 ]
 

@@ -15,19 +15,11 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .model import (
-    FrequencySet,
-    _gram_scores,
-    _mesh_blocks,
-    _points,
-    _tensor_points,
-    density_batch,
-    mixm_density_batch,
-)
+from .feasibility import _lit_weights
+from .model import FrequencySet, _density_fn, _gram_scores, _mesh_blocks, _points, _tensor_points
 
 DEFAULT_NODES = 48
 _MAX_TENSOR_DIM = 4
-_CHUNK = 16384
 
 # Clip integrands below this before taking logarithms.
 _LOG_FLOOR = 1e-300
@@ -71,26 +63,18 @@ def integrate(f, dim: int, nodes: int = DEFAULT_NODES) -> float:
     return float(weights @ np.asarray(f(points), dtype=float))
 
 
-def _density_fn(freqs: FrequencySet, theta, which: str):
-    if which == "sgm":
-        return lambda X: density_batch(freqs, theta, X)
-    if which == "mixm":
-        return lambda X: mixm_density_batch(freqs, theta, X)
-    raise DomainError(f"unknown model {which!r}")
-
-
 def _grid_density(freqs, theta, model, x):
     """Density values on the tensor grid of the nodes x, reshaped to (n, ..., n)."""
     dens = _density_fn(freqs, theta, model)
-    blocks = _mesh_blocks([x] * freqs.dim, _CHUNK)
+    blocks = _mesh_blocks([x] * freqs.dim)
     return np.concatenate([dens(mesh) for mesh in blocks]).reshape((len(x),) * freqs.dim)
 
 
 def _region_bound(u, model: str) -> float:
-    """Largest |theta| at which the one-frequency model u is feasible: 1 / max_j u_j^2
-    for the gradient model (its L1-type region at tau = 1), 1 / ||u||^2 for the mixture."""
-    sq = np.square(u, dtype=float)
-    return 1.0 / (sq.max() if model == "sgm" else sq.sum())
+    """Largest |theta| at which the one-frequency model u is feasible: 1 / max W
+    over its L1-type weights at tau = 1, so 1 / max_j u_j^2 for the gradient model
+    and 1 / ||u||^2 for the mixture."""
+    return 1.0 / _lit_weights(FrequencySet.from_vectors([u]), model).max()
 
 
 def _standardized_moment(u, theta, model, nodes, center=None) -> float:
@@ -177,7 +161,7 @@ def marginal_density(
     dens = _density_fn(freqs, theta, model)
     weights = _tensor_weights(w, len(comp))
     out = np.empty(len(pts))
-    for rows, *grid in _mesh_blocks([np.arange(len(pts))] + [x] * len(comp), _CHUNK):
+    for rows, *grid in _mesh_blocks([np.arange(len(pts))] + [x] * len(comp)):
         cols = dict(zip(comp, grid)) | {a: pts[rows, d] for d, a in enumerate(axes)}
         vals = dens(tuple(cols[a] for a in range(freqs.dim)))
         out[rows.ravel()] = vals.reshape(rows.size, -1) @ weights
@@ -199,7 +183,7 @@ def fisher_numeric(freqs: FrequencySet, theta, nodes: int = DEFAULT_NODES) -> np
     weights = _tensor_weights(w, freqs.dim)
     J = np.zeros((freqs.size, freqs.size))
     lo = 0
-    for mesh in _mesh_blocks([x] * freqs.dim, _CHUNK):
+    for mesh in _mesh_blocks([x] * freqs.dim):
         p, scores = _gram_scores(freqs, theta, mesh)
         scores *= np.sqrt(weights[lo : lo + len(p)] * p)[:, None]
         lo += len(p)

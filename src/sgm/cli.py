@@ -385,11 +385,13 @@ def _parse_condition(text: str) -> dict[int, float]:
 
 def run_analyze(args) -> tuple[dict, dict] | str:
     what = args.what
-    config = {"what": what, "model": args.model, "quad_nodes": args.quad_nodes}
+    model = args.model or "sgm"
+    config = {"what": what, "model": model, "quad_nodes": args.quad_nodes}
     # the options each analysis reads; of them, --input, --theta and --phi are required
-    reads = {"table1": "", "cmi": "theta phi", "fisher": "input", "marginal": "input axes resolution",
-             "grid": "input axes resolution condition"}.get(what, "theta").split()
-    for option in ("input", "theta", "phi", "axes", "resolution", "condition"):
+    reads = {"table1": "", "cmi": "theta phi model", "fisher": "input",
+             "marginal": "input axes resolution model",
+             "grid": "input axes resolution condition model"}.get(what, "theta model").split()
+    for option in ("input", "theta", "phi", "axes", "resolution", "condition", "model"):
         if getattr(args, option) is not None and option not in reads:
             raise UsageError(f"--{option} does not apply to --what {what}")
         if getattr(args, option) is None and option in reads and option in ("input", "theta", "phi"):
@@ -405,8 +407,8 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         config["theta"] = theta = vals[0]
         if what == "cmi":
             config["phi"] = args.phi
-            return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, args.model, args.quad_nodes)}
-        return config, {what: getattr(analysis, what)(theta, args.model, args.quad_nodes)}
+            return config, {"cmi": analysis.cond_mutual_info(theta, args.phi, model, args.quad_nodes)}
+        return config, {what: getattr(analysis, what)(theta, model, args.quad_nodes)}
 
     if what in ("marginal", "grid"):
         axes = _parse_list(args.axes or ("0" if what == "marginal" else "0,1"), int)
@@ -423,7 +425,7 @@ def run_analyze(args) -> tuple[dict, dict] | str:
         if len(axes) != 1 or not 0 <= axes[0] < freqs.dim:
             raise UsageError(f"--what marginal takes one --axes index in [0, {freqs.dim})")
         vals = analysis.marginal_density(
-            freqs, theta, axes, grid[:, None], model=args.model, nodes=args.quad_nodes
+            freqs, theta, axes, grid[:, None], model=model, nodes=args.quad_nodes
         )
         return _tsv([f"x_{axes[0] + 1}", "density"], [grid, vals])
 
@@ -434,7 +436,7 @@ def run_analyze(args) -> tuple[dict, dict] | str:
             raise UsageError("--condition must fix exactly the axes not in --axes")
         values = analysis.density_grid(
             freqs, theta, (axes[0], axes[1]), len(grid),
-            conditioning=conditioning, model=args.model, nodes=args.quad_nodes,
+            conditioning=conditioning, model=model, nodes=args.quad_nodes,
         )
         return _tsv([f"x_{axes[0] + 1}", f"x_{axes[1] + 1}", "density"],
                     [np.repeat(grid, len(grid)), np.tile(grid, len(grid)), values.ravel()])
@@ -489,12 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, models=("sgm", "mixm", "gauss"), seed=False, inputs=True):
+    def common(p, models=("sgm", "mixm", "gauss"), seed=False, inputs=True, model="sgm"):
         if inputs:
             p.add_argument("--input", help="input path")
         p.add_argument("--output", help="output path (default: stdout)")
         if models:
-            p.add_argument("--model", choices=models, default="sgm")
+            p.add_argument("--model", choices=models, default=model)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas.add_argument("--resolution", type=_at_least(2), default=None)
 
     p_an = sub.add_parser("analyze", help="quadrature analyses and grids")
-    common(p_an, models=("sgm", "mixm"))
+    common(p_an, models=("sgm", "mixm"), model=None)  # sgm where read, refused where not
     p_an.add_argument(
         "--what",
         choices=("correlation", "beta122", "beta123", "cmi", "fisher", "marginal",

@@ -27,16 +27,8 @@ from .errors import (
     NumericalError,
     SgmError,
 )
-from .feasibility import LatticeRegion, LitRegion, Region, km_factors, lattice_points
-from .model import (
-    FrequencySet,
-    _cos_product,
-    density_batch,
-    fisher_origin,
-    hessian_basis_batch,
-    mixm_density_batch,
-    standard_freq_set,
-)
+from .feasibility import LatticeRegion, LitRegion, Region, _lit_weights, km_factors, lattice_points
+from .model import FrequencySet, _density_fn, _term_values, fisher_origin, standard_freq_set
 
 logger = logging.getLogger("sgm.estimators")
 
@@ -108,25 +100,6 @@ def _check_unit_data(data, m) -> np.ndarray:
     return data
 
 
-def _term_values(model, freqs, data):
-    """Per-sample objective stacks in svec form, as maxdet.AffineMatrix takes them.
-
-    Gradient model: (n, m(m+1)/2, k) Hessian bases with identity base;
-    mixture model: (n, 1, k) scalar cosine terms with base [[1]].
-    """
-    if model == "sgm":
-        return np.eye(freqs.dim), hessian_basis_batch(freqs, data)
-    return np.eye(1), (_cos_product(freqs, data) * freqs.sqnorms)[:, None, :]
-
-
-def _lit_rows(model, freqs):
-    """Budget rows (coefficients on |theta_u|) for the L1-type region, (R, k)."""
-    if model == "sgm":
-        cols = freqs.freqs.astype(float) ** 2  # (k, m)
-        return cols[:, cols.any(axis=0)].T
-    return freqs.sqnorms[None]
-
-
 def _lasso_split(m, rows, budget):
     """Objective map and linear constraints A theta < b of a lasso split.
 
@@ -163,7 +136,8 @@ def _fit(model, data, freqs, region):
             )
         else:
             base, B = _term_values(model, freqs, data)
-            E, A, b = _lasso_split(0, _lit_rows(model, freqs), region.tau)
+            W = _lit_weights(freqs, model)  # its nonzero columns are the budget rows
+            E, A, b = _lasso_split(0, W[:, W.any(axis=0)].T, region.tau)
             report = maxdet.solve(maxdet.MaxDetProblem(
                 nvars=E.shape[1], objective=maxdet.AffineMatrix(base, B), A=A, b=b,
                 objective_map=E,
@@ -311,7 +285,7 @@ def predictive_loglik(model: str, params, test) -> float:
     if model in ("sgm", "mixm"):
         freqs, theta = params
         try:
-            p = (density_batch if model == "sgm" else mixm_density_batch)(freqs, theta, test)
+            p = _density_fn(freqs, theta, model)(test)
         except IndefiniteHessianError:
             return float("-inf")
         if p.min() <= 0:

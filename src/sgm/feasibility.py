@@ -24,13 +24,12 @@ LATTICE_POINT_CAP = 10**7
 # Default scan resolutions per axis for min_eig_grid.
 _GRID_RESOLUTION = {1: 201, 2: 201, 3: 41}
 _MULTISTART_COUNT = 64
-_CHUNK = 65536
 _GERSHGORIN_SLACK = 1e-10  # pruning margin of _min_eig_over, relative to max |G|
 
 
 @dataclass(frozen=True)
 class LitRegion:
-    """L1-type region: tau - sum_u |theta_u| u_j^2 >= 0 for every axis j."""
+    """L1-type region at tau: |theta| @ W <= tau, W the model kind's ``_lit_weights``."""
 
     tau: float = 1.0
 
@@ -53,13 +52,24 @@ class LatticeRegion:
 Region = LitRegion | LatticeRegion
 
 
+def _lit_weights(freqs: FrequencySet, model: str = "sgm") -> np.ndarray:
+    """The weights W (k, R) of the L1-type region of kind ``model``: theta is in it
+    at tau iff |theta| @ W <= tau.  W = U^2, one column per axis, for the gradient
+    model; the one column ||u||^2 for the mixture model."""
+    sq = freqs.freqs.astype(float) ** 2
+    if model == "sgm":
+        return sq
+    if model == "mixm":
+        return sq.sum(axis=1, keepdims=True)
+    raise DomainError(f"unknown model {model!r}")
+
+
 def lit_margin(freqs: FrequencySet, theta, tau: float = 1.0) -> float:
     """min_j (tau - sum_u |theta_u| u_j^2); nonnegative iff theta is in the region."""
     if not (0.0 <= tau <= 1.0):
         raise DomainError("tau must lie in [0, 1]")
     theta = freqs.check_theta(theta)
-    loads = np.abs(theta) @ freqs.freqs.astype(float) ** 2
-    return float((tau - loads).min())
+    return float((tau - np.abs(theta) @ _lit_weights(freqs)).min())
 
 
 def km_factors(freqs: FrequencySet, M: int) -> np.ndarray:
@@ -81,7 +91,7 @@ def _min_eig_over(freqs: FrequencySet, theta, axes) -> float:
     diagonal entry or the best value so far (each >= the min) by
     _GERSHGORIN_SLACK * max |G|, far above eigensolver error."""
     best = np.inf
-    for mesh in _mesh_blocks(axes, _CHUNK):
+    for mesh in _mesh_blocks(axes):
         G = gram_batch(freqs, theta, mesh)
         cap = min(best, G.diagonal(axis1=1, axis2=2).min()) + _GERSHGORIN_SLACK * np.abs(G).max()
         best = min(best, float(_least_eigs(G, cap).min()))

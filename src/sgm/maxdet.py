@@ -224,13 +224,13 @@ def _factors(stacks):
 
 def _logdet_sum(stack, theta, order, L=None):
     """Sum of the stack's log-dets with derivatives up to ``order``:
-    (value, grad, hess, L), L the (T, s, s) Cholesky factors (made if None), the
-    gradient sum_t B_t' (g o svec X_t) with X_t = G_t^{-1} and the curvature
-    -sum_t B_t' K(X_t, X_t) B_t; derivatives not asked for are None, and a
-    None stack contributes zeros.  None if any map is not positive definite.
+    (value, grad, hess, L), L the (T, s, s) Cholesky factors of stack(theta), made
+    (theta read) only if None, the gradient sum_t B_t' (g o svec X_t), X_t = G_t^{-1},
+    and the curvature -sum_t B_t' K(X_t, X_t) B_t; derivatives not asked for are
+    None, a None stack contributing zeros.  None if any map is not positive definite.
     """
-    p = len(theta)
     if stack is None:
+        p = len(theta)
         return 0.0, np.zeros(p) if order >= 1 else None, np.zeros((p, p)) if order >= 2 else None, None
     try:
         L = _factors([stack(theta)])[1][0] if L is None else L
@@ -244,9 +244,10 @@ def _logdet_sum(stack, theta, order, L=None):
 
 
 def _objective(problem: MaxDetProblem, theta, order: int, L=None):
-    """_logdet_sum of the objective through z = E theta plus its linear cost."""
+    """_logdet_sum of the objective through z = E theta plus its linear cost; z
+    is formed only to make the factors, so not when L is given."""
     E = problem.objective_map
-    parts = _logdet_sum(problem.objective, E @ theta, order, L)
+    parts = _logdet_sum(problem.objective, E @ theta if L is None else None, order, L)
     if parts is None:
         return None
     value, grad, hess, _ = parts

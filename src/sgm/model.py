@@ -31,6 +31,9 @@ _PIVOT_SCREEN = 1e-6
 # analytic limits (removable 0/0 singularity).
 _FISHER_LIMIT_THETA = 1e-6
 
+# Points per block of ``_mesh_blocks``, at most; fisher_numeric's sums depend on it.
+_MESH_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class FrequencySet:
@@ -164,11 +167,11 @@ def _tensor_points(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _mesh_blocks(axes, chunk: int):
+def _mesh_blocks(axes):
     """Sparse ij meshes of the tensor grid of ``axes``, in blocks of whole
-    leading-axis slices of at most ``chunk`` points (one slice if it is larger)."""
+    leading-axis slices of at most _MESH_BLOCK points (one slice if it is larger)."""
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    step = max(1, chunk // math.prod(len(a) for a in axes[1:]))
+    step = max(1, _MESH_BLOCK // math.prod(len(a) for a in axes[1:]))
     for lo in range(0, len(axes[0]), step):
         yield (mesh[0][lo : lo + step], *mesh[1:])
 
@@ -294,6 +297,26 @@ def mixm_density_batch(freqs: FrequencySet, theta, X) -> np.ndarray:
     """Mixture-model density 1 + sum_u theta_u ||u||^2 prod_j cos(pi u_j x_j), (N,)."""
     theta = freqs.check_theta(theta)
     return 1.0 + _cos_product(freqs, X) @ (theta * freqs.sqnorms)
+
+
+def _density_fn(freqs: FrequencySet, theta, model: str):
+    """X -> the density of kind ``model``, "sgm" or "mixm", at theta."""
+    if model == "sgm":
+        return lambda X: density_batch(freqs, theta, X)
+    if model == "mixm":
+        return lambda X: mixm_density_batch(freqs, theta, X)
+    raise DomainError(f"unknown model {model!r}")
+
+
+def _term_values(model: str, freqs: FrequencySet, X):
+    """Per-point objective stacks in svec form, as maxdet.AffineMatrix takes them:
+    (N, m(m+1)/2, k) Hessian bases with identity base for the gradient model,
+    (N, 1, k) scalar cosine terms with base [[1]] for the mixture model."""
+    if model == "sgm":
+        return np.eye(freqs.dim), hessian_basis_batch(freqs, X)
+    if model == "mixm":
+        return np.eye(1), (_cos_product(freqs, X) * freqs.sqnorms)[:, None, :]
+    raise DomainError(f"unknown model {model!r}")
 
 
 def potential_batch(freqs: FrequencySet, theta, X) -> np.ndarray:

@@ -18,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, SgmError
+from .feasibility import _lit_weights
 from .model import FrequencySet, density_batch, mixm_density_batch
 
 _BATCH = 8192
@@ -37,18 +38,13 @@ class RejectionInfo:
 
 
 def rejection_bound(freqs: FrequencySet, theta, model: str = "sgm") -> float:
-    """Envelope constant dominating the density everywhere on the cube.
-
-    For the gradient model, prod_j (1 + sum_u |theta_u| u_j^2); for the
-    mixture model, 1 + sum_u |theta_u| ||u||^2.
+    """Envelope constant dominating the density everywhere on the cube:
+    prod_r (1 + (|theta| @ W)_r) over the columns of the L1-type weights W, so
+    prod_j (1 + sum_u |theta_u| u_j^2) for the gradient model and
+    1 + sum_u |theta_u| ||u||^2 for the mixture model.
     """
     theta = freqs.check_theta(theta)
-    if model == "sgm":
-        loads = np.abs(theta) @ freqs.freqs.astype(float) ** 2
-        return float(np.prod(1.0 + loads))
-    if model == "mixm":
-        return float(1.0 + np.abs(theta) @ freqs.sqnorms)
-    raise DomainError(f"unknown model {model!r}")
+    return float(np.prod(1.0 + np.abs(theta) @ _lit_weights(freqs, model)))
 
 
 def _cell_ceiling(freqs: FrequencySet, theta, bound: float) -> tuple[int, np.ndarray, np.ndarray]:

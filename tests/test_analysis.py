@@ -121,6 +121,10 @@ class TestRegionBound:
     def test_bound_values(self, measure, u, bounds, model):
         assert _region_bound(u, model) == bounds[model]
 
+    def test_unknown_model_raises(self):
+        with pytest.raises(DomainError, match="unknown model 'gauss'"):
+            _region_bound((1, 1), "gauss")
+
     @pytest.mark.parametrize("measure,u,bounds", CASES)
     @pytest.mark.parametrize("model", ["sgm", "mixm"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

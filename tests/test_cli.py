@@ -625,6 +625,10 @@ class TestExitCodes:
         ["--what", "fisher", "--input", "P", "--theta", "0.3"],
         ["--what", "marginal", "--input", "P", "--phi", "0.1"],
         ["--what", "grid", "--input", "P", "--theta", "0.3"],
+        ["--what", "fisher", "--input", "P", "--model", "sgm"],
+        ["--what", "fisher", "--input", "P", "--model", "mixm"],
+        ["--what", "table1", "--model", "sgm"],
+        ["--what", "table1", "--model", "mixm"],
     ])
     def test_option_the_analysis_does_not_read_exits_2(self, tmp_path, params7, argv, capsys):
         out = tmp_path / "out"

@@ -191,6 +191,14 @@ class TestPrimalDualFits:
             # strictly feasible with the slacks recomputed from theta
             assert (problem.b - problem.A @ report.theta > 0).all()
 
+    def test_an_unused_axis_gives_no_budget_row(self, monkeypatch, rng):
+        fs = FrequencySet.from_vectors([[1, 0, 1], [0, 0, 2], [1, 0, 0]])  # axis 1 unused
+        k, U2 = fs.size, fs.freqs.astype(float) ** 2
+        for fit, rows in ((sgm.fit_sgm, U2[:, [0, 2]].T), (sgm.fit_mixm, fs.sqnorms[None])):
+            _, problem = self.solved(monkeypatch, fit, rng.random((30, 3)), fs, LitRegion(0.5))
+            assert problem.A.shape[0] == 2 * k + len(rows)  # R = m - 1 rows for sgm
+            np.testing.assert_array_equal(problem.A[2 * k:], np.hstack([rows, rows]))
+
     def test_lattice_fits_certify_ten_times_below_target(self, monkeypatch):
         fs = sgm.standard_freq_set(3)
         truth = np.zeros(fs.size)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sgm
-from sgm import DomainError, FrequencySet, ResourceLimitError, feasibility
+from sgm import DomainError, FrequencySet, ResourceLimitError, feasibility, model
 from sgm.feasibility import (
     LATTICE_POINT_CAP,
     LatticeRegion,
@@ -61,6 +61,18 @@ class TestLitMargin:
     def test_tau_above_one_raises(self):
         with pytest.raises(DomainError, match=r"tau must lie in \[0, 1\]"):
             sgm.lit_margin(FrequencySet.from_vectors([[1, 1]]), [0.1], tau=2.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_its_formula_bit_for_bit(self, m, rng):
+        fs = sgm.standard_freq_set(m)
+        for _ in range(50):
+            theta, tau = rng.normal(scale=rng.random(), size=fs.size), rng.random()
+            want = (tau - np.abs(theta) @ fs.freqs.astype(float) ** 2).min()
+            assert sgm.lit_margin(fs, theta, tau) == want
+
+    def test_unknown_model_has_no_weights(self):
+        with pytest.raises(DomainError, match="unknown model 'gauss'"):
+            feasibility._lit_weights(U7, "gauss")
 
 
 class TestScaleKM:
@@ -222,7 +234,7 @@ class TestMinEigOver:
         direction = rng.normal(size=fs.size)
         theta = direction * load / (np.abs(direction) @ fs.freqs.astype(float) ** 2).max()
         if small_blocks:
-            monkeypatch.setattr(feasibility, "_CHUNK", 1)
+            monkeypatch.setattr(model, "_MESH_BLOCK", 1)
         block_sizes = []  # per scanned block of points, the points solved by eigvalsh
         eigvalsh, least_eigs = np.linalg.eigvalsh, feasibility._least_eigs
         monkeypatch.setattr(feasibility, "_least_eigs",

@@ -9,11 +9,11 @@ from hypothesis.extra import numpy as hnp
 import sgm
 from sgm import DomainError, FrequencySet, IndefiniteHessianError, SingularHessianError
 from sgm.analysis import tensor_grid
-from sgm.estimators import _term_values
 from sgm.model import (
     EPS_PD,
     _least_eigs,
     _psd_det,
+    _term_values,
     density_batch,
     gradient_map_batch,
     gram_batch,

@@ -53,6 +53,15 @@ class TestRejectionBound:
         with pytest.raises(DomainError, match="unknown model 'bogus'"):
             sgm.rejection_bound(FrequencySet.from_vectors([[1, 1]]), [0.1], "bogus")
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_envelopes_equal_their_formulas_bit_for_bit(self, m, rng):
+        fs = sgm.standard_freq_set(m)
+        for _ in range(50):
+            theta = rng.normal(scale=rng.random(), size=fs.size)
+            loads = np.abs(theta) @ fs.freqs.astype(float) ** 2
+            assert sgm.rejection_bound(fs, theta) == np.prod(1.0 + loads)
+            assert sgm.rejection_bound(fs, theta, "mixm") == 1.0 + np.abs(theta) @ fs.sqnorms
+
 
 class TestSampleSgm:
     def test_uniform_when_theta_zero(self):

@@ -1,5 +1,6 @@
 """Structure: one least-eigenvalue routine, one solver factorization, no
-matrix inverse in the model, and ``cli`` alone writes text.
+matrix inverse in the model, ``cli`` alone writes text, and each model kind is
+told apart in one place.
 
 Every module of the package is parsed with ``ast``.  The smallest eigenvalue
 of a symmetric stack is asked for by the feasibility scans, the solver's step
@@ -14,7 +15,9 @@ without a LAPACK ``cholesky`` or an ``inv``.  The library returns numbers and
 arrays; ``cli.py`` alone opens files, prints and formats.  Sample CSVs and density TSVs get their numbers from
 ``cli._format_rows``, the only code with a ``.17g`` format, so a per-value
 writer cannot creep back in beside it, and ``analysis.py`` neither builds text
-nor holds a result class.
+nor holds a result class.  Outside ``cli.py``, only ``model._density_fn``,
+``model._term_values`` and ``feasibility._lit_weights`` compare a model name
+with "sgm" or "mixm"; the modules that use a kind pass it through to them.
 """
 
 import ast
@@ -54,14 +57,21 @@ class _Calls(_Scoped):
         self.generic_visit(node)
 
 
-def calls(name):
-    """(module file, enclosing definition) of every call to ``name`` in the package."""
+def _found(make_visitor):
+    """(module file, enclosing definition) of every hit of ``make_visitor(tree)``
+    over the package's modules."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _Calls(name)
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        visitor = make_visitor(tree)
+        visitor.visit(tree)
         found += [(path.name, scope) for scope in visitor.found]
     return found
+
+
+def calls(name):
+    """(module file, enclosing definition) of every call to ``name`` in the package."""
+    return _found(lambda tree: _Calls(name))
 
 
 class _Formats(_Scoped):
@@ -83,13 +93,18 @@ class _Formats(_Scoped):
 
 def formats():
     """(module file, enclosing definition) of every ``.17g`` format in the package."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        visitor = _Formats(tree)
-        visitor.visit(tree)
-        found += [(path.name, scope) for scope in visitor.found]
-    return found
+    return _found(_Formats)
+
+
+class _KindTests(_Scoped):
+    """The enclosing definitions of every == or != comparison with "sgm" or "mixm"."""
+
+    def visit_Compare(self, node):
+        names = [x.value for x in (node.left, *node.comparators) if isinstance(x, ast.Constant)]
+        if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and (
+                {"sgm", "mixm"} & set(names)):
+            self.found.append(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
 
 
 def test_eigvalsh_is_called_only_in_least_eigs():
@@ -110,6 +125,12 @@ def test_model_calls_no_cholesky():
 
 def test_17g_is_formatted_only_in_format_rows():
     assert formats() == [("cli.py", "_format_rows")]
+
+
+def test_only_model_feasibility_and_cli_tell_sgm_from_mixm():
+    outside_cli = {hit for hit in _found(lambda tree: _KindTests()) if hit[0] != "cli.py"}
+    assert outside_cli == {("feasibility.py", "_lit_weights"), ("model.py", "_density_fn"),
+                           ("model.py", "_term_values")}
 
 
 def test_only_cli_opens_files_and_prints():
